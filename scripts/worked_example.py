@@ -9,6 +9,7 @@ about the regular part.  Prints the stage trace for each.
 from congru import (
     FieldSpec,
     Matrix,
+    assemble,
     check_transform,
     full_decomposition,
     invariants,
@@ -33,20 +34,9 @@ def describe(label, field):
           + (f"; {mult}" if mult else ""))
     print("transform:")
     print(x.to_text(), end="")
-    report = check_transform(a, x, _assemble(blocks))
+    report = check_transform(a, x, assemble(blocks))
     print(f"transform verified: {report.ok}")
     print()
-
-
-def _assemble(blocks):
-    from congru import direct_sum, jordan_block
-
-    field = blocks.regular_part.field
-    parts = [blocks.regular_part]
-    for k in sorted(blocks.jordan_multiplicities):
-        parts.extend([jordan_block(field, k)]
-                     * blocks.jordan_multiplicities[k])
-    return direct_sum(field, parts)
 
 
 if __name__ == "__main__":

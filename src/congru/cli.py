@@ -145,17 +145,16 @@ def _load_float(config: CliConfig, complex_entries: bool) -> np.ndarray:
         if rows < 0 or cols < 0 or not isinstance(entries, list) \
                 or len(entries) != rows * cols:
             raise CliInputError("entries must hold rows*cols tokens")
-        dtype = np.complex128 if complex_entries else np.float64
-        a = np.zeros((rows, cols), dtype=dtype)
+        values = []
         for idx, tok in enumerate(entries):
             try:
-                if isinstance(tok, (int, float)):
-                    a[divmod(idx, cols)] = float(tok)
-                else:
-                    a[divmod(idx, cols)] = _parse_float_token(
-                        str(tok), complex_entries)
-            except ValueError as exc:
+                values.append(float(tok) if isinstance(tok, (int, float))
+                              else _parse_float_token(str(tok),
+                                                      complex_entries))
+            except (ValueError, OverflowError) as exc:
                 raise CliInputError(f"entry {idx}: {exc}") from None
+        dtype = np.complex128 if complex_entries else np.float64
+        a = np.array(values, dtype=dtype).reshape(rows, cols)
     else:
         a = parse_float_matrix(text, complex_entries=complex_entries)
     if a.size and not np.isfinite(a).all():

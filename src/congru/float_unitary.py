@@ -15,6 +15,7 @@ non-unitary *congruences and lives in the exact modules.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,9 @@ class FloatMode:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.tol is not None and not self.tol > 0:
-            raise ValueError("fixed tolerance must be positive")
+        if self.tol is not None and not (math.isfinite(self.tol)
+                                         and self.tol > 0):
+            raise ValueError("fixed tolerance must be finite and positive")
 
     @classmethod
     def complex_conjugation(cls, tol: float | None = None) -> "FloatMode":
@@ -291,8 +293,8 @@ def parse_float_matrix(text: str, *, complex_entries: bool) -> np.ndarray:
     except (ValueError, IndexError):
         raise MatrixParseError(
             "header must be two integers: rows cols", 1, 1) from None
-    dtype = np.complex128 if complex_entries else np.float64
-    out = np.zeros((rows, cols), dtype=dtype)
+    # the header is untrusted: read every entry before allocating
+    values = []
     for i in range(rows):
         raw = lines[i + 1] if i + 1 < len(lines) else ""
         tokens = list(re.finditer(r"\S+", raw))
@@ -301,16 +303,17 @@ def parse_float_matrix(text: str, *, complex_entries: bool) -> np.ndarray:
                 tokens[-1].end() + 1 if tokens else 1)
             raise MatrixParseError(
                 f"expected {cols} entries, found {len(tokens)}", i + 2, col)
-        for j, t in enumerate(tokens):
+        for t in tokens:
             try:
-                out[i, j] = _parse_float_token(t.group(), complex_entries)
+                values.append(_parse_float_token(t.group(), complex_entries))
             except ValueError as exc:
                 raise MatrixParseError(str(exc), i + 2, t.start() + 1
                                        ) from None
     for k, extra in enumerate(lines[rows + 1:], start=rows + 2):
         if extra.strip():
             raise MatrixParseError("trailing content after matrix", k, 1)
-    return out
+    dtype = np.complex128 if complex_entries else np.float64
+    return np.array(values, dtype=dtype).reshape(rows, cols)
 
 
 def render_float_scalar(x) -> str:

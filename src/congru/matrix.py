@@ -152,9 +152,6 @@ class Matrix:
         return Matrix(self.field, self.rows, self.cols, tuple(
             tuple(c * a for a in row) for row in self._r))
 
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        return self.__mul__(other)
-
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -447,11 +444,6 @@ def inverse(a: Matrix) -> Matrix:
     if len(pivots) != a.rows:
         raise ValueError("matrix is singular")
     return Matrix(a.field, a.rows, a.rows, tuple(tuple(r) for r in ident))
-
-
-def conj_transpose(a: Matrix) -> Matrix:
-    """Entry-wise conjugate of the transpose; an involution itself."""
-    return a.star
 
 
 # -- *congruence invariants ------------------------------------------------------

@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .matrix import Matrix, direct_sum, jordan_block, row_echelon_transform
+from .matrix import (Matrix, _forward_eliminate, _work_copies, direct_sum,
+                     jordan_block)
 
 
 @dataclass(frozen=True)
@@ -67,31 +68,51 @@ class BlockSum:
     jordan_multiplicities: Mapping[int, int]
 
 
+def _echelon(a: Matrix) -> tuple[list, list, int]:
+    """Forward elimination of a: the rows of T and of T*a, rank(a)
+    independent rows on top, and the rank."""
+    ta, t = _work_copies(a)
+    return t, ta, len(_forward_eliminate(ta, t))
+
+
+def _from_rows(field, rows: list, cols: int) -> Matrix:
+    return Matrix(field, len(rows), cols, tuple(tuple(r) for r in rows))
+
+
 def stage(a: Matrix) -> StageRecord:
-    """One two-step *congruence stage on a singular square matrix.
+    """One two-step *congruence stage on a square matrix.
 
     Step 1 compresses the row space: with S from row elimination,
     (S*A)*S.star has its bottom m_odd = nullity(A) rows and columns of
     zeros, leaving [[M, N], [0, 0]].  Step 2 pushes the rank of N to
     the bottom: R*N has zero rows on top and m_even = rank(N)
     independent rows below.  The composed T = (R (+) I) * S produces
-    the stage block form.
+    the stage block form.  Each step runs one elimination and keeps
+    the eliminated rows as the product S*A (or R*N).
+
+    A nonsingular input (0x0 included) is reported, not rejected:
+    m_odd = m_even = 0, T = I and a_next = A, with empty b, c, d, e.
     """
     if not a.is_square():
         raise ValueError("stage requires a square matrix")
     n = a.rows
-    s, r = row_echelon_transform(a, zeros="bottom")
+    field = a.field
+    s_rows, sa_rows, r = _echelon(a)
     m_odd = n - r
     if m_odd == 0:
-        raise ValueError("stage requires singular input")
-    field = a.field
-    sa = (s * a) * s.star
+        zeros = Matrix.zeros
+        return StageRecord(
+            m_odd=0, m_even=0, transform=Matrix.identity(field, n),
+            a_next=a, b=zeros(field, n, 0), c=zeros(field, 0, n),
+            d=zeros(field, 0, 0), e=zeros(field, 0, 0))
+    s = _from_rows(field, s_rows, n)
+    sa = _from_rows(field, sa_rows, n) * s.star
     m_block = sa.block(0, r, 0, r)
-    n_block = sa.block(0, r, r, n)
-    rr, m_even = row_echelon_transform(n_block, zeros="top")
+    rr_rows, rn_rows, m_even = _echelon(sa.block(0, r, r, n))
+    # zeros on top: the m_even independent rows of R*N go to the bottom
+    rr = _from_rows(field, rr_rows[m_even:] + rr_rows[:m_even], r)
     t = direct_sum(field, [rr, Matrix.identity(field, m_odd)]) * s
     rm = (rr * m_block) * rr.star
-    rn = rr * n_block
     rho = r - m_even
     return StageRecord(
         m_odd=m_odd,
@@ -101,26 +122,29 @@ def stage(a: Matrix) -> StageRecord:
         b=rm.block(0, rho, rho, r),
         c=rm.block(rho, r, 0, rho),
         d=rm.block(rho, r, rho, r),
-        e=rn.block(rho, r, 0, m_odd),
+        e=_from_rows(field, rn_rows[:m_even], m_odd),
     )
 
 
 def regularize(a: Matrix) -> RegularizationResult:
-    """Iterate `stage` on the shrinking working block until it is
-    nonsingular.  Records every stage; the parameter sequence m is
-    guaranteed non-increasing."""
+    """Iterate `stage` on the shrinking working block until it reports
+    a nonsingular block (m_odd == 0).  Records every singular stage;
+    raises RuntimeError if the parameter sequence m ever increases."""
     if not a.is_square():
         raise ValueError("regularize requires a square matrix")
     stages: list[StageRecord] = []
     m: list[int] = []
     work = a
-    while not work.is_nonsingular():
+    while True:
         rec = stage(work)
+        if rec.m_odd == 0:
+            break
         stages.append(rec)
         m.extend((rec.m_odd, rec.m_even))
         work = rec.a_next
-    assert all(m[i] >= m[i + 1] for i in range(len(m) - 1)), \
-        "stage parameters must be non-increasing"
+    if any(m[i] < m[i + 1] for i in range(len(m) - 1)):
+        raise RuntimeError(
+            f"stage parameters must be non-increasing, got {tuple(m)}")
     return RegularizationResult(
         tau=len(stages), m=tuple(m), regular_part=work,
         stages=tuple(stages))
@@ -128,7 +152,8 @@ def regularize(a: Matrix) -> RegularizationResult:
 
 def multiplicities(result: RegularizationResult) -> BlockSum:
     """Jordan multiplicities from consecutive differences of the
-    parameter sequence: J_k appears m_k - m_{k+1} times."""
+    parameter sequence: J_k appears m_k - m_{k+1} times.  Reads only
+    `m` and `regular_part`, so a SparseForm serves as well."""
     m = result.m
     mult: dict[int, int] = {}
     for k in range(1, len(m) + 1):

@@ -403,38 +403,3 @@ def _parse_gaussian(s: str) -> GaussianRational:
     if m.group("s0") == "-":
         coef = -coef
     return GaussianRational(0, coef)
-
-
-# -- free-function arithmetic -------------------------------------------------
-
-
-def conjugate(a: Scalar, spec: FieldSpec) -> Scalar:
-    """The active involution applied to a."""
-    return spec.conjugate(a)
-
-
-def add(a: Scalar, b: Scalar) -> Scalar:
-    return a + b
-
-
-def sub(a: Scalar, b: Scalar) -> Scalar:
-    return a - b
-
-
-def mul(a: Scalar, b: Scalar) -> Scalar:
-    return a * b
-
-
-def invert(a: Scalar) -> Scalar:
-    """Multiplicative inverse; ZeroDivisionError on zero."""
-    if not a:
-        raise ZeroDivisionError("inverting zero")
-    if isinstance(a, Fraction):
-        return 1 / a
-    if isinstance(a, GaussianRational):
-        return GaussianRational(1, 0) / a
-    return ModInt(1, a.p) / a
-
-
-def is_zero(a: Scalar) -> bool:
-    return not a

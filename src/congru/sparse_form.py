@@ -17,7 +17,9 @@ from dataclasses import dataclass
 
 from .matrix import (Matrix, direct_sum, inverse, nullspace,
                      permutation_matrix, solve)
-from .regularize import BlockSum, StageRecord, stage
+from .regularize import BlockSum, multiplicities, regularize
+# bench/test_bench.py checks that this module still binds `stage`
+from .regularize import stage  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -71,17 +73,29 @@ def sparse_nilpotent(field, m) -> Matrix:
     return Matrix(field, size, size, tuple(tuple(r) for r in rows))
 
 
+def _unit(field, rows: int, cols: int) -> Matrix:
+    """The rows x cols block [I 0]."""
+    return _hstack(field, [Matrix.identity(field, rows),
+                           Matrix.zeros(field, rows, cols - rows)])
+
+
 def reduce_cde(stage_form: Matrix, m_odd: int, m_even: int,
                ) -> tuple[Matrix, Matrix]:
     """Clear the c and d blocks of a stage form and normalize e to
     [I 0].
 
-    The column *congruence I (+) V.star with e*V = [I 0] normalizes e;
-    the blocks c and d are then cleared by adding multiples of the
-    resulting unit columns, whose only nonzero rows face the zero
-    bottom block, so nothing else is disturbed.  Returns
-    (reduced, transform) with transform * stage_form * transform.star
-    == reduced.
+    The column *congruence I (+) V.star with e*V = [I 0] normalizes e
+    and leaves c and d alone; they are then cleared by adding
+    multiples of the resulting unit columns, whose only nonzero rows
+    face the zero bottom block, so nothing else is disturbed.  Both
+    steps compose to the block transform
+    [[I, 0, -c.star*W], [0, I, -d.star*W], [0, 0, V.star]] with W the
+    top m_even rows of V.star, and the result is
+    [[a1, b, 0], [0, 0, [I 0]], [0, 0, 0]]; no n x n product is
+    formed.  Returns (reduced, transform) with
+    transform * stage_form * transform.star == reduced.  Raises
+    ValueError("malformed stage form") when the top-right or bottom
+    block of the input is not zero.
     """
     if m_even == 0:
         raise ValueError("nothing to reduce: the rank block is empty")
@@ -90,25 +104,28 @@ def reduce_cde(stage_form: Matrix, m_odd: int, m_even: int,
         raise ValueError("malformed stage form")
     field = stage_form.field
     rho = n - m_odd - m_even
-    e = stage_form.block(rho, rho + m_even, n - m_odd, n)
-    v = _hstack(field, [solve(e, Matrix.identity(field, m_even)),
-                        nullspace(e)])
-    x1 = direct_sum(field, [Matrix.identity(field, rho + m_even), v.star])
-    after = (x1 * stage_form) * x1.star
-    c = after.block(rho, rho + m_even, 0, rho)
-    d = after.block(rho, rho + m_even, rho, rho + m_even)
-    pad = m_odd - m_even
-    y = _hstack(field, [-c.star, Matrix.zeros(field, rho, pad)])
-    z = _hstack(field, [-d.star, Matrix.zeros(field, m_even, pad)])
-    ident = Matrix.identity
-    x23 = Matrix.from_blocks(field, [
-        [ident(field, rho), Matrix.zeros(field, rho, m_even), y],
-        [Matrix.zeros(field, m_even, rho), ident(field, m_even), z],
-        [Matrix.zeros(field, m_odd, rho),
-         Matrix.zeros(field, m_odd, m_even), ident(field, m_odd)],
+    r = rho + m_even
+    if not (stage_form.block(0, rho, r, n).is_zero()
+            and stage_form.block(r, n, 0, n).is_zero()):
+        raise ValueError("malformed stage form")
+    e = stage_form.block(rho, r, r, n)
+    v_star = _hstack(field, [solve(e, Matrix.identity(field, m_even)),
+                             nullspace(e)]).star
+    w = v_star.block(0, m_even, 0, m_odd)
+    c = stage_form.block(rho, r, 0, rho)
+    d = stage_form.block(rho, r, rho, r)
+    ident, zeros = Matrix.identity, Matrix.zeros
+    transform = Matrix.from_blocks(field, [
+        [ident(field, rho), zeros(field, rho, m_even), -(c.star * w)],
+        [zeros(field, m_even, rho), ident(field, m_even), -(d.star * w)],
+        [zeros(field, m_odd, rho), zeros(field, m_odd, m_even), v_star],
     ])
-    reduced = (x23 * after) * x23.star
-    return reduced, x23 * x1
+    reduced = Matrix.from_blocks(field, [
+        [stage_form.block(0, rho, 0, r), zeros(field, rho, m_odd)],
+        [zeros(field, m_even, r), _unit(field, m_even, m_odd)],
+        [zeros(field, m_odd, r), zeros(field, m_odd, m_odd)],
+    ])
+    return reduced, transform
 
 
 def _merge_level(g: Matrix, xg: Matrix, bottom_zero: int,
@@ -128,8 +145,7 @@ def _merge_level(g: Matrix, xg: Matrix, bottom_zero: int,
     ident = Matrix.identity
     zeros = Matrix.zeros
     bhat = xg * b
-    e0 = _hstack(field, [ident(field, m_even),
-                         zeros(field, m_even, m_odd - m_even)])
+    e0 = _unit(field, m_even, m_odd)
     current = Matrix.from_blocks(field, [
         [g, bhat, zeros(field, h, m_odd)],
         [zeros(field, m_even, h), zeros(field, m_even, m_even), e0],
@@ -187,42 +203,30 @@ def _merge_level(g: Matrix, xg: Matrix, bottom_zero: int,
 
 def canonical_sparse_form(a: Matrix) -> SparseForm:
     """Reduce a square matrix to regular (+) N by explicit
-    *congruences, with the recursion over shrinking working blocks
-    unrolled into an iterative sweep: stages are recorded going down,
-    and the canonical shape is restored level by level coming back up,
-    so the accumulated transform is a single matrix product."""
+    *congruences.  The stages come from `regularize`, recorded going
+    down; the canonical shape is restored level by level coming back
+    up, so the accumulated transform is a single matrix product."""
     if not a.is_square():
         raise ValueError("canonical_sparse_form requires a square matrix")
     field = a.field
-    levels: list[tuple[int, int, Matrix, Matrix]] = []
-    work = a
-    while not work.is_nonsingular():
-        rec: StageRecord = stage(work)
-        if rec.m_even > 0:
-            _, cde_t = reduce_cde(rec.stage_form(), rec.m_odd, rec.m_even)
-            w = cde_t * rec.transform
-        else:
-            w = rec.transform
-        levels.append((rec.m_odd, rec.m_even, w, rec.b))
-        work = rec.a_next
-
-    regular = work
-    g = regular
+    res = regularize(a)
+    g = res.regular_part
     xg = Matrix.identity(field, g.rows)
     bottom_zero = 0
-    for m_odd, m_even, w, b in reversed(levels):
-        g, factor = _merge_level(g, xg, bottom_zero, (m_odd, m_even), b)
-        pad = Matrix.identity(field, m_even + m_odd)
+    for rec in reversed(res.stages):
+        w = rec.transform
+        if rec.m_even > 0:
+            w = reduce_cde(rec.stage_form(), rec.m_odd, rec.m_even)[1] * w
+        g, factor = _merge_level(g, xg, bottom_zero,
+                                 (rec.m_odd, rec.m_even), rec.b)
+        pad = Matrix.identity(field, rec.m_even + rec.m_odd)
         xg = factor * direct_sum(field, [xg, pad]) * w
-        bottom_zero = m_odd
+        bottom_zero = rec.m_odd
 
-    m: list[int] = []
-    for m_odd, m_even, _, _ in levels:
-        m.extend((m_odd, m_even))
-    rho = regular.rows
+    rho = res.regular_part.rows
     return SparseForm(
-        regular_part=regular,
-        m=tuple(m),
+        regular_part=res.regular_part,
+        m=res.m,
         nilpotent=g.block(rho, g.rows, rho, g.rows),
         global_transform=xg,
     )
@@ -257,11 +261,4 @@ def full_decomposition(a: Matrix) -> tuple[BlockSum, Matrix]:
     p = jordan_permutation(field, sf.m)
     x = direct_sum(field, [Matrix.identity(field, sf.regular_part.rows), p]
                    ) * sf.global_transform
-    mult: dict[int, int] = {}
-    for k in range(1, len(sf.m) + 1):
-        nxt = sf.m[k] if k < len(sf.m) else 0
-        count = sf.m[k - 1] - nxt
-        if count:
-            mult[k] = count
-    return BlockSum(regular_part=sf.regular_part,
-                    jordan_multiplicities=mult), x
+    return multiplicities(sf), x

@@ -164,6 +164,33 @@ class TestFloatRegularize:
         assert status == 1
         assert "finite" in err
 
+    def test_infinite_tol(self, capsys, tmp_path):
+        p = tmp_path / "n.txt"
+        p.write_text("2 2\n0 1\n0 0\n")
+        status, _, err = run_cli(
+            capsys, ["float-regularize", "--field", "real",
+                     "--tol", "1e400", str(p)])
+        assert status == 1
+        assert "finite" in err
+
+    def test_huge_header_fails_on_short_row(self, capsys, tmp_path):
+        # the header alone would ask for ~596 GiB; the short row fails first
+        p = tmp_path / "big.txt"
+        p.write_text("200000 200000\n1 2\n")
+        status, _, err = run_cli(
+            capsys, ["float-regularize", "--field", "real", str(p)])
+        assert status == 1
+        assert err.startswith("error: line 2,")
+
+    def test_json_entry_too_large_for_float(self, capsys, tmp_path):
+        p = tmp_path / "big.json"
+        p.write_text('{"rows": 1, "cols": 1, "entries": [1%s]}' % ("0" * 400))
+        status, _, err = run_cli(
+            capsys, ["float-regularize", "--field", "real", "--json",
+                     str(p)])
+        assert status == 1
+        assert "entry 0" in err
+
 
 class TestVerify:
     def test_roundtrip(self, capsys):

@@ -33,8 +33,9 @@ class TestFloatMode:
             FloatMode("quaternionic")
 
     def test_tol_positive(self):
-        with pytest.raises(ValueError, match="positive"):
-            FloatMode.real_identity(tol=0.0)
+        for tol in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="positive"):
+                FloatMode.real_identity(tol=tol)
 
     def test_tol_policy(self):
         assert FloatMode.real_identity().tol_policy == "relative-max-dim"

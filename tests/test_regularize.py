@@ -1,5 +1,7 @@
 """Stage reduction and the regularizing loop."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -48,11 +50,15 @@ class TestStageWorkedExample:
         assert rec.e.shape == (1, 1)
         assert rec.e[0, 0] != GAUSSIAN_IDENT.zero()
 
-    def test_stage_rejects_nonsingular(self):
-        with pytest.raises(ValueError, match="singular"):
-            stage(Matrix.identity(RATIONALS, 2))
-        with pytest.raises(ValueError, match="singular"):
-            stage(Matrix.zeros(RATIONALS, 0, 0))
+    def test_stage_reports_nonsingular(self):
+        # a nonsingular block ends the loop: m_odd == 0, nothing moves
+        for a in (Matrix.identity(RATIONALS, 2),
+                  Matrix.zeros(RATIONALS, 0, 0)):
+            rec = stage(a)
+            assert (rec.m_odd, rec.m_even) == (0, 0)
+            assert rec.transform == Matrix.identity(RATIONALS, a.rows)
+            assert rec.a_next == a
+            assert rec.stage_form() == a
 
     def test_stage_rejects_rectangular(self):
         with pytest.raises(ValueError, match="square"):
@@ -118,6 +124,18 @@ class TestRegularize:
     def test_requires_square(self):
         with pytest.raises(ValueError, match="square"):
             regularize(Matrix.zeros(RATIONALS, 2, 3))
+
+    def test_rising_m_raises(self, monkeypatch):
+        # the check is a raise, not an assert, so it holds under -O;
+        # the package attribute congru.regularize is the function
+        mod = sys.modules["congru.regularize"]
+        real = mod.stage
+        recs = iter([real(Matrix.zeros(RATIONALS, 1, 1)),
+                     real(Matrix.zeros(RATIONALS, 2, 2)),
+                     real(Matrix.identity(RATIONALS, 1))])
+        monkeypatch.setattr(mod, "stage", lambda work: next(recs))
+        with pytest.raises(RuntimeError, match="non-increasing"):
+            regularize(Matrix.zeros(RATIONALS, 3, 3))
 
 
 @given(data=st.data())

@@ -131,6 +131,15 @@ class TestReduceCde:
             [0, 0, 0],
         ])
 
+    @pytest.mark.parametrize("rows", [
+        [[1, 5, 0], [3, 7, 2], [0, 4, 0]],   # nonzero bottom row
+        [[1, 5, 6], [3, 7, 2], [0, 0, 0]],   # nonzero top-right block
+    ], ids=["bottom", "top-right"])
+    def test_malformed_stage_form(self, rows):
+        form = Matrix.from_rows(RATIONALS, rows)
+        with pytest.raises(ValueError, match="malformed stage form"):
+            reduce_cde(form, 1, 1)
+
 
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
