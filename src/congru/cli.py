@@ -21,10 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .float_unitary import (FloatMode, _parse_float_token, float_regularize,
-                            parse_float_matrix, pattern_residual,
+from .float_unitary import (FloatMode, _read_float, float_regularize,
+                            pattern_residual, render_float_matrix,
                             render_float_scalar, unitarity_residual)
-from .matrix import Matrix, MatrixParseError, invariants
+from .matrix import (Matrix, MatrixParseError, _read_json, _read_text,
+                     _write_json, invariants)
 from .pencil import SelfadjointPencil, pencil_regularize
 from .regularize import regularize
 from .scalar import FieldSpec
@@ -103,60 +104,36 @@ def _resolve_float_mode(config: CliConfig) -> FloatMode:
         raise CliInputError(str(exc)) from None
 
 
-def _read_input(config: CliConfig) -> str:
+def _read_document(config: CliConfig):
+    """The input text, or under --json the decoded JSON value."""
     if config.input_path is None:
         raise CliInputError("this command requires a matrix input")
-    if config.input_path == "-":
-        return sys.stdin.read()
     try:
-        with open(config.input_path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
+        if config.input_path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(config.input_path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliInputError(f"cannot read {config.input_path}: {exc}"
                             ) from None
+    if not config.json_io:
+        return text
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers an integer past the int-digit limit
+        raise CliInputError(f"invalid JSON: {exc}") from None
 
 
 def _load_exact(config: CliConfig, field: FieldSpec) -> Matrix:
-    text = _read_input(config)
-    if not config.json_io:
-        return Matrix.from_text(field, text)
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CliInputError(f"invalid JSON: {exc}") from None
-    return Matrix.from_json_dict(field, obj)
+    read = Matrix.from_json_dict if config.json_io else Matrix.from_text
+    return read(field, _read_document(config), square=True)
 
 
 def _load_float(config: CliConfig, complex_entries: bool) -> np.ndarray:
-    text = _read_input(config)
-    if config.json_io:
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CliInputError(f"invalid JSON: {exc}") from None
-        if not isinstance(obj, dict):
-            raise CliInputError("expected a JSON object")
-        try:
-            rows, cols = int(obj["rows"]), int(obj["cols"])
-            entries = obj["entries"]
-        except (KeyError, TypeError, ValueError):
-            raise CliInputError("object must carry rows, cols, entries"
-                                ) from None
-        if rows < 0 or cols < 0 or not isinstance(entries, list) \
-                or len(entries) != rows * cols:
-            raise CliInputError("entries must hold rows*cols tokens")
-        values = []
-        for idx, tok in enumerate(entries):
-            try:
-                values.append(float(tok) if isinstance(tok, (int, float))
-                              else _parse_float_token(str(tok),
-                                                      complex_entries))
-            except (ValueError, OverflowError) as exc:
-                raise CliInputError(f"entry {idx}: {exc}") from None
-        dtype = np.complex128 if complex_entries else np.float64
-        a = np.array(values, dtype=dtype).reshape(rows, cols)
-    else:
-        a = parse_float_matrix(text, complex_entries=complex_entries)
+    a = _read_float(_read_json if config.json_io else _read_text,
+                    _read_document(config), complex_entries, square=True)
     if a.size and not np.isfinite(a).all():
         raise CliInputError("matrix entries must be finite")
     return a
@@ -170,11 +147,7 @@ def _mat_text(label: str, m: Matrix) -> str:
 
 
 def _float_mat_json(a: np.ndarray) -> dict:
-    return {
-        "rows": int(a.shape[0]),
-        "cols": int(a.shape[1]),
-        "entries": [render_float_scalar(x) for x in a.ravel()],
-    }
+    return _write_json(*a.shape, a, render_float_scalar)
 
 
 def _summary(regular_rows: int, mults: dict[int, int]) -> str:
@@ -303,8 +276,6 @@ def _cmd_pencil(config: CliConfig) -> CliResult:
 def _cmd_float_regularize(config: CliConfig) -> CliResult:
     mode = _resolve_float_mode(config)
     a = _load_float(config, complex_entries=config.field == "complex")
-    if a.shape[0] != a.shape[1]:
-        raise CliInputError("float path requires a square matrix")
     rf = float_regularize(a, mode)
     pres = pattern_residual(rf)
     ures = unitarity_residual(rf.transform)
@@ -318,12 +289,9 @@ def _cmd_float_regularize(config: CliConfig) -> CliResult:
             "warnings": list(rf.warnings),
         }, indent=2)
     else:
-        reg = rf.regular_block
-        reg_lines = [f"{reg.shape[0]} {reg.shape[1]}"]
-        for i in range(reg.shape[0]):
-            reg_lines.append(" ".join(
-                render_float_scalar(x) for x in reg[i]))
-        out = "\n".join([_m_line(rf.m), "regular:"] + reg_lines + [
+        out = "\n".join([
+            _m_line(rf.m), "regular:",
+            render_float_matrix(rf.regular_block).rstrip("\n"),
             f"pattern_residual={pres:.6e}",
             f"unitarity_residual={ures:.6e}"])
     return CliResult(0, out, err)

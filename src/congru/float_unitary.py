@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import MatrixParseError
+from .matrix import _read_text, _write_text
 
 COMPLEX_CONJUGATION = "complex-conjugation"
 COMPLEX_IDENTITY = "complex-identity"
@@ -262,58 +262,40 @@ def unitarity_residual(t: np.ndarray) -> float:
 
 
 # -- text and JSON I/O -----------------------------------------------------------
-# Same layout as the exact matrix format, with decimal floating-point
-# literals; complex entries use the a+b*i grammar.
+# The grid format of matrix.py, with decimal floating-point literals;
+# complex entries use the a+b*i grammar.
 
 
-def _parse_float_token(tok: str, complex_entries: bool):
-    if complex_entries:
-        s = tok.replace("*i", "i").replace("*j", "j").replace("i", "j")
-        try:
-            return complex(s)
-        except ValueError:
-            raise ValueError(f"invalid complex entry {tok!r}") from None
+def _real_entry(tok) -> float:
     try:
-        return float(tok)
-    except ValueError:
+        return float(tok)  # a decimal literal or a JSON number
+    except (TypeError, ValueError):
         raise ValueError(f"invalid real entry {tok!r}") from None
 
 
-def parse_float_matrix(text: str, *, complex_entries: bool) -> np.ndarray:
-    import re
-
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
-        raise MatrixParseError("missing header line", 1, 1)
-    header = lines[0].split()
+def _complex_entry(tok) -> complex | float:
+    if isinstance(tok, (int, float)):  # a JSON number
+        return float(tok)
+    s = str(tok).replace("*i", "i").replace("*j", "j").replace("i", "j")
     try:
-        rows, cols = int(header[0]), int(header[1])
-        if len(header) != 2 or rows < 0 or cols < 0:
-            raise ValueError
-    except (ValueError, IndexError):
-        raise MatrixParseError(
-            "header must be two integers: rows cols", 1, 1) from None
-    # the header is untrusted: read every entry before allocating
-    values = []
-    for i in range(rows):
-        raw = lines[i + 1] if i + 1 < len(lines) else ""
-        tokens = list(re.finditer(r"\S+", raw))
-        if len(tokens) != cols:
-            col = tokens[cols].start() + 1 if len(tokens) > cols else (
-                tokens[-1].end() + 1 if tokens else 1)
-            raise MatrixParseError(
-                f"expected {cols} entries, found {len(tokens)}", i + 2, col)
-        for t in tokens:
-            try:
-                values.append(_parse_float_token(t.group(), complex_entries))
-            except ValueError as exc:
-                raise MatrixParseError(str(exc), i + 2, t.start() + 1
-                                       ) from None
-    for k, extra in enumerate(lines[rows + 1:], start=rows + 2):
-        if extra.strip():
-            raise MatrixParseError("trailing content after matrix", k, 1)
+        return complex(s)
+    except ValueError:
+        raise ValueError(f"invalid complex entry {tok!r}") from None
+
+
+def _read_float(read, doc, complex_entries: bool,
+                square: bool = False) -> np.ndarray:
+    """A float array from a grid document; read is _read_text or
+    _read_json.  Every entry is parsed before the array is allocated,
+    since the header is untrusted."""
+    rows, cols, values = read(
+        doc, _complex_entry if complex_entries else _real_entry, square)
     dtype = np.complex128 if complex_entries else np.float64
     return np.array(values, dtype=dtype).reshape(rows, cols)
+
+
+def parse_float_matrix(text: str, *, complex_entries: bool) -> np.ndarray:
+    return _read_float(_read_text, text, complex_entries)
 
 
 def render_float_scalar(x) -> str:
@@ -325,7 +307,4 @@ def render_float_scalar(x) -> str:
 
 
 def render_float_matrix(a: np.ndarray) -> str:
-    lines = [f"{a.shape[0]} {a.shape[1]}"]
-    for i in range(a.shape[0]):
-        lines.append(" ".join(render_float_scalar(x) for x in a[i]))
-    return "\n".join(lines) + "\n"
+    return _write_text(*a.shape, a, render_float_scalar)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .scalar import FieldSpec, Scalar
 
@@ -205,89 +205,125 @@ class Matrix:
     # -- text and JSON formats ---------------------------------------------------
 
     def to_text(self) -> str:
-        lines = [f"{self.rows} {self.cols}"]
-        render = self.field.render_scalar
-        for row in self._r:
-            lines.append(" ".join(render(x) for x in row))
-        return "\n".join(lines) + "\n"
+        return _write_text(self.rows, self.cols, self._r,
+                           self.field.render_scalar)
 
     @classmethod
-    def from_text(cls, field: FieldSpec, text: str) -> "Matrix":
-        lines = text.splitlines()
-        if not lines or not lines[0].strip():
-            raise MatrixParseError("missing header line", 1, 1)
-        header = lines[0].split()
-        if len(header) != 2:
-            raise MatrixParseError(
-                "header must be two integers: rows cols", 1, 1)
-        try:
-            rows, cols = int(header[0]), int(header[1])
-        except ValueError:
-            raise MatrixParseError(
-                "header must be two integers: rows cols", 1, 1) from None
-        if rows < 0 or cols < 0:
-            raise MatrixParseError("negative dimensions", 1, 1)
-        data = []
-        lineno = 1
-        for i in range(rows):
-            lineno = i + 2
-            raw = lines[i + 1] if i + 1 < len(lines) else ""
-            tokens = list(re.finditer(r"\S+", raw))
-            if len(tokens) != cols:
-                if cols == 0 and not tokens:
-                    data.append(())
-                    continue
-                if len(tokens) > cols:
-                    col = tokens[cols].start() + 1
-                else:
-                    col = (tokens[-1].end() + 1) if tokens else 1
-                raise MatrixParseError(
-                    f"expected {cols} entries, found {len(tokens)}",
-                    lineno, col)
-            parsed = []
-            for t in tokens:
-                try:
-                    parsed.append(field.parse_scalar(t.group()))
-                except ValueError as exc:
-                    raise MatrixParseError(
-                        str(exc), lineno, t.start() + 1) from None
-            data.append(tuple(parsed))
-        for k, extra in enumerate(lines[rows + 1:], start=rows + 2):
-            if extra.strip():
-                raise MatrixParseError("trailing content after matrix", k, 1)
-        return cls(field, rows, cols, tuple(data))
+    def from_text(cls, field: FieldSpec, text: str, *,
+                  square: bool = False) -> "Matrix":
+        """Read a "rows cols" header and one line per row; square=True
+        rejects a non-square header before any row is read."""
+        return cls._from_grid(
+            field, *_read_text(text, field.parse_scalar, square))
 
     def to_json_dict(self) -> dict:
-        render = self.field.render_scalar
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [render(x) for row in self._r for x in row],
-        }
+        return _write_json(self.rows, self.cols, self._r,
+                           self.field.render_scalar)
 
     @classmethod
-    def from_json_dict(cls, field: FieldSpec, obj: dict) -> "Matrix":
-        if not isinstance(obj, dict):
-            raise MatrixParseError("expected a JSON object", 1, 1)
-        try:
-            rows, cols = int(obj["rows"]), int(obj["cols"])
-            entries = obj["entries"]
-        except (KeyError, TypeError, ValueError):
-            raise MatrixParseError(
-                "object must carry rows, cols, entries", 1, 1) from None
-        if rows < 0 or cols < 0:
-            raise MatrixParseError("negative dimensions", 1, 1)
-        if not isinstance(entries, list) or len(entries) != rows * cols:
-            raise MatrixParseError(
-                f"expected {rows * cols} entries", 1, 1)
-        parsed = []
-        for k, e in enumerate(entries):
-            try:
-                parsed.append(field.coerce(e))
-            except ValueError as exc:
-                raise MatrixParseError(str(exc), 1, k + 1) from None
+    def from_json_dict(cls, field: FieldSpec, obj: dict, *,
+                       square: bool = False) -> "Matrix":
+        """Read {"rows", "cols", "entries"} with the entries row-major;
+        square as in from_text."""
+        return cls._from_grid(
+            field, *_read_json(obj, field.coerce, square))
+
+    @classmethod
+    def _from_grid(cls, field: FieldSpec, rows: int, cols: int,
+                   entries: list) -> "Matrix":
         return cls(field, rows, cols, tuple(
-            tuple(parsed[i * cols:(i + 1) * cols]) for i in range(rows)))
+            tuple(entries[i * cols:(i + 1) * cols]) for i in range(rows)))
+
+
+# -- the grid format -------------------------------------------------------------
+# One codec for every matrix read or written, exact or float.  Text: a
+# "rows cols" header line, then one line of cols whitespace-separated
+# entries per row (blank or absent when cols is 0).  JSON: an object
+# with rows, cols and the row-major list of entries.  The readers take
+# the per-entry parser, which raises ValueError (or OverflowError) on a
+# bad token, and return (rows, cols, entries) with the entries parsed.
+# square=True rejects a non-square header before any entry is read.
+
+
+def _check_dims(rows: int, cols: int, square: bool) -> None:
+    if rows < 0 or cols < 0:
+        raise MatrixParseError("negative dimensions", 1, 1)
+    if square and rows != cols:
+        raise MatrixParseError(
+            f"expected a square matrix, found {rows}x{cols}", 1, 1)
+
+
+def _read_text(text: str, parse: Callable, square: bool = False) -> tuple:
+    lines = text.splitlines()
+    if not lines or not lines[0].strip():
+        raise MatrixParseError("missing header line", 1, 1)
+    header = lines[0].split()
+    try:
+        if len(header) != 2:
+            raise ValueError
+        rows, cols = int(header[0]), int(header[1])
+    except ValueError:
+        raise MatrixParseError(
+            "header must be two integers: rows cols", 1, 1) from None
+    _check_dims(rows, cols, square)
+    # only the lines that exist are visited: the header is untrusted
+    body = lines[1:rows + 1]
+    if cols and len(body) < rows:
+        body.append("")  # the first missing row reports itself below
+    entries = []
+    for lineno, raw in enumerate(body, start=2):
+        tokens = list(re.finditer(r"\S+", raw))
+        if len(tokens) != cols:
+            if len(tokens) > cols:
+                col = tokens[cols].start() + 1
+            else:
+                col = (tokens[-1].end() + 1) if tokens else 1
+            raise MatrixParseError(
+                f"expected {cols} entries, found {len(tokens)}", lineno, col)
+        for t in tokens:
+            try:
+                entries.append(parse(t.group()))
+            except (ValueError, OverflowError) as exc:
+                raise MatrixParseError(
+                    str(exc), lineno, t.start() + 1) from None
+    for k, extra in enumerate(lines[rows + 1:], start=rows + 2):
+        if extra.strip():
+            raise MatrixParseError("trailing content after matrix", k, 1)
+    return rows, cols, entries
+
+
+def _read_json(obj, parse: Callable, square: bool = False) -> tuple:
+    if not isinstance(obj, dict):
+        raise MatrixParseError("expected a JSON object", 1, 1)
+    try:
+        rows, cols = int(obj["rows"]), int(obj["cols"])
+        entries = obj["entries"]
+    except (KeyError, TypeError, ValueError, OverflowError):
+        raise MatrixParseError(
+            "object must carry rows, cols, entries", 1, 1) from None
+    _check_dims(rows, cols, square)
+    if not isinstance(entries, list) or len(entries) != rows * cols:
+        raise MatrixParseError("entries must hold rows*cols values", 1, 1)
+    parsed = []
+    for k, e in enumerate(entries):
+        try:
+            parsed.append(parse(e))
+        except (ValueError, OverflowError) as exc:
+            raise MatrixParseError(f"entry {k}: {exc}", 1, k + 1) from None
+    return rows, cols, parsed
+
+
+def _write_text(rows: int, cols: int, grid: Iterable, render: Callable,
+                ) -> str:
+    lines = [f"{rows} {cols}"]
+    lines.extend(" ".join(render(x) for x in row) for row in grid)
+    return "\n".join(lines) + "\n"
+
+
+def _write_json(rows: int, cols: int, grid: Iterable, render: Callable,
+                ) -> dict:
+    return {"rows": rows, "cols": cols,
+            "entries": [render(x) for row in grid for x in row]}
 
 
 # -- elimination core ----------------------------------------------------------

@@ -350,6 +350,8 @@ class FieldSpec:
             raise ValueError("empty scalar")
         try:
             if self.kind is FieldKind.RATIONAL:
+                if not _RATIONAL_RE.fullmatch(s):
+                    raise ValueError(s)
                 return Fraction(s)
             if self.kind is FieldKind.PRIME_FIELD:
                 return ModInt(int(s, 10), self.p)
@@ -378,11 +380,17 @@ class FieldSpec:
         return name
 
 
+# one rational grammar, p or p/q, for Q and both parts of Q(i).
+# Fraction alone also takes decimals and exponents, and with them a
+# short token such as 1e999999999 that builds an enormous integer.
+_RAT = r"\d+(?:/\d+)?"
+_RATIONAL_RE = re.compile(rf"[+-]?{_RAT}")
+
 _GAUSSIAN_RE = re.compile(
     r"^(?:"
-    r"(?P<real>[+-]?\d+(?:/\d+)?)"
-    r"|(?P<s0>[+-]?)(?:(?P<c0>\d+(?:/\d+)?)\*?)?i"
-    r"|(?P<real1>[+-]?\d+(?:/\d+)?)(?P<s1>[+-])(?:(?P<c1>\d+(?:/\d+)?)\*?)?i"
+    rf"(?P<real>[+-]?{_RAT})"
+    rf"|(?P<s0>[+-]?)(?:(?P<c0>{_RAT})\*?)?i"
+    rf"|(?P<real1>[+-]?{_RAT})(?P<s1>[+-])(?:(?P<c1>{_RAT})\*?)?i"
     r")$"
 )
 

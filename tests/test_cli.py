@@ -327,3 +327,62 @@ class TestArgv:
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
+
+
+class TestHostileInput:
+    """Malformed or hostile input exits 1 with an error line, never 2."""
+
+    @pytest.mark.parametrize("command", ["invariants", "regularize",
+                                         "sparse-form", "decompose",
+                                         "pencil", "verify"])
+    def test_non_square_exits_one(self, capsys, tmp_path, command):
+        p = tmp_path / "r.txt"
+        p.write_text("2 3\n1 2 3\n4 5 6\n")
+        extra = ["--trials", "1"] if command == "verify" else []
+        status, out, err = run_cli(capsys, [command, *extra, str(p)])
+        assert status == 1
+        assert out == ""
+        assert err == ("error: line 1, column 1: "
+                       "expected a square matrix, found 2x3\n")
+
+    @pytest.mark.parametrize("json_io", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("command", ["decompose", "float-regularize"])
+    def test_zero_width_header(self, capsys, tmp_path, command, json_io):
+        # rejected at the header: no loop over the million declared rows
+        p = tmp_path / "wide.in"
+        p.write_text('{"rows": 1000000, "cols": 0, "entries": []}'
+                     if json_io else "1000000 0\n")
+        flags = ["--json"] if json_io else []
+        status, _, err = run_cli(capsys, [command, *flags, str(p)])
+        assert status == 1
+        assert err.startswith("error: line 1, column 1: expected a square")
+
+    @pytest.mark.parametrize("command", ["decompose", "float-regularize"])
+    def test_json_integer_past_digit_limit(self, capsys, tmp_path, command):
+        p = tmp_path / "long.json"
+        p.write_text('{"rows": 1, "cols": 1, "entries": [1%s]}'
+                     % ("0" * 5000))
+        status, _, err = run_cli(capsys, [command, "--json", str(p)])
+        assert status == 1
+        assert err.startswith("error: invalid JSON: ")
+
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 100000)
+        status, _, err = run_cli(capsys, ["invariants", "--json", str(p)])
+        assert status == 1
+        assert err.startswith("error: invalid JSON: ")
+
+    def test_exponent_literal_over_q(self, capsys, tmp_path):
+        p = tmp_path / "exp.txt"
+        p.write_text("1 1\n1e5000\n")
+        status, _, err = run_cli(capsys, ["decompose", str(p)])
+        assert status == 1
+        assert err == "error: line 2, column 1: invalid scalar '1e5000'\n"
+
+    def test_invalid_utf8(self, capsys, tmp_path):
+        p = tmp_path / "bin.txt"
+        p.write_bytes(b"1 1\n\xff\n")
+        status, _, err = run_cli(capsys, ["invariants", str(p)])
+        assert status == 1
+        assert err.startswith("error: cannot read ")

@@ -133,6 +133,16 @@ class TestScalarGrammar:
         with pytest.raises(ValueError, match="scalar"):
             GAUSSIAN_CONJ.parse_scalar(bad)
 
+    @pytest.mark.parametrize("bad", [
+        "0.5", "1e5", "1e5000", "1e999999999", "1/2e3", ".5", "1_0", "/2",
+        "1/", "1 /2", "i",
+    ])
+    def test_rational_rejected_forms(self, bad):
+        # Q shares the p or p/q grammar of the Q(i) parts: a decimal or
+        # exponent literal would let one short token declare a huge bigint
+        with pytest.raises(ValueError, match="scalar"):
+            RATIONALS.parse_scalar(bad)
+
     def test_real_gaussian_renders_plain(self):
         assert GAUSSIAN_CONJ.render_scalar(GaussianRational(Fraction(3), 0)) \
             == "3"
