@@ -11,13 +11,11 @@ from .float_unitary import (
     FloatMode,
     FloatStageRecord,
     ReducedForm,
-    block_slices,
     float_regularize,
     float_stage,
     parse_float_matrix,
     pattern_residual,
     render_float_matrix,
-    required_zero_mask,
     unitarity_residual,
 )
 from .matrix import (
@@ -25,8 +23,6 @@ from .matrix import (
     Matrix,
     MatrixParseError,
     direct_sum,
-    f_block,
-    g_block,
     invariants,
     inverse,
     jordan_block,
@@ -34,7 +30,6 @@ from .matrix import (
     nullspace,
     permutation_matrix,
     rank,
-    row_echelon_transform,
     solve,
 )
 from .pencil import (
@@ -42,10 +37,7 @@ from .pencil import (
     PencilDecomposition,
     Replacement,
     SelfadjointPencil,
-    lemma6_permutation,
     pencil_regularize,
-    permuted_jordan_target,
-    replace_block,
 )
 from .regularize import (
     BlockSum,
@@ -67,13 +59,9 @@ from .sparse_form import (
 )
 from .verify import (
     CheckReport,
-    RandomSpec,
     SuiteReport,
     check_transform,
     invariance_suite,
-    nilpotent_jordan_oracle,
-    random_matrix,
-    random_nonsingular,
     roundtrip_suite,
 )
 
@@ -92,7 +80,6 @@ __all__ = [
     "ModInt",
     "Involution",
     "PencilDecomposition",
-    "RandomSpec",
     "ReducedForm",
     "RegularizationResult",
     "Replacement",
@@ -101,40 +88,29 @@ __all__ = [
     "StageRecord",
     "SuiteReport",
     "assemble",
-    "block_slices",
     "canonical_sparse_form",
     "check_transform",
     "direct_sum",
-    "f_block",
     "float_regularize",
     "float_stage",
     "full_decomposition",
-    "g_block",
     "invariance_suite",
     "invariants",
     "inverse",
     "jordan_block",
     "jordan_permutation",
-    "lemma6_permutation",
     "multiplicities",
-    "nilpotent_jordan_oracle",
     "nullity",
     "nullspace",
     "parse_float_matrix",
     "pattern_residual",
     "pencil_regularize",
     "permutation_matrix",
-    "permuted_jordan_target",
-    "random_matrix",
-    "random_nonsingular",
     "rank",
     "reduce_cde",
     "regularize",
     "render_float_matrix",
-    "replace_block",
-    "required_zero_mask",
     "roundtrip_suite",
-    "row_echelon_transform",
     "solve",
     "sparse_nilpotent",
     "stage",

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import _read_text, _write_text
+from .matrix import MatrixParseError, _read_text, _write_text
+from .scalar import _quote_token
 
 COMPLEX_CONJUGATION = "complex-conjugation"
 COMPLEX_IDENTITY = "complex-identity"
@@ -62,10 +63,6 @@ class FloatMode:
     @classmethod
     def real_identity(cls, tol: float | None = None) -> "FloatMode":
         return cls(REAL_IDENTITY, tol)
-
-    @property
-    def tol_policy(self) -> str:
-        return "fixed" if self.tol is not None else "relative-max-dim"
 
     @property
     def dtype(self):
@@ -270,7 +267,7 @@ def _real_entry(tok) -> float:
     try:
         return float(tok)  # a decimal literal or a JSON number
     except (TypeError, ValueError):
-        raise ValueError(f"invalid real entry {tok!r}") from None
+        raise ValueError(f"invalid real entry {_quote_token(tok)}") from None
 
 
 def _complex_entry(tok) -> complex | float:
@@ -280,7 +277,7 @@ def _complex_entry(tok) -> complex | float:
     try:
         return complex(s)
     except ValueError:
-        raise ValueError(f"invalid complex entry {tok!r}") from None
+        raise ValueError(f"invalid complex entry {_quote_token(tok)}") from None
 
 
 def _read_float(read, doc, complex_entries: bool,
@@ -291,7 +288,11 @@ def _read_float(read, doc, complex_entries: bool,
     rows, cols, values = read(
         doc, _complex_entry if complex_entries else _real_entry, square)
     dtype = np.complex128 if complex_entries else np.float64
-    return np.array(values, dtype=dtype).reshape(rows, cols)
+    flat = np.array(values, dtype=dtype)
+    try:
+        return flat.reshape(rows, cols)
+    except ValueError:  # the entry count matches: the header is too large
+        raise MatrixParseError("dimensions too large", 1, 1) from None
 
 
 def parse_float_matrix(text: str, *, complex_entries: bool) -> np.ndarray:

@@ -406,19 +406,12 @@ def _work_copies(a: Matrix) -> tuple[list, list]:
     return work, ident
 
 
-def row_echelon_transform(a: Matrix, zeros: str = "bottom",
-                          ) -> tuple[Matrix, int]:
+def row_echelon_transform(a: Matrix) -> tuple[Matrix, int]:
     """A nonsingular T, product of elementary row operations, such that
-    T*a has its rank(a) independent rows on top (zeros="bottom") or its
-    zero rows on top and the independent rows at the bottom
-    (zeros="top").  Returns (T, rank)."""
-    if zeros not in ("bottom", "top"):
-        raise ValueError('zeros must be "bottom" or "top"')
+    T*a has its rank(a) independent rows on top and its zero rows at
+    the bottom.  Returns (T, rank)."""
     work, ident = _work_copies(a)
-    pivots = _forward_eliminate(work, ident)
-    r = len(pivots)
-    if zeros == "top":
-        ident = ident[r:] + ident[:r]
+    r = len(_forward_eliminate(work, ident))
     return Matrix(a.field, a.rows, a.rows,
                   tuple(tuple(row) for row in ident)), r
 

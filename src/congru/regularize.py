@@ -41,7 +41,8 @@ class StageRecord:
     e: Matrix
 
     def stage_form(self) -> Matrix:
-        """The full block matrix T * A * T.star."""
+        """The full block matrix T * A * T.star.  The pipeline reads
+        the blocks directly; tests compare against this."""
         field = self.transform.field
         n = self.transform.rows
         rho = self.a_next.rows

@@ -124,10 +124,14 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
+        # the input grammar: 3, i, -2*i, 1/2-3/4*i
         if self.im == 0:
             return str(self.re)
         sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}*i"
+        coeff = "" if abs(self.im) == 1 else f"{abs(self.im)}*"
+        if self.re == 0:
+            return f"{'-' if self.im < 0 else ''}{coeff}i"
+        return f"{self.re}{sign}{coeff}i"
 
 
 def _as_gaussian(x) -> "GaussianRational":
@@ -324,14 +328,7 @@ class FieldSpec:
                 if x.denominator % self.p == 0:
                     raise ValueError("denominator divisible by the modulus")
                 return ModInt(x.numerator, self.p) / ModInt(x.denominator, self.p)
-        raise ValueError(f"cannot coerce {x!r} into {self}")
-
-    def belongs(self, x) -> bool:
-        if self.kind is FieldKind.RATIONAL:
-            return isinstance(x, Fraction)
-        if self.kind is FieldKind.GAUSSIAN_RATIONAL:
-            return isinstance(x, GaussianRational)
-        return isinstance(x, ModInt) and x.p == self.p
+        raise ValueError(f"cannot coerce {_quote_token(x)} into {self}")
 
     # -- involution ----------------------------------------------------------
 
@@ -357,18 +354,9 @@ class FieldSpec:
                 return ModInt(int(s, 10), self.p)
             return _parse_gaussian(s)
         except (ValueError, ZeroDivisionError):
-            raise ValueError(f"invalid scalar {text!r}") from None
+            raise ValueError(f"invalid scalar {_quote_token(text)}") from None
 
     def render_scalar(self, a: Scalar) -> str:
-        if self.kind is FieldKind.GAUSSIAN_RATIONAL:
-            g: GaussianRational = a
-            if g.im == 0:
-                return str(g.re)
-            sign = "+" if g.im > 0 else "-"
-            coeff = "" if abs(g.im) == 1 else f"{abs(g.im)}*"
-            if g.re == 0:
-                return f"{'-' if g.im < 0 else ''}{coeff}i"
-            return f"{g.re}{sign}{coeff}i"
         return str(a)
 
     def __str__(self):
@@ -378,6 +366,13 @@ class FieldSpec:
         if self.involution is Involution.CONJUGATION:
             return name + " with conjugation"
         return name
+
+
+def _quote_token(token) -> str:
+    """repr(token) for an error message, cut after 40 characters so
+    that a huge token cannot make a huge message."""
+    r = repr(token)
+    return r if len(r) <= 40 else r[:40] + "…"
 
 
 # one rational grammar, p or p/q, for Q and both parts of Q(i).

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .matrix import (Matrix, direct_sum, inverse, nullspace,
                      permutation_matrix, solve)
-from .regularize import BlockSum, multiplicities, regularize
+from .regularize import BlockSum, StageRecord, multiplicities, regularize
 # bench/test_bench.py checks that this module still binds `stage`
 from .regularize import stage  # noqa: F401
 
@@ -79,10 +79,9 @@ def _unit(field, rows: int, cols: int) -> Matrix:
                            Matrix.zeros(field, rows, cols - rows)])
 
 
-def reduce_cde(stage_form: Matrix, m_odd: int, m_even: int,
-               ) -> tuple[Matrix, Matrix]:
-    """Clear the c and d blocks of a stage form and normalize e to
-    [I 0].
+def reduce_cde(rec: StageRecord) -> Matrix:
+    """The transform that clears the c and d blocks of a stage and
+    normalizes e to [I 0].
 
     The column *congruence I (+) V.star with e*V = [I 0] normalizes e
     and leaves c and d alone; they are then cleared by adding
@@ -90,61 +89,43 @@ def reduce_cde(stage_form: Matrix, m_odd: int, m_even: int,
     face the zero bottom block, so nothing else is disturbed.  Both
     steps compose to the block transform
     [[I, 0, -c.star*W], [0, I, -d.star*W], [0, 0, V.star]] with W the
-    top m_even rows of V.star, and the result is
-    [[a1, b, 0], [0, 0, [I 0]], [0, 0, 0]]; no n x n product is
-    formed.  Returns (reduced, transform) with
-    transform * stage_form * transform.star == reduced.  Raises
-    ValueError("malformed stage form") when the top-right or bottom
-    block of the input is not zero.
+    top m_even rows of V.star.  It takes rec.stage_form() to
+    [[a_next, b, 0], [0, 0, [I 0]], [0, 0, 0]]; no n x n product is
+    formed.
     """
+    m_odd, m_even = rec.m_odd, rec.m_even
     if m_even == 0:
         raise ValueError("nothing to reduce: the rank block is empty")
-    n = stage_form.rows
-    if not stage_form.is_square() or m_odd < m_even or n < m_odd + m_even:
-        raise ValueError("malformed stage form")
-    field = stage_form.field
-    rho = n - m_odd - m_even
-    r = rho + m_even
-    if not (stage_form.block(0, rho, r, n).is_zero()
-            and stage_form.block(r, n, 0, n).is_zero()):
-        raise ValueError("malformed stage form")
-    e = stage_form.block(rho, r, r, n)
-    v_star = _hstack(field, [solve(e, Matrix.identity(field, m_even)),
-                             nullspace(e)]).star
+    field = rec.e.field
+    rho = rec.a_next.rows
+    v_star = _hstack(field, [solve(rec.e, Matrix.identity(field, m_even)),
+                             nullspace(rec.e)]).star
     w = v_star.block(0, m_even, 0, m_odd)
-    c = stage_form.block(rho, r, 0, rho)
-    d = stage_form.block(rho, r, rho, r)
     ident, zeros = Matrix.identity, Matrix.zeros
-    transform = Matrix.from_blocks(field, [
-        [ident(field, rho), zeros(field, rho, m_even), -(c.star * w)],
-        [zeros(field, m_even, rho), ident(field, m_even), -(d.star * w)],
+    return Matrix.from_blocks(field, [
+        [ident(field, rho), zeros(field, rho, m_even), -(rec.c.star * w)],
+        [zeros(field, m_even, rho), ident(field, m_even), -(rec.d.star * w)],
         [zeros(field, m_odd, rho), zeros(field, m_odd, m_even), v_star],
     ])
-    reduced = Matrix.from_blocks(field, [
-        [stage_form.block(0, rho, 0, r), zeros(field, rho, m_odd)],
-        [zeros(field, m_even, r), _unit(field, m_even, m_odd)],
-        [zeros(field, m_odd, r), zeros(field, m_odd, m_odd)],
-    ])
-    return reduced, transform
 
 
 def _merge_level(g: Matrix, xg: Matrix, bottom_zero: int,
-                 rec_m: tuple[int, int], b: Matrix,
-                 ) -> tuple[Matrix, Matrix]:
+                 rec: StageRecord) -> tuple[Matrix, Matrix]:
     """Embed one reduced stage around the already-canonical inner
     block g and restore the sparse shape.
 
     g is h x h with its bottom `bottom_zero` rows and columns zero and
-    all other rows of disjoint support (so independent); b couples the
-    inner block to the new m_even columns.  Returns the new canonical
-    block and the transform factor applied on top of (xg (+) I).
+    all other rows of disjoint support (so independent); rec.b couples
+    the inner block to the new m_even columns.  Returns the new
+    canonical block and the transform factor applied on top of
+    (xg (+) I).
     """
     field = g.field
-    m_odd, m_even = rec_m
+    m_odd, m_even = rec.m_odd, rec.m_even
     h = g.rows
     ident = Matrix.identity
     zeros = Matrix.zeros
-    bhat = xg * b
+    bhat = xg * rec.b
     e0 = _unit(field, m_even, m_odd)
     current = Matrix.from_blocks(field, [
         [g, bhat, zeros(field, h, m_odd)],
@@ -216,9 +197,8 @@ def canonical_sparse_form(a: Matrix) -> SparseForm:
     for rec in reversed(res.stages):
         w = rec.transform
         if rec.m_even > 0:
-            w = reduce_cde(rec.stage_form(), rec.m_odd, rec.m_even)[1] * w
-        g, factor = _merge_level(g, xg, bottom_zero,
-                                 (rec.m_odd, rec.m_even), rec.b)
+            w = reduce_cde(rec) * w
+        g, factor = _merge_level(g, xg, bottom_zero, rec)
         pad = Matrix.identity(field, rec.m_even + rec.m_odd)
         xg = factor * direct_sum(field, [xg, pad]) * w
         bottom_zero = rec.m_odd

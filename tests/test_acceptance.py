@@ -5,6 +5,7 @@ deterministic; the timed ones use wall-clock budgets generous enough for
 a loaded CI runner but tight enough to catch complexity regressions.
 """
 
+import importlib
 import random
 import time
 
@@ -15,7 +16,6 @@ from congru import (
     FieldSpec,
     FloatMode,
     Matrix,
-    RandomSpec,
     SelfadjointPencil,
     check_transform,
     direct_sum,
@@ -27,15 +27,15 @@ from congru import (
     jordan_permutation,
     pattern_residual,
     pencil_regularize,
-    random_matrix,
     rank,
     regularize,
-    replace_block,
     roundtrip_suite,
     sparse_nilpotent,
     unitarity_residual,
 )
 from congru.cli import main
+from congru.pencil import replace_block
+from congru.verify import RandomSpec, random_matrix
 
 RATIONALS = FieldSpec.rationals()
 CONJ = FieldSpec.gaussian(conjugation=True)
@@ -222,3 +222,42 @@ def test_criterion_8_congruence_invariance():
                 RandomSpec(seed=base, size=rng.randint(1, 6), field=field))
         report = invariance_suite(a, 5, seed=base)
         assert report.ok, report.failures
+
+
+PUBLIC_SURFACE = [
+    "BlockSum", "CheckReport", "FieldKind", "FieldSpec", "FloatMode",
+    "FloatStageRecord", "GaussianRational", "Invariants", "Involution",
+    "KroneckerBlock", "Matrix", "MatrixParseError", "ModInt",
+    "PencilDecomposition", "ReducedForm", "RegularizationResult",
+    "Replacement", "SelfadjointPencil", "SparseForm", "StageRecord",
+    "SuiteReport", "__version__", "assemble", "canonical_sparse_form",
+    "check_transform", "direct_sum", "float_regularize", "float_stage",
+    "full_decomposition", "invariance_suite", "invariants", "inverse",
+    "jordan_block", "jordan_permutation", "multiplicities", "nullity",
+    "nullspace", "parse_float_matrix", "pattern_residual",
+    "pencil_regularize", "permutation_matrix", "rank", "reduce_cde",
+    "regularize", "render_float_matrix", "roundtrip_suite", "solve",
+    "sparse_nilpotent", "stage", "unitarity_residual",
+]
+
+
+def test_public_surface():
+    import congru
+
+    assert sorted(congru.__all__) == PUBLIC_SURFACE
+    for name in PUBLIC_SURFACE:
+        assert getattr(congru, name) is not None
+    # test helpers stay in their submodules, out of the package namespace
+    for module, name in [("matrix", "f_block"), ("matrix", "g_block"),
+                         ("matrix", "row_echelon_transform"),
+                         ("pencil", "lemma6_permutation"),
+                         ("pencil", "permuted_jordan_target"),
+                         ("pencil", "replace_block"),
+                         ("float_unitary", "block_slices"),
+                         ("float_unitary", "required_zero_mask"),
+                         ("verify", "nilpotent_jordan_oracle"),
+                         ("verify", "random_matrix"),
+                         ("verify", "random_nonsingular"),
+                         ("verify", "RandomSpec")]:
+        assert not hasattr(congru, name)
+        assert hasattr(importlib.import_module(f"congru.{module}"), name)

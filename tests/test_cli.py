@@ -380,6 +380,24 @@ class TestHostileInput:
         assert status == 1
         assert err == "error: line 2, column 1: invalid scalar '1e5000'\n"
 
+    @pytest.mark.parametrize("command", ["decompose", "float-regularize"])
+    @pytest.mark.parametrize("form", ["text", "json"])
+    def test_huge_bad_token_is_quoted_short(self, capsys, tmp_path, command,
+                                            form):
+        p = tmp_path / "huge"
+        if form == "text":
+            p.write_text("1 1\n" + "x" * 2_000_000 + "\n")
+            argv = [command, str(p)]
+        else:
+            p.write_text(json.dumps(
+                {"rows": 1, "cols": 1, "entries": [list(range(300_000))]}))
+            argv = [command, "--json", str(p)]
+        status, _, err = run_cli(capsys, argv)
+        assert status == 1
+        assert err.startswith("error: line ")
+        assert "…" in err
+        assert len(err.encode()) < 200
+
     def test_invalid_utf8(self, capsys, tmp_path):
         p = tmp_path / "bin.txt"
         p.write_bytes(b"1 1\n\xff\n")

@@ -10,8 +10,6 @@ from congru import (
     Matrix,
     MatrixParseError,
     direct_sum,
-    f_block,
-    g_block,
     invariants,
     inverse,
     jordan_block,
@@ -19,9 +17,9 @@ from congru import (
     nullspace,
     permutation_matrix,
     rank,
-    row_echelon_transform,
     solve,
 )
+from congru.matrix import f_block, g_block, row_echelon_transform
 
 from conftest import (ALL_FIELDS, GAUSSIAN_CONJ, RATIONALS, fielded_square,
                       scalar_strategy, square_matrix)
@@ -157,18 +155,6 @@ class TestElimination:
         assert ta.row(1) == (Fraction(0), Fraction(0))
         assert not ta.row(0) == (Fraction(0), Fraction(0))
 
-    def test_row_echelon_top(self):
-        a = _mat(RATIONALS, [[0], [1]])
-        t, r = row_echelon_transform(a, "top")
-        assert r == 1
-        ta = t * a
-        assert ta.row(0) == (Fraction(0),)
-        assert ta.row(1) == (Fraction(1),)
-
-    def test_zeros_argument_validated(self):
-        with pytest.raises(ValueError, match='"bottom" or "top"'):
-            row_echelon_transform(Matrix.identity(RATIONALS, 1), "middle")
-
     def test_solve_inconsistent(self):
         a = _mat(RATIONALS, [[1, 1], [1, 1]])
         b = _mat(RATIONALS, [[0], [1]])
@@ -201,15 +187,12 @@ def test_rank_nullity_and_nullspace(data):
 @settings(max_examples=50, deadline=None)
 def test_row_echelon_transform_properties(data):
     a = data.draw(fielded_square())
-    for zeros in ("bottom", "top"):
-        t, r = row_echelon_transform(a, zeros)
-        assert t.is_nonsingular()
-        assert r == rank(a)
-        ta = t * a
-        zero_rows = range(r, a.rows) if zeros == "bottom" \
-            else range(a.rows - r)
-        for i in zero_rows:
-            assert all(not x for x in ta.row(i))
+    t, r = row_echelon_transform(a)
+    assert t.is_nonsingular()
+    assert r == rank(a)
+    ta = t * a
+    for i in range(r, a.rows):
+        assert all(not x for x in ta.row(i))
 
 
 @given(data=st.data())

@@ -10,11 +10,9 @@ from congru import (
     Matrix,
     SelfadjointPencil,
     jordan_block,
-    lemma6_permutation,
     pencil_regularize,
-    permuted_jordan_target,
-    replace_block,
 )
+from congru.pencil import lemma6_permutation, permuted_jordan_target, replace_block
 
 from conftest import GAUSSIAN_CONJ, scrambled_sum
 

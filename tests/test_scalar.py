@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from congru import FieldKind, FieldSpec, GaussianRational, Involution, ModInt
+from congru import (FieldKind, FieldSpec, GaussianRational, Involution,
+                    Matrix, ModInt)
 
 from conftest import ALL_FIELDS, GAUSSIAN_CONJ, GF7, RATIONALS, scalar_strategy
 
@@ -146,6 +147,22 @@ class TestScalarGrammar:
     def test_real_gaussian_renders_plain(self):
         assert GAUSSIAN_CONJ.render_scalar(GaussianRational(Fraction(3), 0)) \
             == "3"
+
+    @pytest.mark.parametrize("x,text", [
+        (GaussianRational(3, 0), "3"),
+        (GaussianRational(0, 1), "i"),
+        (GaussianRational(0, -1), "-i"),
+        (GaussianRational(0, -2), "-2*i"),
+        (GaussianRational(1, -1), "1-i"),
+        (GaussianRational(-1, Fraction(5, 3)), "-1+5/3*i"),
+        (GaussianRational(Fraction(1, 2), Fraction(-3, 4)), "1/2-3/4*i"),
+    ])
+    def test_str_is_the_input_grammar(self, x, text):
+        # str() and the CLI's matrix writer render Q(i) the same way
+        assert str(x) == text
+        assert Matrix.from_rows(GAUSSIAN_CONJ, [[x]]).to_text() \
+            == f"1 1\n{text}\n"
+        assert GAUSSIAN_CONJ.parse_scalar(str(x)) == x
 
     def test_prime_field_residue(self):
         assert GF7.parse_scalar("13") == 6

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from congru import (
     Matrix,
+    StageRecord,
     assemble,
     canonical_sparse_form,
     check_transform,
@@ -15,13 +16,13 @@ from congru import (
     full_decomposition,
     jordan_block,
     jordan_permutation,
-    nilpotent_jordan_oracle,
     rank,
     reduce_cde,
     regularize,
     sparse_nilpotent,
     stage,
 )
+from congru.verify import nilpotent_jordan_oracle
 
 from conftest import (GAUSSIAN_CONJ, GAUSSIAN_IDENT, RATIONALS,
                       fielded_square, m_sequence, scrambled_sum)
@@ -92,53 +93,69 @@ def test_jordan_permutation_frozen_images():
     assert p3 == Matrix.identity(RATIONALS, 3)
 
 
+def _mat(rows) -> Matrix:
+    return Matrix.from_rows(RATIONALS, rows)
+
+
 class TestReduceCde:
     def test_worked_example_identity_trace(self):
         a = Matrix.from_text(GAUSSIAN_IDENT, WORKED)
         rec = stage(a)
-        reduced, x = reduce_cde(rec.stage_form(), rec.m_odd, rec.m_even)
-        assert reduced == Matrix.from_text(GAUSSIAN_IDENT, "2 2\n0 1\n0 0\n")
-        total = x * rec.transform
+        total = reduce_cde(rec) * rec.transform
         assert total == Matrix.from_text(GAUSSIAN_IDENT,
                                          "2 2\n1/2 -1/2*i\n1/2 1/2*i\n")
-        assert (total * a) * total.star == reduced
+        assert (total * a) * total.star \
+            == Matrix.from_text(GAUSSIAN_IDENT, "2 2\n0 1\n0 0\n")
 
     def test_rational_scaling(self):
         # stage form [[0, 2], [0, 0]]: scaling the unit to 1 needs 1/2
-        form = Matrix.from_rows(RATIONALS, [[0, 2], [0, 0]])
-        reduced, x = reduce_cde(form, 1, 1)
-        assert reduced == Matrix.from_rows(RATIONALS, [[0, 1], [0, 0]])
-        assert (x * form) * x.star == reduced
+        rec = StageRecord(
+            m_odd=1, m_even=1, transform=Matrix.identity(RATIONALS, 2),
+            a_next=Matrix.zeros(RATIONALS, 0, 0),
+            b=Matrix.zeros(RATIONALS, 0, 1),
+            c=Matrix.zeros(RATIONALS, 1, 0), d=_mat([[0]]), e=_mat([[2]]))
+        form = rec.stage_form()
+        assert form == _mat([[0, 2], [0, 0]])
+        x = reduce_cde(rec)
+        assert (x * form) * x.star == _mat([[0, 1], [0, 0]])
 
     def test_nothing_to_reduce(self):
-        form = Matrix.zeros(RATIONALS, 2, 2)
+        rec = stage(Matrix.zeros(RATIONALS, 2, 2))
+        assert (rec.m_odd, rec.m_even) == (2, 0)
         with pytest.raises(ValueError, match="nothing to reduce"):
-            reduce_cde(form, 2, 0)
+            reduce_cde(rec)
 
     def test_clears_c_and_d(self):
         # [[A1, B, 0], [C, D, E], [0, 0, 0]] with nonzero C, D
-        f = RATIONALS
-        form = Matrix.from_rows(f, [
-            [1, 5, 0],
-            [3, 7, 2],
-            [0, 0, 0],
-        ])
-        reduced, x = reduce_cde(form, 1, 1)
-        assert (x * form) * x.star == reduced
-        assert reduced == Matrix.from_rows(f, [
+        rec = StageRecord(
+            m_odd=1, m_even=1, transform=Matrix.identity(RATIONALS, 3),
+            a_next=_mat([[1]]), b=_mat([[5]]), c=_mat([[3]]),
+            d=_mat([[7]]), e=_mat([[2]]))
+        form = rec.stage_form()
+        assert form == _mat([[1, 5, 0], [3, 7, 2], [0, 0, 0]])
+        x = reduce_cde(rec)
+        assert (x * form) * x.star == _mat([
             [1, 5, 0],
             [0, 0, 1],
             [0, 0, 0],
         ])
 
-    @pytest.mark.parametrize("rows", [
-        [[1, 5, 0], [3, 7, 2], [0, 4, 0]],   # nonzero bottom row
-        [[1, 5, 6], [3, 7, 2], [0, 0, 0]],   # nonzero top-right block
-    ], ids=["bottom", "top-right"])
-    def test_malformed_stage_form(self, rows):
-        form = Matrix.from_rows(RATIONALS, rows)
-        with pytest.raises(ValueError, match="malformed stage form"):
-            reduce_cde(form, 1, 1)
+
+def test_pipeline_reads_stages_without_assembling_them(monkeypatch):
+    # the block layout of a stage lives in the record; the reduction
+    # reads c, d and e from it and never rebuilds the n x n stage form
+    def refuse(self):
+        raise AssertionError("StageRecord.stage_form called")
+
+    rng = random.Random(7)
+    cases = [Matrix.from_text(GAUSSIAN_IDENT, WORKED),
+             scrambled_sum(rng, RATIONALS, 2, [1, 2, 3, 3])[0]]
+    monkeypatch.setattr(StageRecord, "stage_form", refuse)
+    for a in cases:
+        assert any(rec.m_even for rec in regularize(a).stages)
+        bs, x = full_decomposition(a)
+        rep = check_transform(a, x, assemble(bs))
+        assert rep.ok, rep.reason
 
 
 @given(data=st.data())

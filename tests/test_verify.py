@@ -7,17 +7,15 @@ from congru import (
     FieldSpec,
     FloatMode,
     Matrix,
-    RandomSpec,
     check_transform,
     direct_sum,
     invariance_suite,
     jordan_block,
-    nilpotent_jordan_oracle,
     rank,
-    random_matrix,
-    random_nonsingular,
     roundtrip_suite,
 )
+from congru.verify import (RandomSpec, nilpotent_jordan_oracle, random_matrix,
+                           random_nonsingular)
 
 from conftest import GAUSSIAN_CONJ, GF7, RATIONALS
 
