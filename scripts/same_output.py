@@ -1,0 +1,142 @@
+#!/usr/bin/env python3
+"""Check that two source trees of congru give the same CLI output.
+
+    python scripts/same_output.py PARENT_SRC CHANGE_SRC
+
+Each argument is a directory that holds the `congru` package (a
+checkout's `src/`).  The seed-1 benchmark inputs are written with
+bench/workloads.py into a temporary directory, and every run below is
+made once against each tree, each tree in its own child process that
+calls `congru.cli.main`:
+
+- `decompose` and `sparse-form` with `--json --emit-transform` on all
+  150 exact inputs;
+- the text forms of `decompose --emit-transform`, `regularize`,
+  `invariants` and `pencil` on every fifth exact input;
+- `float-regularize` in text and JSON on the 25 float-complex inputs.
+
+A run's stdout, stderr and exit code must match byte for byte.  The
+script prints the number of differing runs and exits 1 on any
+difference.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+
+from workloads import PRIME, WORKLOADS, write_inputs  # noqa: E402
+
+SEED = 1
+TEXT_COMMANDS = ("decompose", "regularize", "invariants", "pencil")
+
+# runs each argv through congru.cli.main and writes
+# [[status, stdout, stderr], ...] as JSON
+CHILD = r"""
+import contextlib, io, json, sys, traceback
+from congru.cli import main
+
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except Exception:
+            traceback.print_exc()
+            status = "raised"
+    results.append([status, out.getvalue(), err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+def _write_text_copy(json_path: str) -> str:
+    """The same matrix in the text grid format, next to the JSON."""
+    with open(json_path, encoding="utf-8") as fh:
+        obj = json.load(fh)
+    rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
+    lines = [f"{rows} {cols}"]
+    lines += [" ".join(str(e) for e in entries[i * cols:(i + 1) * cols])
+              for i in range(rows)]
+    path = json_path[:-len(".json")] + ".txt"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path
+
+
+def build_runs(directory: str) -> list[list[str]]:
+    runs = []
+    for name, workload in WORKLOADS.items():
+        out_dir = os.path.join(directory, name)
+        os.mkdir(out_dir)
+        manifest = write_inputs(workload, SEED, out_dir)
+        flags = ["--field", workload.field,
+                 "--involution", workload.involution]
+        if workload.field == "prime-field":
+            flags += ["--prime", str(PRIME)]
+        for k, req in enumerate(manifest["requests"]):
+            path = req["path"]
+            text_path = _write_text_copy(path)
+            if workload.command == "float-regularize":
+                runs.append(["float-regularize", *flags, "--json", path])
+                runs.append(["float-regularize", *flags, text_path])
+                continue
+            for command in ("decompose", "sparse-form"):
+                runs.append([command, *flags, "--json", "--emit-transform",
+                             path])
+            if k % 5 == 0:
+                for command in TEXT_COMMANDS:
+                    extra = (["--emit-transform"]
+                             if command in ("decompose", "pencil") else [])
+                    runs.append([command, *flags, *extra, text_path])
+    return runs
+
+
+def run_tree(src: str, runs: list) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src),
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.Popen([sys.executable, "-c", CHILD], env=env,
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            text=True)
+    proc.stdin.write(json.dumps(runs))
+    proc.stdin.close()
+    return proc
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: same_output.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as directory:
+        runs = build_runs(directory)
+        procs = [run_tree(src, runs) for src in argv]
+        results = []
+        for src, proc in zip(argv, procs):
+            out = proc.stdout.read()
+            if proc.wait() != 0:
+                print(f"child process for {src} failed", file=sys.stderr)
+                return 1
+            results.append(json.loads(out))
+    differ = 0
+    for argv_run, old, new in zip(runs, *results):
+        if old != new:
+            differ += 1
+            if differ <= 5:
+                fields = [k for k, a, b in zip(("exit code", "stdout",
+                                                "stderr"), old, new)
+                          if a != b]
+                shown = [a[len(directory) + 1:] if a.startswith(directory)
+                         else a for a in argv_run]
+                print(f"differs in {', '.join(fields)}: {' '.join(shown)}")
+    print(f"{differ} of {len(runs)} runs differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

@@ -30,8 +30,9 @@ class Matrix:
 
     def __init__(self, field: FieldSpec, rows: int, cols: int,
                  row_tuples: tuple):
-        # row_tuples must already hold field elements; use the
-        # classmethods for anything that needs coercion
+        # row_tuples must already hold field elements, a GF(p) entry
+        # as an int in [0, p); use the classmethods for anything that
+        # needs coercion
         self.field = field
         self.rows = rows
         self.cols = cols
@@ -132,7 +133,7 @@ class Matrix:
         if self.shape != other.shape:
             raise ValueError("dimension mismatch in addition")
         return Matrix(self.field, self.rows, self.cols, tuple(
-            tuple(a + b for a, b in zip(ra, rb))
+            _reduced(self.field, [a + b for a, b in zip(ra, rb)])
             for ra, rb in zip(self._r, other._r)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
@@ -140,17 +141,17 @@ class Matrix:
         if self.shape != other.shape:
             raise ValueError("dimension mismatch in subtraction")
         return Matrix(self.field, self.rows, self.cols, tuple(
-            tuple(a - b for a, b in zip(ra, rb))
+            _reduced(self.field, [a - b for a, b in zip(ra, rb)])
             for ra, rb in zip(self._r, other._r)))
 
     def __neg__(self) -> "Matrix":
         return Matrix(self.field, self.rows, self.cols, tuple(
-            tuple(-a for a in row) for row in self._r))
+            _reduced(self.field, [-a for a in row]) for row in self._r))
 
     def scale(self, c) -> "Matrix":
         c = self.field.coerce(c)
         return Matrix(self.field, self.rows, self.cols, tuple(
-            tuple(c * a for a in row) for row in self._r))
+            _reduced(self.field, [c * a for a in row]) for row in self._r))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -171,7 +172,7 @@ class Matrix:
                 for j, bkj in enumerate(brow):
                     if bkj:
                         acc[j] = acc[j] + aik * bkj
-            out.append(tuple(acc))
+            out.append(_reduced(self.field, acc))
         return Matrix(self.field, self.rows, bcols, tuple(out))
 
     def transpose(self) -> "Matrix":
@@ -327,12 +328,41 @@ def _write_json(rows: int, cols: int, grid: Iterable, render: Callable,
 
 
 # -- elimination core ----------------------------------------------------------
+# Rows are lists of stored entries.  Over GF(p) (p not None) every
+# row operation reduces its results into [0, p), so the entries stay
+# canonical and compare as plain ints.
 
 
-def _forward_eliminate(a: list, t: list) -> list:
+def _reduced(field: FieldSpec, values: list) -> tuple:
+    """values as stored entries: reduced into [0, p) over GF(p)."""
+    p = field.p
+    return tuple(values) if p is None else tuple(x % p for x in values)
+
+
+def _axpy(p, dst: list, f, src: list, start: int = 0) -> None:
+    """The one row kernel: dst[j] -= f * src[j] for j >= start."""
+    if p is None:
+        for j in range(start, len(src)):
+            if src[j]:
+                dst[j] = dst[j] - f * src[j]
+    else:
+        dst[start:] = [(d - f * x) % p
+                       for d, x in zip(dst[start:], src[start:])]
+
+
+def _scale(p, row: list, f, start: int = 0) -> None:
+    """row[j] *= f for j >= start."""
+    if p is None:
+        row[start:] = [x * f if x else x for x in row[start:]]
+    else:
+        row[start:] = [x * f % p for x in row[start:]]
+
+
+def _forward_eliminate(field: FieldSpec, a: list, t: list) -> list:
     """In-place forward elimination on row lists `a`, mirroring every
     row operation onto `t`.  Pivots are the first nonzero entry in
-    each column.  Returns the pivot (row, col) list."""
+    each column.  Returns the (row, col, inverse pivot) list."""
+    p = field.p
     m = len(a)
     n = len(a[0]) if m else 0
     pivots = []
@@ -340,62 +370,40 @@ def _forward_eliminate(a: list, t: list) -> list:
     for c in range(n):
         if r == m:
             break
-        p = None
-        for k in range(r, m):
-            if a[k][c]:
-                p = k
-                break
-        if p is None:
+        k = next((k for k in range(r, m) if a[k][c]), None)
+        if k is None:
             continue
-        if p != r:
-            a[r], a[p] = a[p], a[r]
-            t[r], t[p] = t[p], t[r]
-        prow, trow = a[r], t[r]
-        pv = prow[c]
+        if k != r:
+            a[r], a[k] = a[k], a[r]
+            t[r], t[k] = t[k], t[r]
+        inv = field.inverse(a[r][c])
         for k in range(r + 1, m):
             f = a[k][c]
-            if not f:
-                continue
-            f = f / pv
-            krow, ktrow = a[k], t[k]
-            for j in range(c, n):
-                if prow[j]:
-                    krow[j] = krow[j] - f * prow[j]
-            for j in range(len(trow)):
-                if trow[j]:
-                    ktrow[j] = ktrow[j] - f * trow[j]
-        pivots.append((r, c))
+            if f:
+                f = f * inv if p is None else f * inv % p
+                _axpy(p, a[k], f, a[r], c)
+                _axpy(p, t[k], f, t[r])
+        pivots.append((r, c, inv))
         r += 1
     return pivots
 
 
-def _rref(a: list, t: list) -> list:
-    """Continue _forward_eliminate to reduced row echelon form."""
-    pivots = _forward_eliminate(a, t)
-    n = len(a[0]) if a else 0
-    for r, c in pivots:
-        inv = 1 / a[r][c]
-        arow, trow = a[r], t[r]
-        for j in range(c, n):
-            if arow[j]:
-                arow[j] = arow[j] * inv
-        for j in range(len(trow)):
-            if trow[j]:
-                trow[j] = trow[j] * inv
-    for r, c in reversed(pivots):
-        prow, ptrow = a[r], t[r]
+def _rref(field: FieldSpec, a: list, t: list) -> list:
+    """Continue _forward_eliminate to reduced row echelon form: scale
+    each pivot row to a unit pivot, then clear each pivot column above
+    its pivot, last pivot first.  Returns the pivot (row, col) list."""
+    p = field.p
+    pivots = _forward_eliminate(field, a, t)
+    for r, c, inv in pivots:
+        _scale(p, a[r], inv, c)
+        _scale(p, t[r], inv)
+    for r, c, _ in reversed(pivots):
         for k in range(r):
             f = a[k][c]
-            if not f:
-                continue
-            krow, ktrow = a[k], t[k]
-            for j in range(c, n):
-                if prow[j]:
-                    krow[j] = krow[j] - f * prow[j]
-            for j in range(len(ptrow)):
-                if ptrow[j]:
-                    ktrow[j] = ktrow[j] - f * ptrow[j]
-    return pivots
+            if f:
+                _axpy(p, a[k], f, a[r], c)
+                _axpy(p, t[k], f, t[r])
+    return [(r, c) for r, c, _ in pivots]
 
 
 def _work_copies(a: Matrix) -> tuple[list, list]:
@@ -411,14 +419,14 @@ def row_echelon_transform(a: Matrix) -> tuple[Matrix, int]:
     T*a has its rank(a) independent rows on top and its zero rows at
     the bottom.  Returns (T, rank)."""
     work, ident = _work_copies(a)
-    r = len(_forward_eliminate(work, ident))
+    r = len(_forward_eliminate(a.field, work, ident))
     return Matrix(a.field, a.rows, a.rows,
                   tuple(tuple(row) for row in ident)), r
 
 
 def rank(a: Matrix) -> int:
     work, ident = _work_copies(a)
-    return len(_forward_eliminate(work, ident))
+    return len(_forward_eliminate(a.field, work, ident))
 
 
 def nullity(a: Matrix) -> int:
@@ -430,7 +438,7 @@ def nullspace(a: Matrix) -> Matrix:
     column of the reduced echelon form, free columns in increasing
     index order."""
     work, ident = _work_copies(a)
-    pivots = _rref(work, ident)
+    pivots = _rref(a.field, work, ident)
     pivot_cols = {c: r for r, c in pivots}
     free_cols = [c for c in range(a.cols) if c not in pivot_cols]
     z, o = a.field.zero(), a.field.one()
@@ -441,7 +449,7 @@ def nullspace(a: Matrix) -> Matrix:
             if work[r][fc]:
                 basis_rows[c][k] = -work[r][fc]
     return Matrix(a.field, a.cols, len(free_cols),
-                  tuple(tuple(row) for row in basis_rows))
+                  tuple(_reduced(a.field, row) for row in basis_rows))
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix:
@@ -452,7 +460,7 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
     if a.rows != b.rows:
         raise ValueError("dimension mismatch in solve")
     work, ident = _work_copies(a)
-    pivots = _rref(work, ident)
+    pivots = _rref(a.field, work, ident)
     t = Matrix(a.field, a.rows, a.rows, tuple(tuple(r) for r in ident))
     rhs = t * b
     for i in range(len(pivots), a.rows):
@@ -469,7 +477,7 @@ def inverse(a: Matrix) -> Matrix:
     if not a.is_square():
         raise ValueError("inverse requires a square matrix")
     work, ident = _work_copies(a)
-    pivots = _rref(work, ident)
+    pivots = _rref(a.field, work, ident)
     if len(pivots) != a.rows:
         raise ValueError("matrix is singular")
     return Matrix(a.field, a.rows, a.rows, tuple(tuple(r) for r in ident))

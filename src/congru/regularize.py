@@ -73,7 +73,7 @@ def _echelon(a: Matrix) -> tuple[list, list, int]:
     """Forward elimination of a: the rows of T and of T*a, rank(a)
     independent rows on top, and the rank."""
     ta, t = _work_copies(a)
-    return t, ta, len(_forward_eliminate(ta, t))
+    return t, ta, len(_forward_eliminate(a.field, ta, t))
 
 
 def _from_rows(field, rows: list, cols: int) -> Matrix:

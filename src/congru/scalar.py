@@ -7,8 +7,10 @@ for the Gaussian rationals only, coefficientwise conjugation
 a + b*i -> a - b*i.
 
 Scalars are plain immutable values: `Fraction` for the rationals,
-`GaussianRational` for Q(i), `ModInt` for GF(p).  Everything here is
-exact; no operation ever rounds.
+`GaussianRational` for Q(i), and an `int` in [0, p) for GF(p), whose
+sums and products `Matrix` reduces mod p once per row and whose
+inverses come from `FieldSpec.inverse`.  `ModInt` is only an input
+value that `coerce` accepts.  Everything here is exact; nothing rounds.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-Scalar = Union[Fraction, "GaussianRational", "ModInt"]
+Scalar = Union[Fraction, "GaussianRational", int]
 
 _RatLike = Union[int, Fraction]
 
@@ -143,8 +145,9 @@ def _as_gaussian(x) -> "GaussianRational":
 
 
 class ModInt:
-    """A residue in GF(p).  Both operands of any operation must carry
-    the same modulus."""
+    """A residue in GF(p) carried with its modulus.  It is an input
+    value only: `FieldSpec.coerce` takes it to the plain int that a
+    GF(p) matrix stores, and it defines no arithmetic."""
 
     __slots__ = ("val", "p")
 
@@ -154,63 +157,6 @@ class ModInt:
 
     def __setattr__(self, name, value):
         raise AttributeError("ModInt is immutable")
-
-    def _lift(self, other) -> "ModInt":
-        if isinstance(other, ModInt):
-            if other.p != self.p:
-                raise ValueError("mixed moduli")
-            return other
-        if isinstance(other, int):
-            return ModInt(other, self.p)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ModInt(self.val + other.val, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ModInt(self.val - other.val, self.p)
-
-    def __rsub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ModInt(self.val * other.val, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.val == 0:
-            raise ZeroDivisionError(f"division by zero in GF({self.p})")
-        return ModInt(self.val * pow(other.val, -1, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    def __neg__(self):
-        return ModInt(-self.val, self.p)
-
-    def __pos__(self):
-        return self
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -222,9 +168,6 @@ class ModInt:
     def __hash__(self):
         return hash((self.val, self.p))
 
-    def __bool__(self):
-        return self.val != 0
-
     def __repr__(self):
         return f"ModInt({self.val}, {self.p})"
 
@@ -232,16 +175,28 @@ class ModInt:
         return str(self.val)
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin: the bases 2, 3, 5 and 7 decide
+    every n < 3,215,031,751, which covers the moduli below 2**31."""
+    if not isinstance(n, int) or n < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for b in (2, 3, 5, 7):
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in (2, 3, 5, 7):
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -300,7 +255,7 @@ class FieldSpec:
             return Fraction(n)
         if self.kind is FieldKind.GAUSSIAN_RATIONAL:
             return GaussianRational(n, 0)
-        return ModInt(n, self.p)
+        return n % self.p
 
     def coerce(self, x) -> Scalar:
         """Bring x into this field; raises ValueError when impossible."""
@@ -320,15 +275,23 @@ class FieldSpec:
             if isinstance(x, ModInt):
                 if x.p != self.p:
                     raise ValueError("mixed moduli")
-                return x
+                return x.val
             if isinstance(x, int):
-                return ModInt(x, self.p)
+                return x % self.p
             if isinstance(x, Fraction):
                 # n/d maps to n * d^-1 mod p
                 if x.denominator % self.p == 0:
                     raise ValueError("denominator divisible by the modulus")
-                return ModInt(x.numerator, self.p) / ModInt(x.denominator, self.p)
+                return x.numerator * self.inverse(x.denominator) % self.p
         raise ValueError(f"cannot coerce {_quote_token(x)} into {self}")
+
+    def inverse(self, a: Scalar) -> Scalar:
+        """1/a in this field; ZeroDivisionError when a is zero."""
+        if self.p is None:
+            return self.one() / a
+        if a % self.p == 0:
+            raise ZeroDivisionError(f"division by zero in GF({self.p})")
+        return pow(a, -1, self.p)
 
     # -- involution ----------------------------------------------------------
 
@@ -351,7 +314,7 @@ class FieldSpec:
                     raise ValueError(s)
                 return Fraction(s)
             if self.kind is FieldKind.PRIME_FIELD:
-                return ModInt(int(s, 10), self.p)
+                return int(s, 10) % self.p
             return _parse_gaussian(s)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"invalid scalar {_quote_token(text)}") from None

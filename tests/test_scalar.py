@@ -1,5 +1,6 @@
 """Field-with-involution scalar layer."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from congru import (FieldKind, FieldSpec, GaussianRational, Involution,
                     Matrix, ModInt)
+from congru.scalar import _is_prime
 
 from conftest import ALL_FIELDS, GAUSSIAN_CONJ, GF7, RATIONALS, scalar_strategy
 
@@ -54,20 +56,41 @@ class TestGaussianRational:
 
 
 class TestModInt:
-    def test_inverse(self):
-        a = ModInt(2, 7)
-        assert a * (ModInt(1, 7) / a) == 1
-
-    def test_mixed_moduli(self):
-        with pytest.raises(ValueError, match="mixed moduli"):
-            ModInt(1, 7) + ModInt(1, 11)
-
-    def test_zero_division(self):
-        with pytest.raises(ZeroDivisionError):
-            ModInt(3, 7) / ModInt(0, 7)
-
     def test_negative_lift(self):
         assert ModInt(-1, 7) == 6
+
+    def test_coerces_to_a_plain_residue(self):
+        x = GF7.coerce(ModInt(-1, 7))
+        assert type(x) is int and x == 6
+
+
+def _trial_division(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+class TestIsPrime:
+    def test_agrees_with_a_sieve_below_200000(self):
+        limit = 200_000
+        sieve = bytearray([1]) * limit
+        sieve[0] = sieve[1] = 0
+        for d in range(2, int(limit ** 0.5) + 1):
+            if sieve[d]:
+                sieve[d * d::d] = bytes(len(range(d * d, limit, d)))
+        assert [n for n in range(limit) if _is_prime(n)] \
+            == [n for n in range(limit) if sieve[n]]
+
+    def test_agrees_with_trial_division_near_2_31(self):
+        rng = random.Random(0)
+        for n in [2**31 - 1, 2**31 - 19] + [
+                rng.randrange(2**31 - 10**6, 2**31) for _ in range(40)]:
+            assert _is_prime(n) == _trial_division(n), n
+
+    @pytest.mark.parametrize("n", [2047, 3277, 1373653, 25326001])
+    def test_rejects_strong_pseudoprimes(self, n):
+        # strong pseudoprimes to base 2; 1373653 also to base 3, and
+        # 25326001 to bases 3 and 5
+        assert not _trial_division(n)
+        assert not _is_prime(n)
 
 
 class TestFieldSpec:
@@ -80,8 +103,9 @@ class TestFieldSpec:
             FieldSpec(FieldKind.PRIME_FIELD)
 
     def test_modulus_must_be_prime(self):
-        with pytest.raises(ValueError, match="not prime"):
-            FieldSpec.prime_field(15)
+        for p in (15, 7.0, 11.0):
+            with pytest.raises(ValueError, match="not prime"):
+                FieldSpec.prime_field(p)
 
     def test_modulus_bound(self):
         with pytest.raises(ValueError, match="2\\*\\*31"):
@@ -107,6 +131,19 @@ class TestFieldSpec:
 
     def test_coerce_string(self):
         assert RATIONALS.coerce("-3/4") == Fraction(-3, 4)
+
+    def test_coerce_mixed_moduli(self):
+        with pytest.raises(ValueError, match="mixed moduli"):
+            GF7.coerce(ModInt(1, 11))
+
+    @pytest.mark.parametrize("field", ALL_FIELDS, ids=str)
+    def test_inverse_of_zero_raises(self, field):
+        with pytest.raises(ZeroDivisionError):
+            field.inverse(field.zero())
+
+    def test_prime_field_inverse(self):
+        assert GF7.inverse(2) == 4
+        assert GF7.coerce(Fraction(3, 5)) == 3 * GF7.inverse(5) % 7
 
 
 class TestScalarGrammar:
@@ -196,8 +233,13 @@ def test_involution_axioms(field, data):
 @pytest.mark.parametrize("field", ALL_FIELDS, ids=str)
 @given(data=st.data())
 def test_field_axioms(field, data):
+    # the arithmetic Matrix applies: Python operators on the stored
+    # entries, reduced mod p over GF(p), and inversion by the field
+    def reduce(v):
+        return v if field.p is None else v % field.p
+
     x = data.draw(scalar_strategy(field))
     y = data.draw(scalar_strategy(field))
-    assert (x + y) - y == x
+    assert reduce((x + y) - y) == x
     if x:
-        assert x * (field.one() / x) == field.one()
+        assert reduce(x * field.inverse(x)) == field.one()

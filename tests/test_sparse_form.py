@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from congru import (
+    FieldSpec,
     Matrix,
     StageRecord,
     assemble,
@@ -199,6 +200,32 @@ def test_scrambled_sums_recovered_exactly():
             assert dict(bs.jordan_multiplicities) == want
             rep = check_transform(a, x, assemble(bs))
             assert rep.ok, rep.reason
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 2**31 - 1])
+def test_prime_field_entries_are_canonical_residues(p):
+    # every GF(p) entry the pipeline stores is an int in [0, p), so
+    # Matrix.__eq__ (raw tuples) and check_transform see true equality
+    field = FieldSpec.prime_field(p)
+    rng = random.Random(p)
+
+    def canonical(mat):
+        return all(type(v) is int and 0 <= v < p
+                   for i in range(mat.rows) for v in mat.row(i))
+
+    for _ in range(4):
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+        a, _ = scrambled_sum(rng, field, rng.randint(0, 3), sizes)
+        bs, x = full_decomposition(a)
+        sf = canonical_sparse_form(a)
+        blocks = [x, bs.regular_part, sf.regular_part, sf.nilpotent,
+                  sf.global_transform]
+        for rec in regularize(a).stages:
+            blocks += [rec.transform, rec.a_next, rec.b, rec.c, rec.d,
+                       rec.e]
+        assert all(canonical(b) for b in blocks)
+        rep = check_transform(a, x, assemble(bs))
+        assert rep.ok, rep.reason
 
 
 def test_worked_example_full_pipeline_conjugation():
