@@ -11,8 +11,12 @@ calls `congru.cli.main`:
 
 - `decompose` and `sparse-form` with `--json --emit-transform` on all
   150 exact inputs;
-- the text forms of `decompose --emit-transform`, `regularize`,
-  `invariants` and `pencil` on every fifth exact input;
+- the text forms of `decompose --emit-transform`,
+  `sparse-form --emit-transform`, `regularize`, `invariants` and
+  `pencil` on every fifth exact input;
+- `decompose --json --emit-transform` on every fifth exact-gaussian
+  input with `--involution identity` and on every fifth exact-prime
+  input with `--prime 3`, cases that no benchmark workload serves;
 - `float-regularize` in text and JSON on the 25 float-complex inputs.
 
 A run's stdout, stderr and exit code must match byte for byte.  The
@@ -34,7 +38,17 @@ sys.path.insert(0, os.path.join(ROOT, "bench"))
 from workloads import PRIME, WORKLOADS, write_inputs  # noqa: E402
 
 SEED = 1
-TEXT_COMMANDS = ("decompose", "regularize", "invariants", "pencil")
+TEXT_COMMANDS = ("decompose", "sparse-form", "regularize", "invariants",
+                 "pencil")
+TRANSFORM_COMMANDS = ("decompose", "sparse-form", "pencil")
+# every fifth input of these workloads is also decomposed over another
+# field than the workload's own
+OTHER_FIELD = {
+    "exact-gaussian": ["--field", "gaussian-rational",
+                       "--involution", "identity"],
+    "exact-prime": ["--field", "prime-field", "--involution", "identity",
+                    "--prime", "3"],
+}
 
 # runs each argv through congru.cli.main and writes
 # [[status, stdout, stderr], ...] as JSON
@@ -93,8 +107,11 @@ def build_runs(directory: str) -> list[list[str]]:
             if k % 5 == 0:
                 for command in TEXT_COMMANDS:
                     extra = (["--emit-transform"]
-                             if command in ("decompose", "pencil") else [])
+                             if command in TRANSFORM_COMMANDS else [])
                     runs.append([command, *flags, *extra, text_path])
+                if name in OTHER_FIELD:
+                    runs.append(["decompose", *OTHER_FIELD[name], "--json",
+                                 "--emit-transform", path])
     return runs
 
 

@@ -317,6 +317,10 @@ def _cmd_verify(config: CliConfig) -> CliResult:
         suite = "invariance"
         report = invariance_suite(a, config.trials, seed=seed)
     else:
+        if (config.field, config.involution, config.prime) \
+                != ("rational", "identity", None):
+            raise CliInputError("--field, --involution and --prime apply "
+                                "only with an input matrix")
         suite = "roundtrip"
         report = roundtrip_suite(config.trials, seed=seed)
     status = 0 if report.ok else 2
@@ -423,8 +427,15 @@ def main(argv=None) -> int:
         emit_transform=getattr(args, "emit_transform", False),
     )
     result = run(config)
-    if result.out:
-        print(result.out)
+    try:
+        if result.out:
+            print(result.out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early (`congru ... | head`); send the rest
+        # to devnull so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     if result.err:
         print(result.err, file=sys.stderr)
     return result.status

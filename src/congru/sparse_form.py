@@ -73,12 +73,6 @@ def sparse_nilpotent(field, m) -> Matrix:
     return Matrix(field, size, size, tuple(tuple(r) for r in rows))
 
 
-def _unit(field, rows: int, cols: int) -> Matrix:
-    """The rows x cols block [I 0]."""
-    return _hstack(field, [Matrix.identity(field, rows),
-                           Matrix.zeros(field, rows, cols - rows)])
-
-
 def reduce_cde(rec: StageRecord) -> Matrix:
     """The transform that clears the c and d blocks of a stage and
     normalizes e to [I 0].
@@ -110,104 +104,91 @@ def reduce_cde(rec: StageRecord) -> Matrix:
 
 
 def _merge_level(g: Matrix, xg: Matrix, bottom_zero: int,
-                 rec: StageRecord) -> tuple[Matrix, Matrix]:
-    """Embed one reduced stage around the already-canonical inner
-    block g and restore the sparse shape.
+                 rec: StageRecord) -> Matrix:
+    """The transform F that merges one reduced stage around the
+    already-canonical inner block g.
 
-    g is h x h with its bottom `bottom_zero` rows and columns zero and
-    all other rows of disjoint support (so independent); rec.b couples
-    the inner block to the new m_even columns.  Returns the new
-    canonical block and the transform factor applied on top of
-    (xg (+) I).
+    g is h x h with its bottom `bottom_zero` rows zero and its other
+    rows of disjoint support (so independent); its bottom columns are
+    not zero, because the unit blocks of the inner N reach into them.
+    With bhat = xg * rec.b, F * P * F.star is the next canonical level
+    for P = [[g, bhat, 0], [0, 0, [I 0]], [0, 0, 0]], which is never
+    formed.  F composes three block *congruences:
+
+    - K with g[:nz] * K = -bhat[:nz], nz = h - bottom_zero, clears the
+      coupling block except the rows b3 = bhat[nz:] that face the zero
+      rows of g, and leaves G1 = K.star * g and
+      G2 = K.star * (g * K + bhat) = K[nz:].star * b3 in the m_even rows;
+    - the unit columns of [I 0] clear G1 and G2; they complete against
+      the zero bottom block, so nothing else moves;
+    - V = [solve(b3, I) | nullspace(b3)] has b3 * V = [I 0], so V.star
+      normalizes b3, and W = V^-1 (+) I undoes what V.star does to the
+      unit block (V and W are identities when bottom_zero == 0).
+
+    So F = [[I, 0, [-G1.star, 0]], [(K*V).star, V.star,
+    V.star * [-G2.star, 0]], [0, 0, W]], with
+    V.star * G2.star = (b3 * V).star * K[nz:] = [K[nz:]; 0].
     """
     field = g.field
     m_odd, m_even = rec.m_odd, rec.m_even
     h = g.rows
-    ident = Matrix.identity
-    zeros = Matrix.zeros
-    bhat = xg * rec.b
-    e0 = _unit(field, m_even, m_odd)
-    current = Matrix.from_blocks(field, [
-        [g, bhat, zeros(field, h, m_odd)],
-        [zeros(field, m_even, h), zeros(field, m_even, m_even), e0],
-        [zeros(field, m_odd, h), zeros(field, m_odd, m_even),
-         zeros(field, m_odd, m_odd)],
-    ])
-    n_k = h + m_even + m_odd
-    factor = ident(field, n_k)
-    if m_even == 0:
-        return current, factor
-
-    # column *congruence against the independent upper rows of g kills
-    # the coupling block everywhere except the bottom_zero rows
     nz = h - bottom_zero
-    k_sol = solve(g.block(0, nz, 0, h), -bhat.block(0, nz, 0, m_even))
-    x_c = Matrix.from_blocks(field, [
-        [ident(field, h), zeros(field, h, m_even), zeros(field, h, m_odd)],
-        [k_sol.star, ident(field, m_even), zeros(field, m_even, m_odd)],
-        [zeros(field, m_odd, h), zeros(field, m_odd, m_even),
-         ident(field, m_odd)],
-    ])
-    current = (x_c * current) * x_c.star
-    factor = x_c
-
-    # the paired row operation left residue in the m_even rows; clear
-    # it with the unit columns, which complete against the zero bottom
-    # block and leave everything else alone
-    gam1 = current.block(h, h + m_even, 0, h)
-    gam2 = current.block(h, h + m_even, h, h + m_even)
     pad = m_odd - m_even
-    x_r = Matrix.from_blocks(field, [
-        [ident(field, h), zeros(field, h, m_even),
-         _hstack(field, [-gam1.star, zeros(field, h, pad)])],
-        [zeros(field, m_even, h), ident(field, m_even),
-         _hstack(field, [-gam2.star, zeros(field, m_even, pad)])],
-        [zeros(field, m_odd, h), zeros(field, m_odd, m_even),
-         ident(field, m_odd)],
-    ])
-    current = (x_r * current) * x_r.star
-    factor = x_r * factor
-
+    ident, zeros = Matrix.identity, Matrix.zeros
+    bhat = xg * rec.b
+    k_sol = solve(g.block(0, nz, 0, h), -bhat.block(0, nz, 0, m_even))
     if bottom_zero > 0:
-        # the surviving coupling rows sit against the zero rows of g
-        # and are independent; normalize them to the unit block, then
-        # undo the damage that the paired row operation does to e0
-        b3 = current.block(nz, h, h, h + m_even)
+        b3 = bhat.block(nz, h, 0, m_even)
         v = _hstack(field, [solve(b3, ident(field, bottom_zero)),
                             nullspace(b3)])
+        kv, v_star = k_sol * v, v.star
         w = direct_sum(field, [inverse(v), ident(field, pad)])
-        x_v = direct_sum(field, [ident(field, h), v.star, w])
-        current = (x_v * current) * x_v.star
-        factor = x_v * factor
-    return current, factor
+    else:
+        kv, v_star, w = k_sol, ident(field, m_even), ident(field, m_odd)
+    return Matrix.from_blocks(field, [
+        [ident(field, h), zeros(field, h, m_even),
+         _hstack(field, [-(g.star * k_sol), zeros(field, h, pad)])],
+        # V.star * [-G2.star, 0] = [[-K[nz:], 0], [0, 0]]
+        [kv.star, v_star,
+         direct_sum(field, [-k_sol.block(nz, h, 0, m_even),
+                            zeros(field, m_even - bottom_zero, pad)])],
+        [zeros(field, m_odd, h), zeros(field, m_odd, m_even), w],
+    ])
 
 
 def canonical_sparse_form(a: Matrix) -> SparseForm:
     """Reduce a square matrix to regular (+) N by explicit
     *congruences.  The stages come from `regularize`, recorded going
     down; the canonical shape is restored level by level coming back
-    up, so the accumulated transform is a single matrix product."""
+    up, so the accumulated transform is a single matrix product.
+
+    The parameter sequence fixes every level: before stage k is merged
+    the inner block is regular (+) sparse_nilpotent(m[2k+2:]), and after
+    it regular (+) sparse_nilpotent(m[2k:]).  Only the transform is
+    computed."""
     if not a.is_square():
         raise ValueError("canonical_sparse_form requires a square matrix")
     field = a.field
     res = regularize(a)
-    g = res.regular_part
-    xg = Matrix.identity(field, g.rows)
+    m = res.m
+    xg = Matrix.identity(field, res.regular_part.rows)
     bottom_zero = 0
-    for rec in reversed(res.stages):
+    for k in reversed(range(res.tau)):
+        rec = res.stages[k]
         w = rec.transform
         if rec.m_even > 0:
             w = reduce_cde(rec) * w
-        g, factor = _merge_level(g, xg, bottom_zero, rec)
+        g = direct_sum(field, [res.regular_part,
+                               sparse_nilpotent(field, m[2 * k + 2:])])
+        factor = _merge_level(g, xg, bottom_zero, rec)
         pad = Matrix.identity(field, rec.m_even + rec.m_odd)
         xg = factor * direct_sum(field, [xg, pad]) * w
         bottom_zero = rec.m_odd
 
-    rho = res.regular_part.rows
     return SparseForm(
         regular_part=res.regular_part,
-        m=res.m,
-        nilpotent=g.block(rho, g.rows, rho, g.rows),
+        m=m,
+        nilpotent=sparse_nilpotent(field, m),
         global_transform=xg,
     )
 

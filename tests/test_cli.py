@@ -2,9 +2,13 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import congru
 from congru import SuiteReport
 from congru.cli import main
 
@@ -236,6 +240,52 @@ class TestVerify:
         status, _, err = run_cli(capsys, ["verify", "--trials", "0"])
         assert status == 1
         assert "--trials" in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--field", "prime-field"],
+        ["--field", "prime-field", "--prime", "7"],
+        ["--field", "gaussian-rational"],
+        ["--field", "rational", "--involution", "conjugate"],
+        ["--involution", "conjugate"],
+        ["--prime", "7"],
+    ])
+    def test_field_flags_need_an_input(self, capsys, flags):
+        # without a matrix the round-trip suite runs over its own fields
+        status, out, err = run_cli(capsys, ["verify", *flags,
+                                            "--trials", "1"])
+        assert status == 1
+        assert out == ""
+        assert err == ("error: --field, --involution and --prime apply "
+                       "only with an input matrix\n")
+
+    def test_default_field_flags_without_input(self, capsys):
+        status, _, _ = run_cli(capsys, ["verify", "--field", "rational",
+                                        "--involution", "identity",
+                                        "--trials", "1"])
+        assert status == 0
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    # 200 x 200 of rendered floats is far more than a pipe buffer holds,
+    # so the write hits the closed end while the process still runs
+    n = 200
+    p = tmp_path / "diag.txt"
+    p.write_text(f"{n} {n}\n" + "".join(
+        " ".join("1" if i == j else "0" for j in range(n)) + "\n"
+        for i in range(n)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(congru.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys; from congru.cli import main; sys.exit(main())",
+         "float-regularize", "--field", "real", str(p)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 class TestJsonMode:

@@ -25,7 +25,8 @@ from congru import (
 )
 from congru.verify import nilpotent_jordan_oracle
 
-from conftest import (GAUSSIAN_CONJ, GAUSSIAN_IDENT, RATIONALS,
+import congru.sparse_form as sparse_form_module
+from conftest import (ALL_FIELDS, GAUSSIAN_CONJ, GAUSSIAN_IDENT, RATIONALS,
                       fielded_square, m_sequence, scrambled_sum)
 
 WORKED = "2 2\n1 -i\ni 1\n"
@@ -200,6 +201,56 @@ def test_scrambled_sums_recovered_exactly():
             assert dict(bs.jordan_multiplicities) == want
             rep = check_transform(a, x, assemble(bs))
             assert rep.ok, rep.reason
+
+
+def test_every_level_meets_its_contract(monkeypatch):
+    # the pipeline computes only each level's transform F; the level
+    # before the merge, P = [[g, xg*b, 0], [0, 0, [I 0]], [0, 0, 0]],
+    # is built here as the oracle, and F * P * F.star must be the
+    # canonical block that the parameter sequence fixes
+    merge = sparse_form_module._merge_level
+    levels = []
+
+    def recording(g, xg, bottom_zero, rec):
+        f = merge(g, xg, bottom_zero, rec)
+        levels.append((g, xg, bottom_zero, rec, f))
+        return f
+
+    monkeypatch.setattr(sparse_form_module, "_merge_level", recording)
+    rng = random.Random(11)
+    seen_bottom_zero = False
+    for field in ALL_FIELDS:
+        zeros = lambda r, c: Matrix.zeros(field, r, c)  # noqa: E731
+        # [1, 2, 3, 3] gives m = (4, 3, 2, 0): its outer level merges
+        # with bottom_zero = 2 and m_odd = 4 > m_even = 3
+        cases = [[1, 2, 3, 3]] + [[rng.randint(1, 4)
+                                   for _ in range(rng.randint(1, 3))]
+                                  for _ in range(3)]
+        for sizes in cases:
+            a, _ = scrambled_sum(rng, field, rng.randint(0, 3), sizes)
+            levels.clear()
+            sf = canonical_sparse_form(a)
+            m, regular = sf.m, sf.regular_part
+            assert len(levels) == len(m) // 2
+            for k, (g, xg, bottom_zero, rec, f) in zip(
+                    reversed(range(len(m) // 2)), levels):
+                assert g == direct_sum(field, [
+                    regular, sparse_nilpotent(field, m[2 * k + 2:])])
+                h, m_odd, m_even = g.rows, rec.m_odd, rec.m_even
+                unit = Matrix.from_blocks(field, [[
+                    Matrix.identity(field, m_even),
+                    zeros(m_even, m_odd - m_even)]])
+                p = Matrix.from_blocks(field, [
+                    [g, xg * rec.b, zeros(h, m_odd)],
+                    [zeros(m_even, h), zeros(m_even, m_even), unit],
+                    [zeros(m_odd, h), zeros(m_odd, m_even),
+                     zeros(m_odd, m_odd)],
+                ])
+                assert (f * p) * f.star == direct_sum(field, [
+                    regular, sparse_nilpotent(field, m[2 * k:])])
+                if bottom_zero > 0 and m_odd > m_even:
+                    seen_bottom_zero = True
+    assert seen_bottom_zero
 
 
 @pytest.mark.parametrize("p", [2, 3, 7, 2**31 - 1])
