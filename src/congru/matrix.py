@@ -459,6 +459,9 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
         raise ValueError("mixed fields")
     if a.rows != b.rows:
         raise ValueError("dimension mismatch in solve")
+    if b.cols == 0:
+        # no right-hand side is always consistent; nothing to eliminate
+        return Matrix.zeros(a.field, a.cols, 0)
     work, ident = _work_copies(a)
     pivots = _rref(a.field, work, ident)
     t = Matrix(a.field, a.rows, a.rows, tuple(tuple(r) for r in ident))

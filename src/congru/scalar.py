@@ -9,8 +9,11 @@ a + b*i -> a - b*i.
 Scalars are plain immutable values: `Fraction` for the rationals,
 `GaussianRational` for Q(i), and an `int` in [0, p) for GF(p), whose
 sums and products `Matrix` reduces mod p once per row and whose
-inverses come from `FieldSpec.inverse`.  `ModInt` is only an input
-value that `coerce` accepts.  Everything here is exact; nothing rounds.
+inverses come from `FieldSpec.inverse`.  A `GaussianRational` is a
+canonical integer triple (a + b*i)/d, d > 0 and gcd(a, b, d) == 1,
+whose operators reduce each result by one gcd.  `ModInt` is only an
+input value that `coerce` accepts.  Everything here is exact; nothing
+rounds.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import enum
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 Scalar = Union[Fraction, "GaussianRational", int]
@@ -38,22 +42,42 @@ class Involution(enum.Enum):
 
 
 class GaussianRational:
-    """An element a + b*i of Q(i) with exact rational coefficients."""
+    """An element (a + b*i)/d of Q(i), stored as three ints in lowest
+    terms: d > 0 and gcd(a, b, d) == 1.  Each operation works on the
+    ints and reduces its result by one gcd."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: _RatLike = 0, im: _RatLike = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        re, im = Fraction(re), Fraction(im)
+        a = re.numerator * im.denominator
+        b = im.numerator * re.denominator
+        d = re.denominator * im.denominator
+        g = gcd(a, b, d)
+        _set_a(self, a // g)
+        _set_b(self, b // g)
+        _set_d(self, d // g)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def __add__(self, other):
         other = _as_gaussian(other)
         if other is NotImplemented:
             return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d, e = self._d, other._d
+        if d == e:
+            return _reduced(self._a + other._a, self._b + other._b, d)
+        return _reduced(self._a * e + other._a * d,
+                        self._b * e + other._b * d, d * e)
 
     __radd__ = __add__
 
@@ -61,7 +85,11 @@ class GaussianRational:
         other = _as_gaussian(other)
         if other is NotImplemented:
             return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        d, e = self._d, other._d
+        if d == e:
+            return _reduced(self._a - other._a, self._b - other._b, d)
+        return _reduced(self._a * e - other._a * d,
+                        self._b * e - other._b * d, d * e)
 
     def __rsub__(self, other):
         other = _as_gaussian(other)
@@ -73,24 +101,22 @@ class GaussianRational:
         other = _as_gaussian(other)
         if other is NotImplemented:
             return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        # (a + b*i)/d / ((c + e*i)/f) = f*(a + b*i)*(c - e*i) / (d*(c² + e²))
         other = _as_gaussian(other)
         if other is NotImplemented:
             return NotImplemented
-        n = other.re * other.re + other.im * other.im
+        a, b, c, e, f = self._a, self._b, other._a, other._b, other._d
+        n = c * c + e * e
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f,
+                        self._d * n)
 
     def __rtruediv__(self, other):
         other = _as_gaussian(other)
@@ -99,7 +125,7 @@ class GaussianRational:
         return other / self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _triple(-self._a, -self._b, self._d)
 
     def __pos__(self):
         return self
@@ -108,39 +134,76 @@ class GaussianRational:
         other = _as_gaussian(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        # both sides are in lowest terms
+        return (self._a == other._a and self._b == other._b
+                and self._d == other._d)
 
     def __hash__(self):
         # matches hash of the plain rational when im == 0
-        if self.im == 0:
+        if self._b == 0:
             return hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _triple(self._a, -self._b, self._d)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
         # the input grammar: 3, i, -2*i, 1/2-3/4*i
-        if self.im == 0:
-            return str(self.re)
-        sign = "+" if self.im > 0 else "-"
-        coeff = "" if abs(self.im) == 1 else f"{abs(self.im)}*"
-        if self.re == 0:
-            return f"{'-' if self.im < 0 else ''}{coeff}i"
-        return f"{self.re}{sign}{coeff}i"
+        a, b, d = self._a, self._b, self._d
+        if b == 0:
+            return _rational_str(a, d)
+        sign = "+" if b > 0 else "-"
+        coeff = "" if abs(b) == d else f"{_rational_str(abs(b), d)}*"
+        if a == 0:
+            return f"{'-' if b < 0 else ''}{coeff}i"
+        return f"{_rational_str(a, d)}{sign}{coeff}i"
+
+
+_set_a = GaussianRational._a.__set__
+_set_b = GaussianRational._b.__set__
+_set_d = GaussianRational._d.__set__
+_new = object.__new__
+
+
+def _triple(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d from a triple already in lowest terms."""
+    x = _new(GaussianRational)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    return x
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d for d > 0, brought to lowest terms by one gcd."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return _triple(a, b, d)
+
+
+def _rational_str(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def _as_gaussian(x) -> "GaussianRational":
     if isinstance(x, GaussianRational):
         return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(x, 0)
+    if isinstance(x, int):
+        return _triple(x, 0, 1)
+    if isinstance(x, Fraction):
+        return _triple(x.numerator, 0, x.denominator)
     return NotImplemented
 
 
@@ -254,7 +317,7 @@ class FieldSpec:
         if self.kind is FieldKind.RATIONAL:
             return Fraction(n)
         if self.kind is FieldKind.GAUSSIAN_RATIONAL:
-            return GaussianRational(n, 0)
+            return _triple(n, 0, 1)
         return n % self.p
 
     def coerce(self, x) -> Scalar:

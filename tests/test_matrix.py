@@ -21,8 +21,8 @@ from congru import (
 )
 from congru.matrix import f_block, g_block, row_echelon_transform
 
-from conftest import (ALL_FIELDS, GAUSSIAN_CONJ, RATIONALS, fielded_square,
-                      scalar_strategy, square_matrix)
+from conftest import (ALL_FIELDS, GAUSSIAN_CONJ, GF7, RATIONALS,
+                      fielded_square, scalar_strategy, square_matrix)
 
 
 def _mat(field, rows):
@@ -160,6 +160,22 @@ class TestElimination:
         b = _mat(RATIONALS, [[0], [1]])
         with pytest.raises(ValueError, match="inconsistent"):
             solve(a, b)
+
+    @pytest.mark.parametrize("field", ALL_FIELDS, ids=str)
+    def test_solve_without_right_hand_side_skips_elimination(
+            self, field, monkeypatch):
+        def no_rref(*args):
+            raise AssertionError("solve eliminated a zero-column system")
+
+        monkeypatch.setattr("congru.matrix._rref", no_rref)
+        a = _mat(field, [[1, 2, 0], [2, 4, 0]])
+        x = solve(a, Matrix.zeros(field, 2, 0))
+        assert x == Matrix.zeros(field, 3, 0)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            solve(a, Matrix.zeros(field, 3, 0))
+        other = GF7 if field != GF7 else RATIONALS
+        with pytest.raises(ValueError, match="mixed fields"):
+            solve(a, Matrix.zeros(other, 2, 0))
 
     def test_inverse_errors(self):
         with pytest.raises(ValueError, match="singular"):

@@ -1,10 +1,12 @@
 """Field-with-involution scalar layer."""
 
+import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from congru import (FieldKind, FieldSpec, GaussianRational, Involution,
                     Matrix, ModInt)
@@ -53,6 +55,125 @@ class TestGaussianRational:
     def test_norm_via_conjugate(self, x):
         n = x * x.conjugate()
         assert n.im == 0 and n.re >= 0
+
+
+# A reference for Q(i) that shares no code with the integer triple: a
+# pair (re, im) of Fractions and the textbook formulas.
+
+def _ref_add(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def _ref_sub(x, y):
+    return x[0] - y[0], x[1] - y[1]
+
+
+def _ref_mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _ref_div(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / n,
+            (x[1] * y[0] - x[0] * y[1]) / n)
+
+
+def _ref_str(x):
+    re, im = x
+    if im == 0:
+        return str(re)
+    sign = "+" if im > 0 else "-"
+    coeff = "" if abs(im) == 1 else f"{abs(im)}*"
+    if re == 0:
+        return f"{'-' if im < 0 else ''}{coeff}i"
+    return f"{re}{sign}{coeff}i"
+
+
+def _ref_hash(x):
+    return hash(x[0]) if x[1] == 0 else hash(x)
+
+
+_REF_OPS = {"+": (operator.add, _ref_add), "-": (operator.sub, _ref_sub),
+            "*": (operator.mul, _ref_mul), "/": (operator.truediv, _ref_div)}
+
+# numerators up to 2**70, denominators of either sign, and zero
+_ref_rat = st.builds(Fraction, st.integers(-2**70, 2**70)
+                     | st.integers(-9, 9),
+                     st.integers(-12, 12).filter(bool))
+
+
+@st.composite
+def _ref_operand(draw):
+    """(value, reference pair): a GaussianRational, an int or a
+    Fraction."""
+    kind = draw(st.sampled_from(["gaussian", "int", "fraction"]))
+    if kind == "int":
+        n = draw(st.integers(-9, 9))
+        return n, (Fraction(n), Fraction(0))
+    re = draw(_ref_rat)
+    if kind == "fraction":
+        return re, (re, Fraction(0))
+    im = draw(_ref_rat)
+    return GaussianRational(re, im), (re, im)
+
+
+def _assert_matches(got, ref):
+    assert isinstance(got, GaussianRational)
+    assert got._d > 0 and math.gcd(got._a, got._b, got._d) == 1
+    assert (got.re, got.im) == ref
+    assert type(got.re) is Fraction and type(got.im) is Fraction
+    assert got == GaussianRational(*ref) and GaussianRational(*ref) == got
+    assert hash(got) == _ref_hash(ref)
+    assert bool(got) == (bool(ref[0]) or bool(ref[1]))
+    assert str(got) == _ref_str(ref)
+    if ref[1] == 0:
+        assert got == ref[0] and ref[0] == got
+        assert hash(got) == hash(ref[0])
+
+
+class TestGaussianRationalAgainstReference:
+    @given(_ref_operand(), _ref_operand(), st.sampled_from(sorted(_REF_OPS)))
+    def test_binary_operators(self, x, y, op):
+        (x, px), (y, py) = x, y
+        assume(isinstance(x, GaussianRational)
+               or isinstance(y, GaussianRational))
+        apply, ref = _REF_OPS[op]
+        if op == "/" and py == (0, 0):
+            with pytest.raises(ZeroDivisionError):
+                apply(x, y)
+            return
+        _assert_matches(apply(x, y), ref(px, py))
+
+    @given(_ref_operand())
+    def test_unary_operators(self, x):
+        x, px = x
+        if not isinstance(x, GaussianRational):
+            x = GaussianRational(x)
+        _assert_matches(x, px)
+        _assert_matches(-x, (-px[0], -px[1]))
+        _assert_matches(x.conjugate(), (px[0], -px[1]))
+        assert +x is x
+
+    @given(_ref_operand(), _ref_operand())
+    def test_equality_and_hash(self, x, y):
+        (x, px), (y, py) = x, y
+        assume(isinstance(x, GaussianRational)
+               or isinstance(y, GaussianRational))
+        assert (x == y) == (px == py) == (y == x)
+        assert (x != y) == (px != py)
+        if px == py:
+            assert hash(x) == hash(y)
+
+    @pytest.mark.parametrize("x, zero", [
+        (GaussianRational(Fraction(-3, 4), 5), 0),
+        (GaussianRational(Fraction(-3, 4), 5), Fraction(0)),
+        (GaussianRational(Fraction(-3, 4), 5), GaussianRational()),
+        (1, GaussianRational()),
+        (Fraction(1, 2), GaussianRational(0, 0)),
+    ])
+    def test_division_by_zero(self, x, zero):
+        with pytest.raises(ZeroDivisionError):
+            x / zero
 
 
 class TestModInt:

@@ -2,12 +2,15 @@
 decomposition pipeline."""
 
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from congru import (
     FieldSpec,
+    GaussianRational,
     Matrix,
     StageRecord,
     assemble,
@@ -277,6 +280,27 @@ def test_prime_field_entries_are_canonical_residues(p):
         assert all(canonical(b) for b in blocks)
         rep = check_transform(a, x, assemble(bs))
         assert rep.ok, rep.reason
+
+
+def test_gaussian_entries_keep_the_surface_bench_reads():
+    # bench/oracle.py `entry_bits` counts bits of entries of X only when
+    # they are GaussianRational values, through `.re` and `.im`; and
+    # bench/run.py `_axpy_us` times `a - b * c` on entries of X.  Both
+    # read X in the library and as parsed back from its JSON.
+    rng = random.Random(5)
+    a, _ = scrambled_sum(rng, GAUSSIAN_CONJ, 2, [1, 2, 3])
+    _, x = full_decomposition(a)
+    parsed = Matrix.from_json_dict(GAUSSIAN_CONJ, x.to_json_dict())
+    entries = [v for mat in (x, parsed) for i in range(mat.rows)
+               for v in mat.row(i)]
+    assert any(v.im for v in entries)
+    for v in entries:
+        assert isinstance(v, GaussianRational)
+        assert type(v.re) is Fraction and type(v.im) is Fraction
+        assert v._d > 0 and gcd(v._a, v._b, v._d) == 1
+    for _ in range(200):
+        e1, e2, e3 = (rng.choice(entries) for _ in range(3))
+        assert isinstance(e1 - e2 * e3, GaussianRational)
 
 
 def test_worked_example_full_pipeline_conjugation():
