@@ -17,6 +17,10 @@ calls `congru.cli.main`:
 - `decompose --json --emit-transform` on every fifth exact-gaussian
   input with `--involution identity` and on every fifth exact-prime
   input with `--prime 3`, cases that no benchmark workload serves;
+- `pencil --json --emit-transform` on every fifth exact input;
+- `verify --json --seed 1`: the round-trip suite with 20 trials, and
+  the invariance suite with 3 trials on the first input of each exact
+  workload;
 - `float-regularize` in text and JSON on the 25 float-complex inputs.
 
 A run's stdout, stderr and exit code must match byte for byte.  The
@@ -85,7 +89,7 @@ def _write_text_copy(json_path: str) -> str:
 
 
 def build_runs(directory: str) -> list[list[str]]:
-    runs = []
+    runs = [["verify", "--json", "--seed", str(SEED), "--trials", "20"]]
     for name, workload in WORKLOADS.items():
         out_dir = os.path.join(directory, name)
         os.mkdir(out_dir)
@@ -104,7 +108,12 @@ def build_runs(directory: str) -> list[list[str]]:
             for command in ("decompose", "sparse-form"):
                 runs.append([command, *flags, "--json", "--emit-transform",
                              path])
+            if k == 0:
+                runs.append(["verify", *flags, "--json", "--seed", str(SEED),
+                             "--trials", "3", path])
             if k % 5 == 0:
+                runs.append(["pencil", *flags, "--json", "--emit-transform",
+                             path])
                 for command in TEXT_COMMANDS:
                     extra = (["--emit-transform"]
                              if command in TRANSFORM_COMMANDS else [])

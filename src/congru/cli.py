@@ -386,7 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
         _add_exact_flags(p)
         if name in ("sparse-form", "decompose", "pencil"):
             p.add_argument("--emit-transform", action="store_true")
-        p.add_argument("input", help="matrix file, or - for stdin")
+        p.add_argument("input_path", metavar="input",
+                       help="matrix file, or - for stdin")
 
     p = sub.add_parser("float-regularize")
     p.add_argument("--field", choices=_FLOAT_FIELDS, default="complex")
@@ -395,14 +396,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=None,
                    help="fixed rank tolerance (default: relative rule)")
     p.add_argument("--json", action="store_true", dest="json_io")
-    p.add_argument("input", help="matrix file, or - for stdin")
+    p.add_argument("input_path", metavar="input",
+                   help="matrix file, or - for stdin")
 
     p = sub.add_parser("verify")
     _add_exact_flags(p)
     p.add_argument("--seed", type=int, default=None,
                    help="suite seed (default CONGRU_SEED or 0)")
     p.add_argument("--trials", type=int, default=25)
-    p.add_argument("input", nargs="?", default=None,
+    p.add_argument("input_path", metavar="input", nargs="?", default=None,
                    help="optional matrix: run the invariance suite on it "
                         "instead of the round-trip suite")
     return parser
@@ -414,19 +416,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    config = CliConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        field=getattr(args, "field", "rational"),
-        involution=getattr(args, "involution", "identity"),
-        prime=getattr(args, "prime", None),
-        json_io=getattr(args, "json_io", False),
-        tol=getattr(args, "tol", None),
-        seed=getattr(args, "seed", None),
-        trials=getattr(args, "trials", 25),
-        emit_transform=getattr(args, "emit_transform", False),
-    )
-    result = run(config)
+    result = run(CliConfig(**vars(args)))
     try:
         if result.out:
             print(result.out)

@@ -97,12 +97,11 @@ class Replacement:
     """Canonical pencil summand for one Jordan size, with the
     permutation witness: witness * J_k * witness.star equals
     constant_part, and the pencil block is
-    constant_part + lam * lambda_part."""
+    constant_part + lam * constant_part.star."""
 
     kind: str
     ell: int
     constant_part: Matrix
-    lambda_part: Matrix
     witness: Matrix
 
 
@@ -119,11 +118,8 @@ def replace_block(field: FieldSpec, k: int) -> Replacement:
         for b, a in enumerate(images):
             inverse[a] = b
         witness = permutation_matrix(field, inverse)
-    constant = permuted_jordan_target(field, k)
-    kind = "fg" if k % 2 else "ji"
-    return Replacement(
-        kind=kind, ell=(k + 1) // 2, constant_part=constant,
-        lambda_part=constant.transpose(), witness=witness)
+    return Replacement("fg" if k % 2 else "ji", (k + 1) // 2,
+                       permuted_jordan_target(field, k), witness)
 
 
 @dataclass(frozen=True)
@@ -140,58 +136,46 @@ class PencilDecomposition:
     regular: Matrix
     kronecker_blocks: tuple[KroneckerBlock, ...]
 
-    def _witness_sum(self) -> Matrix:
-        field = self.pencil.field
-        blocks = [Matrix.identity(field, self.regular.rows)]
+    def _block_sum(self, first: Matrix, block) -> Matrix:
+        """first (+) kb.multiplicity copies of block(kb) for each block kb."""
+        blocks = [first]
         for kb in self.kronecker_blocks:
-            blocks.extend(kb.replacement.witness for _ in
-                          range(kb.multiplicity))
-        return direct_sum(field, blocks)
+            blocks.extend([block(kb)] * kb.multiplicity)
+        return direct_sum(self.pencil.field, blocks)
 
     @property
     def replaced_transform(self) -> Matrix:
         """Transform carrying the pencil straight to the replaced
         form: the per-block witnesses stacked on the Jordan
         transform."""
-        return self._witness_sum() * self.transform
+        return self._block_sum(
+            Matrix.identity(self.pencil.field, self.regular.rows),
+            lambda kb: kb.replacement.witness) * self.transform
 
     def jordan_parts(self) -> tuple[Matrix, Matrix]:
-        """Coefficient pair (C, L) of the Jordan-pair presentation:
-        transform * pencil(lam) * transform.star == C + lam * L, with
-        C the regular part followed by J_k summands ascending and L
-        its stars-and-transposes companion."""
-        field = self.pencil.field
-        cs = [self.regular]
-        ls = [self.regular.star]
-        for kb in self.kronecker_blocks:
-            j = jordan_block(field, kb.size)
-            cs.extend(j for _ in range(kb.multiplicity))
-            ls.extend(j.transpose() for _ in range(kb.multiplicity))
-        return direct_sum(field, cs), direct_sum(field, ls)
+        """Coefficient pair (C, C.star) of the Jordan-pair presentation:
+        transform * pencil(lam) * transform.star == C + lam * C.star,
+        with C the regular part followed by J_k summands ascending."""
+        c = self._block_sum(
+            self.regular, lambda kb: jordan_block(self.pencil.field, kb.size))
+        return c, c.star
 
     def replaced_parts(self) -> tuple[Matrix, Matrix]:
         """Coefficient pair of the replaced presentation, each Jordan
         summand swapped for its Kronecker pair: replaced_transform
-        carries the pencil onto constant + lam * lambda."""
-        field = self.pencil.field
-        cs = [self.regular]
-        ls = [self.regular.star]
-        for kb in self.kronecker_blocks:
-            rep = kb.replacement
-            cs.extend(rep.constant_part for _ in range(kb.multiplicity))
-            ls.extend(rep.lambda_part for _ in range(kb.multiplicity))
-        return direct_sum(field, cs), direct_sum(field, ls)
+        carries the pencil onto C + lam * C.star."""
+        c = self._block_sum(self.regular,
+                            lambda kb: kb.replacement.constant_part)
+        return c, c.star
 
     def jordan_form(self, lam) -> Matrix:
         """transform * pencil(lam) * transform.star at a concrete
         parameter value."""
-        c, ell = self.jordan_parts()
-        return c + ell.scale(self.pencil.field.coerce(lam))
+        return SelfadjointPencil(self.jordan_parts()[0]).evaluate(lam)
 
     def replaced_form(self, lam) -> Matrix:
         """Same value under replaced_transform."""
-        c, ell = self.replaced_parts()
-        return c + ell.scale(self.pencil.field.coerce(lam))
+        return SelfadjointPencil(self.replaced_parts()[0]).evaluate(lam)
 
 
 def pencil_regularize(p: SelfadjointPencil) -> PencilDecomposition:

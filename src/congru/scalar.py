@@ -61,6 +61,9 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    def __reduce__(self):
+        return (_triple, (self._a, self._b, self._d))
+
     @property
     def re(self) -> Fraction:
         return Fraction(self._a, self._d)
@@ -220,6 +223,9 @@ class ModInt:
 
     def __setattr__(self, name, value):
         raise AttributeError("ModInt is immutable")
+
+    def __reduce__(self):
+        return (ModInt, (self.val, self.p))
 
     def __eq__(self, other):
         if isinstance(other, int):

@@ -85,11 +85,9 @@ def reduce_cde(rec: StageRecord) -> Matrix:
     [[I, 0, -c.star*W], [0, I, -d.star*W], [0, 0, V.star]] with W the
     top m_even rows of V.star.  It takes rec.stage_form() to
     [[a_next, b, 0], [0, 0, [I 0]], [0, 0, 0]]; no n x n product is
-    formed.
+    formed; with m_even == 0, e has no rows and it is the identity.
     """
     m_odd, m_even = rec.m_odd, rec.m_even
-    if m_even == 0:
-        raise ValueError("nothing to reduce: the rank block is empty")
     field = rec.e.field
     rho = rec.a_next.rows
     v_star = _hstack(field, [solve(rec.e, Matrix.identity(field, m_even)),
@@ -123,7 +121,7 @@ def _merge_level(g: Matrix, xg: Matrix, bottom_zero: int,
       the zero bottom block, so nothing else moves;
     - V = [solve(b3, I) | nullspace(b3)] has b3 * V = [I 0], so V.star
       normalizes b3, and W = V^-1 (+) I undoes what V.star does to the
-      unit block (V and W are identities when bottom_zero == 0).
+      unit block (b3 has no rows when bottom_zero == 0, so V = W = I).
 
     So F = [[I, 0, [-G1.star, 0]], [(K*V).star, V.star,
     V.star * [-G2.star, 0]], [0, 0, W]], with
@@ -137,19 +135,14 @@ def _merge_level(g: Matrix, xg: Matrix, bottom_zero: int,
     ident, zeros = Matrix.identity, Matrix.zeros
     bhat = xg * rec.b
     k_sol = solve(g.block(0, nz, 0, h), -bhat.block(0, nz, 0, m_even))
-    if bottom_zero > 0:
-        b3 = bhat.block(nz, h, 0, m_even)
-        v = _hstack(field, [solve(b3, ident(field, bottom_zero)),
-                            nullspace(b3)])
-        kv, v_star = k_sol * v, v.star
-        w = direct_sum(field, [inverse(v), ident(field, pad)])
-    else:
-        kv, v_star, w = k_sol, ident(field, m_even), ident(field, m_odd)
+    b3 = bhat.block(nz, h, 0, m_even)
+    v = _hstack(field, [solve(b3, ident(field, bottom_zero)), nullspace(b3)])
+    w = direct_sum(field, [inverse(v), ident(field, pad)])
     return Matrix.from_blocks(field, [
         [ident(field, h), zeros(field, h, m_even),
          _hstack(field, [-(g.star * k_sol), zeros(field, h, pad)])],
         # V.star * [-G2.star, 0] = [[-K[nz:], 0], [0, 0]]
-        [kv.star, v_star,
+        [(k_sol * v).star, v.star,
          direct_sum(field, [-k_sol.block(nz, h, 0, m_even),
                             zeros(field, m_even - bottom_zero, pad)])],
         [zeros(field, m_odd, h), zeros(field, m_odd, m_even), w],
@@ -175,9 +168,7 @@ def canonical_sparse_form(a: Matrix) -> SparseForm:
     bottom_zero = 0
     for k in reversed(range(res.tau)):
         rec = res.stages[k]
-        w = rec.transform
-        if rec.m_even > 0:
-            w = reduce_cde(rec) * w
+        w = reduce_cde(rec) * rec.transform
         g = direct_sum(field, [res.regular_part,
                                sparse_nilpotent(field, m[2 * k + 2:])])
         factor = _merge_level(g, xg, bottom_zero, rec)

@@ -12,9 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
-from .float_unitary import FloatMode
 from .matrix import Matrix, direct_sum, invariants, jordan_block, rank
 from .regularize import BlockSum, assemble, regularize
 from .scalar import FieldKind, FieldSpec
@@ -22,6 +19,8 @@ from .sparse_form import full_decomposition
 
 # spreads consecutive suite indices into unrelated generator seeds
 _SEED_STRIDE = 1_000_003
+# the random draws take integer entries in [-_ENTRY_BOUND, _ENTRY_BOUND]
+_ENTRY_BOUND = 5
 
 
 @dataclass(frozen=True)
@@ -31,13 +30,10 @@ class RandomSpec:
     seed: int
     size: int
     field: FieldSpec
-    entry_bound: int = 5
 
     def __post_init__(self):
         if self.size < 0:
             raise ValueError("size must be nonnegative")
-        if self.entry_bound < 1:
-            raise ValueError("entry bound must be positive")
 
 
 def _draw_scalar(rng: random.Random, field: FieldSpec, bound: int):
@@ -67,17 +63,16 @@ def _draw_nonsingular(rng: random.Random, field: FieldSpec, n: int,
 
 def random_matrix(spec: RandomSpec) -> Matrix:
     """Integer-entry random square matrix, entries in
-    [-entry_bound, entry_bound] (both components, over Q(i))."""
+    [-_ENTRY_BOUND, _ENTRY_BOUND] (both components, over Q(i))."""
     rng = random.Random(spec.seed)
-    return _draw_matrix(rng, spec.field, spec.size, spec.size,
-                        spec.entry_bound)
+    return _draw_matrix(rng, spec.field, spec.size, spec.size, _ENTRY_BOUND)
 
 
 def random_nonsingular(spec: RandomSpec) -> Matrix:
     """Rejection-sample random_matrix until nonsingular.  The 0 x 0
     matrix is nonsingular by convention, so size 0 returns at once."""
     rng = random.Random(spec.seed)
-    return _draw_nonsingular(rng, spec.field, spec.size, spec.entry_bound)
+    return _draw_nonsingular(rng, spec.field, spec.size, _ENTRY_BOUND)
 
 
 def nilpotent_jordan_oracle(a: Matrix) -> dict[int, int]:
@@ -112,44 +107,25 @@ class CheckReport:
     reason: str = ""
 
 
-def check_transform(a, x, target, *, mode: FloatMode | None = None,
-                    tol: float | None = None) -> CheckReport:
-    """Confirm x * a * x.star == target by direct evaluation.
-
-    Exact Matrix triples compare entrywise; float triples (with a mode
-    supplying the involution) compare in max norm against tol, default
-    1e-9.  A singular x fails regardless of the product."""
-    if mode is None:
-        if x.rows != x.cols or x.rows != a.rows or a.shape != target.shape:
-            raise ValueError("dimension mismatch")
-        if not x.is_nonsingular():
-            return CheckReport(False, "transform singular")
-        got = (x * a) * x.star
-        if got == target:
-            return CheckReport(True)
-        for i in range(got.rows):
-            for j in range(got.cols):
-                if got[i, j] != target[i, j]:
-                    return CheckReport(
-                        False,
-                        f"mismatch at ({i}, {j}): "
-                        f"{a.field.render_scalar(got[i, j])} != "
-                        f"{a.field.render_scalar(target[i, j])}")
-        return CheckReport(False, "field mismatch")
-    a = np.asarray(a, dtype=mode.dtype)
-    x = np.asarray(x, dtype=mode.dtype)
-    target = np.asarray(target, dtype=mode.dtype)
-    if x.shape[0] != x.shape[1] or x.shape[0] != a.shape[0] \
-            or a.shape != target.shape:
+def check_transform(a: Matrix, x: Matrix, target: Matrix) -> CheckReport:
+    """Confirm x * a * x.star == target by exact entrywise comparison.
+    A singular x fails regardless of the product."""
+    if x.rows != x.cols or x.rows != a.rows or a.shape != target.shape:
         raise ValueError("dimension mismatch")
-    if np.linalg.matrix_rank(x) < x.shape[0]:
+    if not x.is_nonsingular():
         return CheckReport(False, "transform singular")
-    residual = x @ a @ mode.adjoint(x) - target
-    worst = float(np.abs(residual).max()) if residual.size else 0.0
-    bound = 1e-9 if tol is None else tol
-    if worst <= bound:
+    got = (x * a) * x.star
+    if got == target:
         return CheckReport(True)
-    return CheckReport(False, f"residual {worst:.6e} exceeds {bound:.6e}")
+    for i in range(got.rows):
+        for j in range(got.cols):
+            if got[i, j] != target[i, j]:
+                return CheckReport(
+                    False,
+                    f"mismatch at ({i}, {j}): "
+                    f"{a.field.render_scalar(got[i, j])} != "
+                    f"{a.field.render_scalar(target[i, j])}")
+    return CheckReport(False, "field mismatch")
 
 
 @dataclass(frozen=True)
@@ -163,8 +139,7 @@ class SuiteReport:
         return self.passed == self.total
 
 
-def invariance_suite(a: Matrix, trials: int, *, seed: int,
-                     entry_bound: int = 5) -> SuiteReport:
+def invariance_suite(a: Matrix, trials: int, *, seed: int) -> SuiteReport:
     """Sample random congruences s * a * s.star and confirm the
     invariant tuple and the regularization parameters never move."""
     base_inv = invariants(a)
@@ -173,7 +148,7 @@ def invariance_suite(a: Matrix, trials: int, *, seed: int,
     failures = []
     for i in range(trials):
         spec = RandomSpec(seed=seed * _SEED_STRIDE + i, size=a.rows,
-                          field=a.field, entry_bound=entry_bound)
+                          field=a.field)
         s = random_nonsingular(spec)
         b = (s * a) * s.star
         got_reg = regularize(b)
@@ -185,8 +160,7 @@ def invariance_suite(a: Matrix, trials: int, *, seed: int,
     return SuiteReport(trials, trials - len(failures), tuple(failures))
 
 
-def roundtrip_suite(trials: int, *, seed: int,
-                    entry_bound: int = 5) -> SuiteReport:
+def roundtrip_suite(trials: int, *, seed: int) -> SuiteReport:
     """Build matrices with a known decomposition by congruence-scrambling
     regular + Jordan direct sums, then demand the decomposition
     recovers the block multiset, the regular size, and a verified
@@ -207,10 +181,10 @@ def roundtrip_suite(trials: int, *, seed: int,
             k = rng.randint(1, min(4, budget))
             sizes.append(k)
             budget -= k
-        blocks = [_draw_nonsingular(rng, field, b_size, entry_bound)]
+        blocks = [_draw_nonsingular(rng, field, b_size, _ENTRY_BOUND)]
         blocks.extend(jordan_block(field, k) for k in sorted(sizes))
         canonical = direct_sum(field, blocks)
-        s = _draw_nonsingular(rng, field, canonical.rows, entry_bound)
+        s = _draw_nonsingular(rng, field, canonical.rows, _ENTRY_BOUND)
         a = (s.star * canonical) * s
         want = {k: sizes.count(k) for k in set(sizes)}
         bs, x = full_decomposition(a)

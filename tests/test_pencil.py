@@ -67,8 +67,11 @@ class TestReplacement:
 
     @pytest.mark.parametrize("k", range(1, 10))
     def test_lambda_part_is_transpose(self, k):
-        rep = replace_block(CONJ, k)
-        assert rep.lambda_part == rep.constant_part.transpose()
+        # the pencil of J_k presents the Kronecker pair C + lam * C^T
+        pd = pencil_regularize(SelfadjointPencil(_jordan(CONJ, k)))
+        c, ell = pd.replaced_parts()
+        assert c == replace_block(CONJ, k).constant_part
+        assert ell == c.transpose()
 
     def test_kind_by_parity(self):
         assert replace_block(CONJ, 3).kind == "fg"

@@ -1,7 +1,9 @@
 """Field-with-involution scalar layer."""
 
+import copy
 import math
 import operator
+import pickle
 import random
 from fractions import Fraction
 
@@ -187,6 +189,43 @@ class TestModInt:
 
 def _trial_division(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+_COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda v: pickle.loads(pickle.dumps(v)),
+}
+
+
+@pytest.mark.parametrize("how", _COPIES)
+class TestCopyAndPickle:
+    def test_gaussian_rational(self, how):
+        x = GaussianRational(Fraction(-3, 4), Fraction(5, 6))
+        y = _COPIES[how](x)
+        assert type(y) is GaussianRational
+        assert y == x and (y.re, y.im) == (x.re, x.im)
+        assert (y._a, y._b, y._d) == (x._a, x._b, x._d)
+        with pytest.raises(AttributeError, match="immutable"):
+            y._a = 0
+
+    def test_mod_int(self, how):
+        y = _COPIES[how](ModInt(10, 7))
+        assert type(y) is ModInt
+        assert (y.val, y.p) == (3, 7)
+        with pytest.raises(AttributeError, match="immutable"):
+            y.val = 0
+
+    @pytest.mark.parametrize("field", ALL_FIELDS, ids=str)
+    def test_matrix(self, how, field):
+        c = field.inverse(field.from_int(2))
+        if field.kind is FieldKind.GAUSSIAN_RATIONAL:
+            c = c * (field.one() + field.imaginary_unit())
+        a = Matrix.from_rows(field, [[1, 0, -1], [3, 2, 0]]).scale(c)
+        b = _COPIES[how](a)
+        assert b == a
+        assert b.to_text() == a.to_text()
+        assert b.field == a.field
 
 
 class TestIsPrime:

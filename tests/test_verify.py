@@ -1,11 +1,9 @@
 """Randomized witnesses, transform checking, verification suites."""
 
-import numpy as np
 import pytest
 
 from congru import (
     FieldSpec,
-    FloatMode,
     Matrix,
     check_transform,
     direct_sum,
@@ -89,23 +87,6 @@ class TestCheckTransform:
         x = Matrix.identity(RATIONALS, 3)
         with pytest.raises(ValueError, match="dimension"):
             check_transform(a, x, a)
-
-    def test_float_path_residual(self):
-        a = np.array([[0.0, 1.0], [1.0, 0.0]])
-        x = np.array([[1.0, 1.0], [0.0, 1.0]])
-        target = x @ a @ x.T
-        mode = FloatMode.real_identity()
-        assert check_transform(a, x, target, mode=mode).ok
-        report = check_transform(a, x, target + 1e-3, mode=mode)
-        assert not report.ok
-        assert "residual" in report.reason
-
-    def test_float_tol_override(self):
-        a = np.eye(2)
-        x = np.eye(2)
-        mode = FloatMode.real_identity()
-        report = check_transform(a, x, a + 1e-6, mode=mode, tol=1e-3)
-        assert report.ok
 
 
 class TestSuites:
