@@ -18,6 +18,11 @@ calls `congru.cli.main`:
   input with `--involution identity` and on every fifth exact-prime
   input with `--prime 3`, cases that no benchmark workload serves;
 - `pencil --json --emit-transform` on every fifth exact input;
+- `decompose --json --emit-transform` on every fifth exact-rational
+  input made fractional by the congruence D A D with
+  D = diag(1 / (1 + i % 7)): no benchmark workload has Q inputs with
+  denominators, and these start every integer row of the Q kernels
+  with a denominator other than 1;
 - `verify --json --seed 1`: the round-trip suite with 20 trials, and
   the invariance suite with 3 trials on the first input of each exact
   workload;
@@ -35,6 +40,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
@@ -88,6 +94,20 @@ def _write_text_copy(json_path: str) -> str:
     return path
 
 
+def _write_fractional_copy(json_path: str) -> str:
+    """D A D with D = diag(1 / (1 + i % 7)), next to the JSON."""
+    with open(json_path, encoding="utf-8") as fh:
+        obj = json.load(fh)
+    cols = obj["cols"]
+    obj["entries"] = [
+        str(Fraction(e) / ((1 + k // cols % 7) * (1 + k % cols % 7)))
+        for k, e in enumerate(obj["entries"])]
+    path = json_path[:-len(".json")] + "-fractional.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+    return path
+
+
 def build_runs(directory: str) -> list[list[str]]:
     runs = [["verify", "--json", "--seed", str(SEED), "--trials", "20"]]
     for name, workload in WORKLOADS.items():
@@ -121,6 +141,10 @@ def build_runs(directory: str) -> list[list[str]]:
                 if name in OTHER_FIELD:
                     runs.append(["decompose", *OTHER_FIELD[name], "--json",
                                  "--emit-transform", path])
+                if workload.field == "rational":
+                    runs.append(["decompose", *flags, "--json",
+                                 "--emit-transform",
+                                 _write_fractional_copy(path)])
     return runs
 
 

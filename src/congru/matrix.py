@@ -5,15 +5,26 @@ zero columns; a 0x0 matrix counts as nonsingular.  All elimination is
 exact with first-nonzero pivoting (magnitude pivoting is meaningless
 over Q(i) or GF(p)), so identical inputs always produce identical
 transforms.
+
+Over Q the two hot kernels, the product and the elimination, work on
+integer rows: a row is a list of ints over one row denominator, so
+their inner loops multiply and add plain ints and the elimination
+clears a column by the fraction-free update pv*row_k - q*row_r, with
+the row's content divided out.  Entries still enter and leave every
+Matrix as Fraction, and the values are the ones plain Fraction
+arithmetic gives.  Q(i) and GF(p) entries go through the generic
+loops.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
-from .scalar import FieldSpec, Scalar
+from .scalar import FieldKind, FieldSpec, Scalar
 
 
 class MatrixParseError(ValueError):
@@ -159,6 +170,9 @@ class Matrix:
         self._check_same_field(other)
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in product")
+        if self.field.kind is FieldKind.RATIONAL:
+            return Matrix(self.field, self.rows, other.cols,
+                          _mul_q(self._r, other._r, other.cols))
         zero = self.field.zero()
         brows = other._r
         bcols = other.cols
@@ -362,6 +376,8 @@ def _forward_eliminate(field: FieldSpec, a: list, t: list) -> list:
     """In-place forward elimination on row lists `a`, mirroring every
     row operation onto `t`.  Pivots are the first nonzero entry in
     each column.  Returns the (row, col, inverse pivot) list."""
+    if field.kind is FieldKind.RATIONAL:
+        return _eliminate_q(a, t, reduce=False)
     p = field.p
     m = len(a)
     n = len(a[0]) if m else 0
@@ -392,6 +408,8 @@ def _rref(field: FieldSpec, a: list, t: list) -> list:
     """Continue _forward_eliminate to reduced row echelon form: scale
     each pivot row to a unit pivot, then clear each pivot column above
     its pivot, last pivot first.  Returns the pivot (row, col) list."""
+    if field.kind is FieldKind.RATIONAL:
+        return [(r, c) for r, c, _ in _eliminate_q(a, t, reduce=True)]
     p = field.p
     pivots = _forward_eliminate(field, a, t)
     for r, c, inv in pivots:
@@ -406,8 +424,133 @@ def _rref(field: FieldSpec, a: list, t: list) -> list:
     return [(r, c) for r, c, _ in pivots]
 
 
-def _work_copies(a: Matrix) -> tuple[list, list]:
+# -- Q kernels on integer rows ---------------------------------------------------
+# The values and the pivot choices must stay those of the generic
+# loops: transforms are byte-identical whichever path computes them.
+
+_ZERO = Fraction(0)
+
+
+def _q_fraction(x: int, d: int) -> Fraction:
+    if not x:
+        return _ZERO
+    return Fraction(x) if d == 1 else Fraction(x, d)
+
+
+def _q_row(row) -> tuple[list, int]:
+    """A row of Fractions as (integer numerators, lcm denominator)."""
+    d = lcm(*[x.denominator for x in row])
+    if d == 1:
+        return [x.numerator for x in row], 1
+    return [x.numerator * (d // x.denominator) for x in row], d
+
+
+def _mul_q(arows: tuple, brows: tuple, bcols: int) -> tuple:
+    """Rows of A*B over Q.  Each row of B is ints over its own lcm
+    denominator d_k, written once and only if A uses it; each row of A
+    folds its a_ik / d_k into one row denominator L_i, so the product
+    sums plain ints and builds one Fraction per nonzero entry."""
+    bint: list = [None] * len(brows)
+    zero_row = (_ZERO,) * bcols
+    out = []
+    for arow in arows:
+        terms = []
+        for k, a in enumerate(arow):
+            if a:
+                b = bint[k]
+                if b is None:
+                    ints, d = _q_row(brows[k])
+                    b = bint[k] = ([(j, v) for j, v in enumerate(ints) if v],
+                                   d)
+                if b[0]:
+                    terms.append((a.numerator, a.denominator * b[1], b[0]))
+        if not terms:
+            out.append(zero_row)
+            continue
+        den = lcm(*[q for _, q, _ in terms])
+        acc = [0] * bcols
+        for p, q, nz in terms:
+            f = p * (den // q)
+            for j, v in nz:
+                acc[j] += f * v
+        out.append(tuple([_q_fraction(x, den) for x in acc]))
+    return tuple(out)
+
+
+def _q_update(rk: list, dk: int, rr: list, c: int) -> tuple[list, int]:
+    """Clear column c of row k with pivot row r: row k is rk / dk, row
+    r is rr over any denominator, with pivot pv = rr[c] and zeros
+    before column c.  The result (pv * rk - q * rr) / (dk * pv), with
+    q = rk[c] and gcd(pv, q) cancelled first, is returned as
+    (ints, den) with the content of the row divided out."""
+    pv, q = rr[c], rk[c]
+    g = gcd(pv, q)
+    pv //= g
+    q //= g
+    if pv == 1:
+        head = rk[:c]
+    else:
+        head = [pv * x for x in rk[:c]]
+        dk *= pv
+    new = head + [pv * x - q * y for x, y in zip(rk[c:], rr[c:])]
+    g = gcd(dk, *new)
+    if g != 1:
+        new = [x // g for x in new]
+        dk //= g
+    return new, dk
+
+
+def _eliminate_q(a: list, t: list, reduce: bool) -> list:
+    """_forward_eliminate over Q, continued to _rref's reduced form
+    when `reduce`.  Each work row [a_k | t_k] is held as ints plus one
+    denominator; the rows go back to Fraction once, on exit.  Same
+    pivots and values as the generic path; returns (row, col, inverse
+    pivot) with the inverse pivot of forward elimination."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    rows = [_q_row(ak + tk) for ak, tk in zip(a, t)]
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        k = next((k for k in range(r, m) if rows[k][0][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        rr, dr = rows[r]
+        for k in range(r + 1, m):
+            rk, dk = rows[k]
+            if rk[c]:
+                rows[k] = _q_update(rk, dk, rr, c)
+        pivots.append((r, c, Fraction(dr, rr[c])))
+        r += 1
+    if reduce:
+        for r, c, _ in pivots:
+            # unit pivot: row r scaled by d_r / pv is the same ints
+            # over pv, and then over rr[c] once the content is out
+            rr = rows[r][0]
+            g = gcd(*rr)
+            rows[r] = [x // g for x in rr], rr[c] // g
+        for r, c, _ in reversed(pivots):
+            rr = rows[r][0]
+            for k in range(r):
+                rk, dk = rows[k]
+                if rk[c]:
+                    rows[k] = _q_update(rk, dk, rr, c)
+    for k, (ints, d) in enumerate(rows):
+        row = [_q_fraction(x, d) for x in ints]
+        a[k], t[k] = row[:n], row[n:]
+    return pivots
+
+
+def _work_copies(a: Matrix, transform: bool = True) -> tuple[list, list]:
+    """The rows of a as lists, and the rows every row operation is
+    mirrored onto: those of I, or empty ones when no transform is
+    read."""
     work = [list(row) for row in a._r]
+    if not transform:
+        return work, [[] for _ in work]
     z, o = a.field.zero(), a.field.one()
     ident = [[o if i == j else z for j in range(a.rows)]
              for i in range(a.rows)]
@@ -425,8 +568,7 @@ def row_echelon_transform(a: Matrix) -> tuple[Matrix, int]:
 
 
 def rank(a: Matrix) -> int:
-    work, ident = _work_copies(a)
-    return len(_forward_eliminate(a.field, work, ident))
+    return len(_forward_eliminate(a.field, *_work_copies(a, False)))
 
 
 def nullity(a: Matrix) -> int:
@@ -437,8 +579,11 @@ def nullspace(a: Matrix) -> Matrix:
     """Columns form a basis of the right null space, one per free
     column of the reduced echelon form, free columns in increasing
     index order."""
-    work, ident = _work_copies(a)
-    pivots = _rref(a.field, work, ident)
+    if not a.rows:
+        # reduce_cde and _merge_level ask this of their row-less blocks
+        return Matrix.identity(a.field, a.cols)
+    work, no_transform = _work_copies(a, False)
+    pivots = _rref(a.field, work, no_transform)
     pivot_cols = {c: r for r, c in pivots}
     free_cols = [c for c in range(a.cols) if c not in pivot_cols]
     z, o = a.field.zero(), a.field.one()
@@ -479,6 +624,10 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
 def inverse(a: Matrix) -> Matrix:
     if not a.is_square():
         raise ValueError("inverse requires a square matrix")
+    one = a.field.one()
+    if all(row[i] == one and not any(row[:i]) and not any(row[i + 1:])
+           for i, row in enumerate(a._r)):
+        return a  # as _merge_level's V is at the innermost level
     work, ident = _work_copies(a)
     pivots = _rref(a.field, work, ident)
     if len(pivots) != a.rows:

@@ -293,3 +293,194 @@ class TestBuilders:
         with pytest.raises(ValueError, match="mixed fields"):
             direct_sum(RATIONALS, [Matrix.identity(RATIONALS, 1),
                                    Matrix.identity(GAUSSIAN_CONJ, 1)])
+
+
+# -- the Q kernels against their definitions ----------------------------------
+# Over Q, products and eliminations run on integer rows with one
+# denominator per row.  These properties check them against plain
+# Fraction arithmetic on entries up to 2**70 in size, with zero rows,
+# zero columns and empty shapes, and check that only Fraction entries
+# come back out.
+
+_BIG = 2 ** 70
+_q_entry = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-3, 3).map(Fraction),
+    st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, _BIG)))
+
+
+@st.composite
+def q_matrix(draw, rows=None, cols=None, max_side=4):
+    if rows is None:
+        rows = draw(st.integers(0, max_side))
+    if cols is None:
+        cols = draw(st.integers(0, max_side))
+    entries = [[draw(_q_entry) for _ in range(cols)] for _ in range(rows)]
+    zero_rows = draw(st.sets(st.integers(0, max(rows - 1, 0))))
+    zero_cols = draw(st.sets(st.integers(0, max(cols - 1, 0))))
+    if draw(st.booleans()):
+        # a row that repeats a multiple of another lowers the rank
+        if rows >= 2:
+            f = draw(_q_entry)
+            entries[-1] = [f * x for x in entries[0]]
+    for i in range(rows):
+        for j in range(cols):
+            if i in zero_rows or j in zero_cols:
+                entries[i][j] = Fraction(0)
+    return Matrix.from_rows(RATIONALS, entries, cols=cols)
+
+
+def _entries(m: Matrix) -> list:
+    return [x for i in range(m.rows) for x in m.row(i)]
+
+
+def _all_fractions(*mats: Matrix) -> bool:
+    return all(type(x) is Fraction for m in mats for x in _entries(m))
+
+
+def _reference_rref(rows: list, ncols: int) -> tuple[list, list]:
+    """Plain Fraction Gauss-Jordan elimination with first-nonzero
+    pivots: (reduced rows, pivot columns)."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        k = next((k for k in range(r, len(rows)) if rows[k][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for k in range(len(rows)):
+            if k != r and rows[k][c]:
+                f = rows[k][c]
+                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+class TestRationalKernels:
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_product_is_the_sum_of_products(self, data):
+        a = data.draw(q_matrix())
+        b = data.draw(q_matrix(rows=a.cols))
+        ab = a * b
+        assert ab.shape == (a.rows, b.cols)
+        for i in range(a.rows):
+            for j in range(b.cols):
+                assert ab[i, j] == sum(
+                    (a[i, k] * b[k, j] for k in range(a.cols)), Fraction(0))
+        assert _all_fractions(ab)
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_rank_and_row_echelon_transform(self, data):
+        a = data.draw(q_matrix())
+        _, ref_pivots = _reference_rref(
+            [a.row(i) for i in range(a.rows)], a.cols)
+        assert rank(a) == len(ref_pivots)
+        t, r = row_echelon_transform(a)
+        assert r == len(ref_pivots)
+        assert t * inverse(t) == Matrix.identity(RATIONALS, a.rows)
+        ta = t * a
+        top, _ = _reference_rref([ta.row(i) for i in range(r)], a.cols)
+        assert all(any(row) for row in top)  # the top r rows independent
+        assert all(not x for i in range(r, a.rows) for x in ta.row(i))
+        assert _all_fractions(t, ta)
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_nullspace_is_read_off_the_reduced_form(self, data):
+        a = data.draw(q_matrix())
+        ref, pivots = _reference_rref(
+            [a.row(i) for i in range(a.rows)], a.cols)
+        free = [c for c in range(a.cols) if c not in pivots]
+        ns = nullspace(a)
+        assert ns.shape == (a.cols, len(free))
+        assert (a * ns).is_zero()
+        for k, fc in enumerate(free):
+            column = [ns[i, k] for i in range(a.cols)]
+            want = [Fraction(0)] * a.cols
+            want[fc] = Fraction(1)
+            for r, c in enumerate(pivots):
+                want[c] = -ref[r][fc]
+            assert column == want
+        assert _all_fractions(ns)
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_solve(self, data):
+        a = data.draw(q_matrix())
+        b = data.draw(q_matrix(rows=a.rows))
+        width = a.cols + b.cols
+        aug, pivots = _reference_rref(
+            [a.row(i) + b.row(i) for i in range(a.rows)], width)
+        if any(c >= a.cols for c in pivots):
+            with pytest.raises(ValueError, match="inconsistent"):
+                solve(a, b)
+            return
+        x = solve(a, b)
+        assert x.shape == (a.cols, b.cols)
+        assert a * x == b
+        for c in range(a.cols):
+            if c not in pivots:  # free variables are zero
+                assert all(not v for v in x.row(c))
+        for r, c in enumerate(pivots):
+            assert list(x.row(c)) == aug[r][a.cols:]
+        assert _all_fractions(x)
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_inverse(self, data):
+        n = data.draw(st.integers(0, 4))
+        a = data.draw(q_matrix(rows=n, cols=n))
+        if data.draw(st.booleans()):
+            # mostly nonsingular: add a large multiple of I
+            a = a + Matrix.identity(RATIONALS, n).scale(
+                data.draw(st.integers(1, _BIG)))
+        _, pivots = _reference_rref([a.row(i) for i in range(n)], n)
+        if len(pivots) < n:
+            with pytest.raises(ValueError, match="singular"):
+                inverse(a)
+            return
+        inv = inverse(a)
+        ident = Matrix.identity(RATIONALS, n)
+        assert a * inv == ident and inv * a == ident
+        assert _all_fractions(inv)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_shapes(self, shape):
+        rows, cols = shape
+        a = Matrix.zeros(RATIONALS, rows, cols)
+        assert (a * Matrix.zeros(RATIONALS, cols, 2)).shape == (rows, 2)
+        assert (Matrix.zeros(RATIONALS, 2, rows) * a).shape == (2, cols)
+        assert rank(a) == 0
+        assert nullspace(a) == Matrix.identity(RATIONALS, cols)
+        assert solve(a, Matrix.zeros(RATIONALS, rows, 1)) \
+            == Matrix.zeros(RATIONALS, cols, 1)
+
+
+class TestNoEmptyElimination:
+    @pytest.mark.parametrize("field", ALL_FIELDS, ids=str)
+    def test_nullspace_without_rows(self, field, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("nullspace built work rows for no rows")
+
+        monkeypatch.setattr("congru.matrix._work_copies", no_work)
+        for cols in (0, 1, 4):
+            ns = nullspace(Matrix.zeros(field, 0, cols))
+            assert ns == Matrix.identity(field, cols)
+
+    @pytest.mark.parametrize("field", ALL_FIELDS, ids=str)
+    def test_inverse_of_identity(self, field, monkeypatch):
+        def no_rref(*args):
+            raise AssertionError("inverse eliminated an identity")
+
+        monkeypatch.setattr("congru.matrix._rref", no_rref)
+        for n in (0, 1, 5):
+            ident = Matrix.identity(field, n)
+            assert inverse(ident) == ident
+        # one off-diagonal entry is not the identity
+        near = _mat(field, [[1, 0], [1, 1]])
+        with pytest.raises(AssertionError, match="eliminated"):
+            inverse(near)

@@ -1,6 +1,7 @@
 """Sparse nilpotent assembly, the coupling cleanup, and the full
 decomposition pipeline."""
 
+import hashlib
 import random
 from fractions import Fraction
 from math import gcd
@@ -303,6 +304,41 @@ def test_gaussian_entries_keep_the_surface_bench_reads():
     for _ in range(200):
         e1, e2, e3 = (rng.choice(entries) for _ in range(3))
         assert isinstance(e1 - e2 * e3, GaussianRational)
+
+
+def _baseline_rational_input() -> Matrix:
+    """The baseline recipe over Q at n=26: A = S* (B + J_1 + J_2 + J_3 +
+    J_4 + J_5 + J_3 + J_2) S with B (6 x 6) and S drawn by
+    _draw_nonsingular(random.Random(0), Q, ., 3)."""
+    from congru.verify import _draw_nonsingular
+
+    rng = random.Random(0)
+    b = _draw_nonsingular(rng, RATIONALS, 6, 3)
+    canonical = direct_sum(RATIONALS, [b] + [
+        jordan_block(RATIONALS, k) for k in (1, 2, 3, 4, 5, 3, 2)])
+    s = _draw_nonsingular(rng, RATIONALS, 26, 3)
+    return (s.star * canonical) * s
+
+
+@pytest.mark.parametrize("scaled, digest", [
+    (False,
+     "515549cccfe7882b129dc6f309ea1bb341e54650b7b2e4b60f3bb92505f7055a"),
+    (True,
+     "e9845e044e8d6b18e51c70543902966cf0f5a90cd40aa753dd3f74afcf87ee35"),
+], ids=["integer", "fractional"])
+def test_rational_transform_is_pinned(scaled, digest):
+    # X must not depend on how Q arithmetic is carried out: these are
+    # the SHA-256 digests of X's text written by plain Fraction
+    # arithmetic.  The fractional input is D A D with
+    # D = diag(1 / (1 + i % 7)), a congruence, so it keeps A's Jordan
+    # structure while every kernel row starts with a denominator.
+    a = _baseline_rational_input()
+    if scaled:
+        a = Matrix.from_rows(RATIONALS, [
+            [a[i, j] / ((1 + i % 7) * (1 + j % 7)) for j in range(a.cols)]
+            for i in range(a.rows)])
+    _, x = full_decomposition(a)
+    assert hashlib.sha256(x.to_text().encode()).hexdigest() == digest
 
 
 def test_worked_example_full_pipeline_conjugation():
