@@ -19,10 +19,10 @@ calls `congru.cli.main`:
   input with `--prime 3`, cases that no benchmark workload serves;
 - `pencil --json --emit-transform` on every fifth exact input;
 - `decompose --json --emit-transform` on every fifth exact-rational
-  input made fractional by the congruence D A D with
-  D = diag(1 / (1 + i % 7)): no benchmark workload has Q inputs with
-  denominators, and these start every integer row of the Q kernels
-  with a denominator other than 1;
+  and exact-gaussian input made fractional by the congruence D A D*
+  with D = diag(1 / (1 + i % 7)): no benchmark workload has Q or Q(i)
+  inputs with denominators, and these start every integer row of the
+  Q kernels with a denominator other than 1;
 - `verify --json --seed 1`: the round-trip suite with 20 trials, and
   the invariance suite with 3 trials on the first input of each exact
   workload;
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -94,13 +95,28 @@ def _write_text_copy(json_path: str) -> str:
     return path
 
 
+# an entry as bench/workloads.py writes it: an integer, or over Q(i)
+# an integer real part with an optional integer multiple of i
+_ENTRY = re.compile(r"(-?\d+)(?:([+-]\d+)\*i)?")
+
+
+def _divided(entry: str, s: int) -> str:
+    m = _ENTRY.fullmatch(entry)
+    re_part = Fraction(int(m.group(1)), s)
+    if m.group(2) is None:
+        return str(re_part)
+    im_part = Fraction(int(m.group(2)), s)
+    return f"{re_part}{'+' if im_part > 0 else '-'}{abs(im_part)}*i"
+
+
 def _write_fractional_copy(json_path: str) -> str:
-    """D A D with D = diag(1 / (1 + i % 7)), next to the JSON."""
+    """D A D* with D = diag(1 / (1 + i % 7)), next to the JSON.  D is
+    real, so D* = D under either involution."""
     with open(json_path, encoding="utf-8") as fh:
         obj = json.load(fh)
     cols = obj["cols"]
     obj["entries"] = [
-        str(Fraction(e) / ((1 + k // cols % 7) * (1 + k % cols % 7)))
+        _divided(e, (1 + k // cols % 7) * (1 + k % cols % 7))
         for k, e in enumerate(obj["entries"])]
     path = json_path[:-len(".json")] + "-fractional.json"
     with open(path, "w", encoding="utf-8") as fh:
@@ -141,7 +157,7 @@ def build_runs(directory: str) -> list[list[str]]:
                 if name in OTHER_FIELD:
                     runs.append(["decompose", *OTHER_FIELD[name], "--json",
                                  "--emit-transform", path])
-                if workload.field == "rational":
+                if workload.field in ("rational", "gaussian-rational"):
                     runs.append(["decompose", *flags, "--json",
                                  "--emit-transform",
                                  _write_fractional_copy(path)])

@@ -6,14 +6,15 @@ exact with first-nonzero pivoting (magnitude pivoting is meaningless
 over Q(i) or GF(p)), so identical inputs always produce identical
 transforms.
 
-Over Q the two hot kernels, the product and the elimination, work on
-integer rows: a row is a list of ints over one row denominator, so
-their inner loops multiply and add plain ints and the elimination
-clears a column by the fraction-free update pv*row_k - q*row_r, with
-the row's content divided out.  Entries still enter and leave every
-Matrix as Fraction, and the values are the ones plain Fraction
-arithmetic gives.  Q(i) and GF(p) entries go through the generic
-loops.
+Every rank, null space, solve, inverse and echelon transform is one
+Gauss-Jordan elimination, _eliminate, over [A | the rows the caller
+mirrors].  Over Q it and the product work on integer rows: a row is a
+list of ints over one row denominator, so their inner loops multiply
+and add plain ints and the elimination clears a column by the
+fraction-free update pv*row_k - q*row_r, with the row's content
+divided out.  Entries still enter and leave every Matrix as Fraction,
+and the values are the ones plain Fraction arithmetic gives.  Over
+Q(i) and GF(p) a row is a list of entries.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
@@ -341,10 +343,14 @@ def _write_json(rows: int, cols: int, grid: Iterable, render: Callable,
             "entries": [render(x) for row in grid for x in row]}
 
 
-# -- elimination core ----------------------------------------------------------
-# Rows are lists of stored entries.  Over GF(p) (p not None) every
-# row operation reduces its results into [0, p), so the entries stay
-# canonical and compare as plain ints.
+# -- elimination ---------------------------------------------------------------
+# One Gauss-Jordan loop serves every field and every caller.  It runs
+# on the rows [a | aug], aug holding the columns a caller mirrors the
+# row operations onto: b for solve, I for inverse and for a transform,
+# nothing for rank and nullspace.  Only the work row's format depends
+# on the field: over Q a list of ints with the row denominator
+# appended, over Q(i) and GF(p) a list of entries, reduced into [0, p)
+# over GF(p) so that they stay canonical and compare as plain ints.
 
 
 def _reduced(field: FieldSpec, values: list) -> tuple:
@@ -353,80 +359,71 @@ def _reduced(field: FieldSpec, values: list) -> tuple:
     return tuple(values) if p is None else tuple(x % p for x in values)
 
 
-def _axpy(p, dst: list, f, src: list, start: int = 0) -> None:
-    """The one row kernel: dst[j] -= f * src[j] for j >= start."""
-    if p is None:
-        for j in range(start, len(src)):
-            if src[j]:
-                dst[j] = dst[j] - f * src[j]
-    else:
-        dst[start:] = [(d - f * x) % p
-                       for d, x in zip(dst[start:], src[start:])]
-
-
-def _scale(p, row: list, f, start: int = 0) -> None:
-    """row[j] *= f for j >= start."""
-    if p is None:
-        row[start:] = [x * f if x else x for x in row[start:]]
-    else:
-        row[start:] = [x * f % p for x in row[start:]]
-
-
-def _forward_eliminate(field: FieldSpec, a: list, t: list) -> list:
-    """In-place forward elimination on row lists `a`, mirroring every
-    row operation onto `t`.  Pivots are the first nonzero entry in
-    each column.  Returns the (row, col, inverse pivot) list."""
+def _eliminate(a: Matrix, aug: tuple, reduce: bool) -> tuple[list, list]:
+    """Forward elimination on the rows [a | aug], aug a tuple of
+    a.rows row tuples, with the first nonzero entry of each column of
+    a as its pivot; with `reduce`, continued to the reduced echelon
+    form of a: unit pivots, cleared above them last pivot first.
+    Returns the eliminated rows, as tuples of entries, and the pivot
+    (row, col) list."""
+    field = a.field
     if field.kind is FieldKind.RATIONAL:
-        return _eliminate_q(a, t, reduce=False)
-    p = field.p
-    m = len(a)
-    n = len(a[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(n):
+        rows = [_q_row(x + y) for x, y in zip(a._r, aug)]
+        clear, unit, decode = _q_update, _q_unit, _q_decode
+    else:
+        rows = [list(x + y) for x, y in zip(a._r, aug)]
+        clear = partial(_entry_clear, field)
+        unit = partial(_entry_unit, field)
+        decode = tuple
+    m = len(rows)
+    pivots: list = []
+    for c in range(a.cols):
+        r = len(pivots)
         if r == m:
             break
-        k = next((k for k in range(r, m) if a[k][c]), None)
+        k = next((k for k in range(r, m) if rows[k][c]), None)
         if k is None:
             continue
-        if k != r:
-            a[r], a[k] = a[k], a[r]
-            t[r], t[k] = t[k], t[r]
-        inv = field.inverse(a[r][c])
+        rows[r], rows[k] = rows[k], rows[r]
         for k in range(r + 1, m):
-            f = a[k][c]
-            if f:
-                f = f * inv if p is None else f * inv % p
-                _axpy(p, a[k], f, a[r], c)
-                _axpy(p, t[k], f, t[r])
-        pivots.append((r, c, inv))
-        r += 1
-    return pivots
+            if rows[k][c]:
+                rows[k] = clear(rows[k], rows[r], c)
+        pivots.append((r, c))
+    if reduce:
+        for r, c in pivots:
+            rows[r] = unit(rows[r], c)
+        for r, c in reversed(pivots):
+            for k in range(r):
+                if rows[k][c]:
+                    rows[k] = clear(rows[k], rows[r], c)
+    return [decode(row) for row in rows], pivots
 
 
-def _rref(field: FieldSpec, a: list, t: list) -> list:
-    """Continue _forward_eliminate to reduced row echelon form: scale
-    each pivot row to a unit pivot, then clear each pivot column above
-    its pivot, last pivot first.  Returns the pivot (row, col) list."""
-    if field.kind is FieldKind.RATIONAL:
-        return [(r, c) for r, c, _ in _eliminate_q(a, t, reduce=True)]
+def _entry_clear(field: FieldSpec, rk: list, rr: list, c: int) -> list:
+    """Clear column c of row k in place with pivot row r, which has
+    zeros before column c."""
     p = field.p
-    pivots = _forward_eliminate(field, a, t)
-    for r, c, inv in pivots:
-        _scale(p, a[r], inv, c)
-        _scale(p, t[r], inv)
-    for r, c, _ in reversed(pivots):
-        for k in range(r):
-            f = a[k][c]
-            if f:
-                _axpy(p, a[k], f, a[r], c)
-                _axpy(p, t[k], f, t[r])
-    return [(r, c) for r, c, _ in pivots]
+    if p is None:
+        f = rk[c] / rr[c]
+        for j in range(c, len(rr)):
+            if rr[j]:
+                rk[j] = rk[j] - f * rr[j]
+    else:
+        f = rk[c] * field.inverse(rr[c]) % p
+        rk[c:] = [(d - f * x) % p for d, x in zip(rk[c:], rr[c:])]
+    return rk
+
+
+def _entry_unit(field: FieldSpec, rr: list, c: int) -> list:
+    """Scale row r in place to a unit pivot at column c."""
+    inv = field.inverse(rr[c])
+    rr[c:] = _reduced(field, [x * inv for x in rr[c:]])
+    return rr
 
 
 # -- Q kernels on integer rows ---------------------------------------------------
-# The values and the pivot choices must stay those of the generic
-# loops: transforms are byte-identical whichever path computes them.
+# The values and the pivot choices must stay those of plain Fraction
+# arithmetic: transforms are byte-identical whichever way Q is computed.
 
 _ZERO = Fraction(0)
 
@@ -437,12 +434,21 @@ def _q_fraction(x: int, d: int) -> Fraction:
     return Fraction(x) if d == 1 else Fraction(x, d)
 
 
-def _q_row(row) -> tuple[list, int]:
-    """A row of Fractions as (integer numerators, lcm denominator)."""
+def _q_row(row) -> list:
+    """A row of Fractions as integer numerators over their lcm
+    denominator, which is appended."""
     d = lcm(*[x.denominator for x in row])
     if d == 1:
-        return [x.numerator for x in row], 1
-    return [x.numerator * (d // x.denominator) for x in row], d
+        ints = [x.numerator for x in row]
+    else:
+        ints = [x.numerator * (d // x.denominator) for x in row]
+    ints.append(d)
+    return ints
+
+
+def _q_decode(row: list) -> tuple:
+    d = row.pop()
+    return tuple([_q_fraction(x, d) for x in row])
 
 
 def _mul_q(arows: tuple, brows: tuple, bcols: int) -> tuple:
@@ -459,7 +465,8 @@ def _mul_q(arows: tuple, brows: tuple, bcols: int) -> tuple:
             if a:
                 b = bint[k]
                 if b is None:
-                    ints, d = _q_row(brows[k])
+                    ints = _q_row(brows[k])
+                    d = ints.pop()
                     b = bint[k] = ([(j, v) for j, v in enumerate(ints) if v],
                                    d)
                 if b[0]:
@@ -477,98 +484,77 @@ def _mul_q(arows: tuple, brows: tuple, bcols: int) -> tuple:
     return tuple(out)
 
 
-def _q_update(rk: list, dk: int, rr: list, c: int) -> tuple[list, int]:
-    """Clear column c of row k with pivot row r: row k is rk / dk, row
-    r is rr over any denominator, with pivot pv = rr[c] and zeros
-    before column c.  The result (pv * rk - q * rr) / (dk * pv), with
-    q = rk[c] and gcd(pv, q) cancelled first, is returned as
-    (ints, den) with the content of the row divided out."""
+def _q_update(rk: list, rr: list, c: int) -> list:
+    """Clear column c of row k with pivot row r, both ints with their
+    denominator last, with pivot pv = rr[c] and zeros before column c
+    in rr.  The result (pv * rk - q * rr) / (dk * pv), with q = rk[c]
+    and gcd(pv, q) cancelled first, comes back in the same format with
+    the content of the row divided out."""
     pv, q = rr[c], rk[c]
     g = gcd(pv, q)
     pv //= g
     q //= g
+    dk = rk[-1]
     if pv == 1:
         head = rk[:c]
     else:
         head = [pv * x for x in rk[:c]]
         dk *= pv
-    new = head + [pv * x - q * y for x, y in zip(rk[c:], rr[c:])]
+    new = head + [pv * x - q * y for x, y in zip(rk[c:-1], rr[c:-1])]
     g = gcd(dk, *new)
     if g != 1:
         new = [x // g for x in new]
         dk //= g
-    return new, dk
+    new.append(dk)
+    return new
 
 
-def _eliminate_q(a: list, t: list, reduce: bool) -> list:
-    """_forward_eliminate over Q, continued to _rref's reduced form
-    when `reduce`.  Each work row [a_k | t_k] is held as ints plus one
-    denominator; the rows go back to Fraction once, on exit.  Same
-    pivots and values as the generic path; returns (row, col, inverse
-    pivot) with the inverse pivot of forward elimination."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    rows = [_q_row(ak + tk) for ak, tk in zip(a, t)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        k = next((k for k in range(r, m) if rows[k][0][c]), None)
-        if k is None:
-            continue
-        rows[r], rows[k] = rows[k], rows[r]
-        rr, dr = rows[r]
-        for k in range(r + 1, m):
-            rk, dk = rows[k]
-            if rk[c]:
-                rows[k] = _q_update(rk, dk, rr, c)
-        pivots.append((r, c, Fraction(dr, rr[c])))
-        r += 1
-    if reduce:
-        for r, c, _ in pivots:
-            # unit pivot: row r scaled by d_r / pv is the same ints
-            # over pv, and then over rr[c] once the content is out
-            rr = rows[r][0]
-            g = gcd(*rr)
-            rows[r] = [x // g for x in rr], rr[c] // g
-        for r, c, _ in reversed(pivots):
-            rr = rows[r][0]
-            for k in range(r):
-                rk, dk = rows[k]
-                if rk[c]:
-                    rows[k] = _q_update(rk, dk, rr, c)
-    for k, (ints, d) in enumerate(rows):
-        row = [_q_fraction(x, d) for x in ints]
-        a[k], t[k] = row[:n], row[n:]
-    return pivots
+def _q_unit(rr: list, c: int) -> list:
+    """Row r scaled to a unit pivot at column c: d_r / pv times row r
+    is the same ints over pv = rr[c], and then over pv / g once their
+    content g is divided out."""
+    ints = rr[:-1]
+    g = gcd(*ints)
+    return [x // g for x in ints] + [rr[c] // g]
 
 
-def _work_copies(a: Matrix, transform: bool = True) -> tuple[list, list]:
-    """The rows of a as lists, and the rows every row operation is
-    mirrored onto: those of I, or empty ones when no transform is
-    read."""
-    work = [list(row) for row in a._r]
-    if not transform:
-        return work, [[] for _ in work]
-    z, o = a.field.zero(), a.field.one()
-    ident = [[o if i == j else z for j in range(a.rows)]
-             for i in range(a.rows)]
-    return work, ident
+# -- the eliminations callers ask for -------------------------------------------
 
 
-def row_echelon_transform(a: Matrix) -> tuple[Matrix, int]:
+def _basis_rows(field: FieldSpec, n: int, rows: list, pivots: list,
+                ) -> tuple[tuple, list]:
+    """The rows of [X | N] read off the reduced rows of [a | aug], a
+    with n columns: X solves a*X = aug with every free variable zero,
+    and N holds one null-space column per free column of a, free
+    columns in increasing order, with its 1 in that column's row.
+    Returns (rows, free columns)."""
+    pivot_cols = {c for _, c in pivots}
+    free = [c for c in range(n) if c not in pivot_cols]
+    zeros = (field.zero(),) * (len(rows[0]) - n if rows else 0)
+    unit = Matrix.identity(field, len(free))._r
+    out: list = [None] * n
+    for k, fc in enumerate(free):
+        out[fc] = zeros + unit[k]
+    for r, c in pivots:
+        row = rows[r]
+        out[c] = row[n:] + _reduced(field, [-row[fc] for fc in free])
+    return tuple(out), free
+
+
+def row_echelon_transform(a: Matrix) -> tuple[Matrix, Matrix, int]:
     """A nonsingular T, product of elementary row operations, such that
     T*a has its rank(a) independent rows on top and its zero rows at
-    the bottom.  Returns (T, rank)."""
-    work, ident = _work_copies(a)
-    r = len(_forward_eliminate(a.field, work, ident))
-    return Matrix(a.field, a.rows, a.rows,
-                  tuple(tuple(row) for row in ident)), r
+    the bottom.  Returns (T, T*a, rank), T*a as the elimination leaves
+    it, not multiplied out."""
+    n = a.cols
+    rows, pivots = _eliminate(a, Matrix.identity(a.field, a.rows)._r, False)
+    return (Matrix(a.field, a.rows, a.rows, tuple(r[n:] for r in rows)),
+            Matrix(a.field, a.rows, n, tuple(r[:n] for r in rows)),
+            len(pivots))
 
 
 def rank(a: Matrix) -> int:
-    return len(_forward_eliminate(a.field, *_work_copies(a, False)))
+    return len(_eliminate(a, ((),) * a.rows, False)[1])
 
 
 def nullity(a: Matrix) -> int:
@@ -579,22 +565,9 @@ def nullspace(a: Matrix) -> Matrix:
     """Columns form a basis of the right null space, one per free
     column of the reduced echelon form, free columns in increasing
     index order."""
-    if not a.rows:
-        # reduce_cde and _merge_level ask this of their row-less blocks
-        return Matrix.identity(a.field, a.cols)
-    work, no_transform = _work_copies(a, False)
-    pivots = _rref(a.field, work, no_transform)
-    pivot_cols = {c: r for r, c in pivots}
-    free_cols = [c for c in range(a.cols) if c not in pivot_cols]
-    z, o = a.field.zero(), a.field.one()
-    basis_rows = [[z] * len(free_cols) for _ in range(a.cols)]
-    for k, fc in enumerate(free_cols):
-        basis_rows[fc][k] = o
-        for c, r in pivot_cols.items():
-            if work[r][fc]:
-                basis_rows[c][k] = -work[r][fc]
-    return Matrix(a.field, a.cols, len(free_cols),
-                  tuple(_reduced(a.field, row) for row in basis_rows))
+    rows, pivots = _eliminate(a, ((),) * a.rows, True)
+    basis, free = _basis_rows(a.field, a.cols, rows, pivots)
+    return Matrix(a.field, a.cols, len(free), basis)
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix:
@@ -607,32 +580,39 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
     if b.cols == 0:
         # no right-hand side is always consistent; nothing to eliminate
         return Matrix.zeros(a.field, a.cols, 0)
-    work, ident = _work_copies(a)
-    pivots = _rref(a.field, work, ident)
-    t = Matrix(a.field, a.rows, a.rows, tuple(tuple(r) for r in ident))
-    rhs = t * b
-    for i in range(len(pivots), a.rows):
-        if any(rhs._r[i]):
-            raise ValueError("inconsistent system")
-    z = a.field.zero()
-    xrows = [[z] * b.cols for _ in range(a.cols)]
+    n = a.cols
+    rows, pivots = _eliminate(a, b._r, True)
+    if any(any(row[n:]) for row in rows[len(pivots):]):
+        raise ValueError("inconsistent system")
+    xrows = [(a.field.zero(),) * b.cols] * n
     for r, c in pivots:
-        xrows[c] = list(rhs._r[r])
-    return Matrix(a.field, a.cols, b.cols, tuple(tuple(r) for r in xrows))
+        xrows[c] = rows[r][n:]
+    return Matrix(a.field, n, b.cols, tuple(xrows))
 
 
 def inverse(a: Matrix) -> Matrix:
     if not a.is_square():
         raise ValueError("inverse requires a square matrix")
-    one = a.field.one()
-    if all(row[i] == one and not any(row[:i]) and not any(row[i + 1:])
-           for i, row in enumerate(a._r)):
-        return a  # as _merge_level's V is at the innermost level
-    work, ident = _work_copies(a)
-    pivots = _rref(a.field, work, ident)
-    if len(pivots) != a.rows:
+    n = a.rows
+    rows, pivots = _eliminate(a, Matrix.identity(a.field, n)._r, True)
+    if len(pivots) != n:
         raise ValueError("matrix is singular")
-    return Matrix(a.field, a.rows, a.rows, tuple(tuple(r) for r in ident))
+    return Matrix(a.field, n, n, tuple(r[n:] for r in rows))
+
+
+def unit_completion(e: Matrix) -> tuple[Matrix, Matrix]:
+    """(V, V^-1) for e with independent rows, from one elimination of
+    [e | I]: V = [solve(e, I) | nullspace(e)], so e*V = [I 0], and
+    V^-1 is e stacked on the rows of I at e's free columns, since on
+    those rows solve's part is zero and the null-space part is I."""
+    field, n = e.field, e.cols
+    rows, pivots = _eliminate(e, Matrix.identity(field, e.rows)._r, True)
+    if len(pivots) != e.rows:
+        raise ValueError("unit_completion requires independent rows")
+    v_rows, free = _basis_rows(field, n, rows, pivots)
+    ident = Matrix.identity(field, n)._r
+    return (Matrix(field, n, n, v_rows),
+            Matrix(field, n, n, e._r + tuple(ident[c] for c in free)))
 
 
 # -- *congruence invariants ------------------------------------------------------

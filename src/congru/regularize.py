@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .matrix import (Matrix, _forward_eliminate, _work_copies, direct_sum,
-                     jordan_block)
+from .matrix import (Matrix, direct_sum, jordan_block,
+                     row_echelon_transform)
 
 
 @dataclass(frozen=True)
@@ -69,17 +69,6 @@ class BlockSum:
     jordan_multiplicities: Mapping[int, int]
 
 
-def _echelon(a: Matrix) -> tuple[list, list, int]:
-    """Forward elimination of a: the rows of T and of T*a, rank(a)
-    independent rows on top, and the rank."""
-    ta, t = _work_copies(a)
-    return t, ta, len(_forward_eliminate(a.field, ta, t))
-
-
-def _from_rows(field, rows: list, cols: int) -> Matrix:
-    return Matrix(field, len(rows), cols, tuple(tuple(r) for r in rows))
-
-
 def stage(a: Matrix) -> StageRecord:
     """One two-step *congruence stage on a square matrix.
 
@@ -88,8 +77,9 @@ def stage(a: Matrix) -> StageRecord:
     zeros, leaving [[M, N], [0, 0]].  Step 2 pushes the rank of N to
     the bottom: R*N has zero rows on top and m_even = rank(N)
     independent rows below.  The composed T = (R (+) I) * S produces
-    the stage block form.  Each step runs one elimination and keeps
-    the eliminated rows as the product S*A (or R*N).
+    the stage block form.  Each step is one row_echelon_transform,
+    which hands back S*A (or R*N) as eliminated, so neither is
+    multiplied out.
 
     A nonsingular input (0x0 included) is reported, not rejected:
     m_odd = m_even = 0, T = I and a_next = A, with empty b, c, d, e.
@@ -98,7 +88,7 @@ def stage(a: Matrix) -> StageRecord:
         raise ValueError("stage requires a square matrix")
     n = a.rows
     field = a.field
-    s_rows, sa_rows, r = _echelon(a)
+    s, sa, r = row_echelon_transform(a)
     m_odd = n - r
     if m_odd == 0:
         zeros = Matrix.zeros
@@ -106,12 +96,12 @@ def stage(a: Matrix) -> StageRecord:
             m_odd=0, m_even=0, transform=Matrix.identity(field, n),
             a_next=a, b=zeros(field, n, 0), c=zeros(field, 0, n),
             d=zeros(field, 0, 0), e=zeros(field, 0, 0))
-    s = _from_rows(field, s_rows, n)
-    sa = _from_rows(field, sa_rows, n) * s.star
+    sa = sa * s.star
     m_block = sa.block(0, r, 0, r)
-    rr_rows, rn_rows, m_even = _echelon(sa.block(0, r, r, n))
+    rr, rn, m_even = row_echelon_transform(sa.block(0, r, r, n))
     # zeros on top: the m_even independent rows of R*N go to the bottom
-    rr = _from_rows(field, rr_rows[m_even:] + rr_rows[:m_even], r)
+    rr = Matrix.from_blocks(field, [[rr.block(m_even, r, 0, r)],
+                                    [rr.block(0, m_even, 0, r)]])
     t = direct_sum(field, [rr, Matrix.identity(field, m_odd)]) * s
     rm = (rr * m_block) * rr.star
     rho = r - m_even
@@ -123,7 +113,7 @@ def stage(a: Matrix) -> StageRecord:
         b=rm.block(0, rho, rho, r),
         c=rm.block(rho, r, 0, rho),
         d=rm.block(rho, r, rho, r),
-        e=_from_rows(field, rn_rows[:m_even], m_odd),
+        e=rn.block(0, m_even, 0, m_odd),
     )
 
 

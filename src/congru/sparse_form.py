@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrix import (Matrix, direct_sum, inverse, nullspace,
-                     permutation_matrix, solve)
+from .matrix import (Matrix, direct_sum, permutation_matrix, solve,
+                     unit_completion)
 from .regularize import BlockSum, StageRecord, multiplicities, regularize
 # bench/test_bench.py checks that this module still binds `stage`
 from .regularize import stage  # noqa: F401
@@ -28,10 +28,6 @@ class SparseForm:
     m: tuple[int, ...]
     nilpotent: Matrix
     global_transform: Matrix
-
-
-def _hstack(field, blocks) -> Matrix:
-    return Matrix.from_blocks(field, [list(blocks)])
 
 
 def _validate_m(m) -> tuple[int, ...]:
@@ -77,11 +73,12 @@ def reduce_cde(rec: StageRecord) -> Matrix:
     """The transform that clears the c and d blocks of a stage and
     normalizes e to [I 0].
 
-    The column *congruence I (+) V.star with e*V = [I 0] normalizes e
-    and leaves c and d alone; they are then cleared by adding
-    multiples of the resulting unit columns, whose only nonzero rows
-    face the zero bottom block, so nothing else is disturbed.  Both
-    steps compose to the block transform
+    The column *congruence I (+) V.star, with V from
+    unit_completion(e) so that e*V = [I 0], normalizes e and leaves c
+    and d alone; they are then cleared by adding multiples of the
+    resulting unit columns, whose only nonzero rows face the zero
+    bottom block, so nothing else is disturbed.  Both steps compose to
+    the block transform
     [[I, 0, -c.star*W], [0, I, -d.star*W], [0, 0, V.star]] with W the
     top m_even rows of V.star.  It takes rec.stage_form() to
     [[a_next, b, 0], [0, 0, [I 0]], [0, 0, 0]]; no n x n product is
@@ -90,8 +87,7 @@ def reduce_cde(rec: StageRecord) -> Matrix:
     m_odd, m_even = rec.m_odd, rec.m_even
     field = rec.e.field
     rho = rec.a_next.rows
-    v_star = _hstack(field, [solve(rec.e, Matrix.identity(field, m_even)),
-                             nullspace(rec.e)]).star
+    v_star = unit_completion(rec.e)[0].star
     w = v_star.block(0, m_even, 0, m_odd)
     ident, zeros = Matrix.identity, Matrix.zeros
     return Matrix.from_blocks(field, [
@@ -121,7 +117,9 @@ def _merge_level(g: Matrix, xg: Matrix, bottom_zero: int,
       the zero bottom block, so nothing else moves;
     - V = [solve(b3, I) | nullspace(b3)] has b3 * V = [I 0], so V.star
       normalizes b3, and W = V^-1 (+) I undoes what V.star does to the
-      unit block (b3 has no rows when bottom_zero == 0, so V = W = I).
+      unit block.  unit_completion(b3) gives V and V^-1 = [b3; I_F],
+      I_F the rows of I at b3's free columns, from one elimination
+      (b3 has no rows when bottom_zero == 0, so V = W = I).
 
     So F = [[I, 0, [-G1.star, 0]], [(K*V).star, V.star,
     V.star * [-G2.star, 0]], [0, 0, W]], with
@@ -135,12 +133,12 @@ def _merge_level(g: Matrix, xg: Matrix, bottom_zero: int,
     ident, zeros = Matrix.identity, Matrix.zeros
     bhat = xg * rec.b
     k_sol = solve(g.block(0, nz, 0, h), -bhat.block(0, nz, 0, m_even))
-    b3 = bhat.block(nz, h, 0, m_even)
-    v = _hstack(field, [solve(b3, ident(field, bottom_zero)), nullspace(b3)])
-    w = direct_sum(field, [inverse(v), ident(field, pad)])
+    v, v_inv = unit_completion(bhat.block(nz, h, 0, m_even))
+    w = direct_sum(field, [v_inv, ident(field, pad)])
     return Matrix.from_blocks(field, [
         [ident(field, h), zeros(field, h, m_even),
-         _hstack(field, [-(g.star * k_sol), zeros(field, h, pad)])],
+         Matrix.from_blocks(field, [[-(g.star * k_sol),
+                                      zeros(field, h, pad)]])],
         # V.star * [-G2.star, 0] = [[-K[nz:], 0], [0, 0]]
         [(k_sol * v).star, v.star,
          direct_sum(field, [-k_sol.block(nz, h, 0, m_even),

@@ -1,11 +1,15 @@
 """Exact matrix layer: formats, elimination, invariants, builders."""
 
+import ast
+import os
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import congru
 from congru import (
+    FieldSpec,
     Invariants,
     Matrix,
     MatrixParseError,
@@ -19,7 +23,8 @@ from congru import (
     rank,
     solve,
 )
-from congru.matrix import f_block, g_block, row_echelon_transform
+from congru.matrix import (f_block, g_block, row_echelon_transform,
+                           unit_completion)
 
 from conftest import (ALL_FIELDS, GAUSSIAN_CONJ, GF7, RATIONALS,
                       fielded_square, scalar_strategy, square_matrix)
@@ -149,9 +154,9 @@ class TestStar:
 class TestElimination:
     def test_row_echelon_bottom(self):
         a = _mat(RATIONALS, [[0, 0], [1, 2]])
-        t, r = row_echelon_transform(a)
+        t, ta, r = row_echelon_transform(a)
         assert r == 1
-        ta = t * a
+        assert ta == t * a
         assert ta.row(1) == (Fraction(0), Fraction(0))
         assert not ta.row(0) == (Fraction(0), Fraction(0))
 
@@ -164,10 +169,10 @@ class TestElimination:
     @pytest.mark.parametrize("field", ALL_FIELDS, ids=str)
     def test_solve_without_right_hand_side_skips_elimination(
             self, field, monkeypatch):
-        def no_rref(*args):
+        def no_elimination(*args):
             raise AssertionError("solve eliminated a zero-column system")
 
-        monkeypatch.setattr("congru.matrix._rref", no_rref)
+        monkeypatch.setattr("congru.matrix._eliminate", no_elimination)
         a = _mat(field, [[1, 2, 0], [2, 4, 0]])
         x = solve(a, Matrix.zeros(field, 2, 0))
         assert x == Matrix.zeros(field, 3, 0)
@@ -203,10 +208,10 @@ def test_rank_nullity_and_nullspace(data):
 @settings(max_examples=50, deadline=None)
 def test_row_echelon_transform_properties(data):
     a = data.draw(fielded_square())
-    t, r = row_echelon_transform(a)
+    t, ta, r = row_echelon_transform(a)
     assert t.is_nonsingular()
     assert r == rank(a)
-    ta = t * a
+    assert ta == t * a
     for i in range(r, a.rows):
         assert all(not x for x in ta.row(i))
 
@@ -295,39 +300,56 @@ class TestBuilders:
                                    Matrix.identity(GAUSSIAN_CONJ, 1)])
 
 
-# -- the Q kernels against their definitions ----------------------------------
-# Over Q, products and eliminations run on integer rows with one
-# denominator per row.  These properties check them against plain
-# Fraction arithmetic on entries up to 2**70 in size, with zero rows,
-# zero columns and empty shapes, and check that only Fraction entries
-# come back out.
+# -- the eliminations against their definitions -------------------------------
+# Every elimination runs through one loop, whose row format depends
+# on the field: over Q integer rows with one denominator per row, over
+# Q(i) and GF(p) lists of entries.  These properties check products and
+# eliminations against a plain Gauss-Jordan elimination in the field's
+# own arithmetic, on entries up to 2**70 in size over Q and Q(i) and on
+# all of GF(2**31 - 1), with zero rows, zero columns and empty shapes.
+# Over Q they also check that only Fraction entries come back out.
 
 _BIG = 2 ** 70
+GF_BIG = FieldSpec.prime_field(2 ** 31 - 1)
 _q_entry = st.one_of(
     st.just(Fraction(0)),
     st.integers(-3, 3).map(Fraction),
     st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, _BIG)))
+_ENTRIES = {
+    RATIONALS: _q_entry,
+    GAUSSIAN_CONJ: st.builds(
+        lambda re, im: GAUSSIAN_CONJ.coerce(re)
+        + GAUSSIAN_CONJ.imaginary_unit() * GAUSSIAN_CONJ.coerce(im),
+        _q_entry, _q_entry),
+    GF_BIG: st.one_of(st.integers(0, 3), st.integers(0, 2 ** 31 - 2)),
+}
+
+
+def _stored(field, values) -> list:
+    p = field.p
+    return list(values) if p is None else [x % p for x in values]
 
 
 @st.composite
-def q_matrix(draw, rows=None, cols=None, max_side=4):
+def kernel_matrix(draw, field=RATIONALS, rows=None, cols=None, max_side=4):
     if rows is None:
         rows = draw(st.integers(0, max_side))
     if cols is None:
         cols = draw(st.integers(0, max_side))
-    entries = [[draw(_q_entry) for _ in range(cols)] for _ in range(rows)]
+    entry = _ENTRIES[field]
+    entries = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
     zero_rows = draw(st.sets(st.integers(0, max(rows - 1, 0))))
     zero_cols = draw(st.sets(st.integers(0, max(cols - 1, 0))))
     if draw(st.booleans()):
         # a row that repeats a multiple of another lowers the rank
         if rows >= 2:
-            f = draw(_q_entry)
-            entries[-1] = [f * x for x in entries[0]]
+            f = draw(entry)
+            entries[-1] = _stored(field, [f * x for x in entries[0]])
     for i in range(rows):
         for j in range(cols):
             if i in zero_rows or j in zero_cols:
-                entries[i][j] = Fraction(0)
-    return Matrix.from_rows(RATIONALS, entries, cols=cols)
+                entries[i][j] = field.zero()
+    return Matrix.from_rows(field, entries, cols=cols)
 
 
 def _entries(m: Matrix) -> list:
@@ -338,9 +360,9 @@ def _all_fractions(*mats: Matrix) -> bool:
     return all(type(x) is Fraction for m in mats for x in _entries(m))
 
 
-def _reference_rref(rows: list, ncols: int) -> tuple[list, list]:
-    """Plain Fraction Gauss-Jordan elimination with first-nonzero
-    pivots: (reduced rows, pivot columns)."""
+def _reference_rref(field, rows: list, ncols: int) -> tuple[list, list]:
+    """Plain Gauss-Jordan elimination in the field's arithmetic with
+    first-nonzero pivots: (reduced rows, pivot columns)."""
     rows = [list(r) for r in rows]
     pivots = []
     for c in range(ncols):
@@ -349,21 +371,90 @@ def _reference_rref(rows: list, ncols: int) -> tuple[list, list]:
         if k is None:
             continue
         rows[r], rows[k] = rows[k], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
+        inv = field.inverse(rows[r][c])
+        rows[r] = _stored(field, [x * inv for x in rows[r]])
         for k in range(len(rows)):
             if k != r and rows[k][c]:
                 f = rows[k][c]
-                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
+                rows[k] = _stored(
+                    field, [x - f * y for x, y in zip(rows[k], rows[r])])
         pivots.append(c)
     return rows, pivots
+
+
+def _check_rank_and_row_echelon_transform(a: Matrix) -> tuple:
+    _, ref_pivots = _reference_rref(
+        a.field, [a.row(i) for i in range(a.rows)], a.cols)
+    assert rank(a) == len(ref_pivots)
+    t, ta, r = row_echelon_transform(a)
+    assert r == len(ref_pivots)
+    assert t * inverse(t) == Matrix.identity(a.field, a.rows)
+    assert ta == t * a
+    top, _ = _reference_rref(a.field, [ta.row(i) for i in range(r)], a.cols)
+    assert all(any(row) for row in top)  # the top r rows independent
+    assert all(not x for i in range(r, a.rows) for x in ta.row(i))
+    return t, ta
+
+
+def _check_nullspace(a: Matrix) -> Matrix:
+    field = a.field
+    ref, pivots = _reference_rref(
+        field, [a.row(i) for i in range(a.rows)], a.cols)
+    free = [c for c in range(a.cols) if c not in pivots]
+    ns = nullspace(a)
+    assert ns.shape == (a.cols, len(free))
+    assert (a * ns).is_zero()
+    for k, fc in enumerate(free):
+        column = [ns[i, k] for i in range(a.cols)]
+        want = [field.zero()] * a.cols
+        want[fc] = field.one()
+        for r, c in enumerate(pivots):
+            want[c] = _stored(field, [-ref[r][fc]])[0]
+        assert column == want
+    return ns
+
+
+def _check_solve(a: Matrix, b: Matrix) -> Matrix | None:
+    width = a.cols + b.cols
+    aug, pivots = _reference_rref(
+        a.field, [a.row(i) + b.row(i) for i in range(a.rows)], width)
+    if any(c >= a.cols for c in pivots):
+        with pytest.raises(ValueError, match="inconsistent"):
+            solve(a, b)
+        return None
+    x = solve(a, b)
+    assert x.shape == (a.cols, b.cols)
+    assert a * x == b
+    for c in range(a.cols):
+        if c not in pivots:  # free variables are zero
+            assert all(not v for v in x.row(c))
+    for r, c in enumerate(pivots):
+        assert list(x.row(c)) == aug[r][a.cols:]
+    return x
+
+
+def _check_inverse(a: Matrix, boost) -> Matrix | None:
+    n = a.rows
+    ident = Matrix.identity(a.field, n)
+    if boost is not None:
+        # mostly nonsingular: add a large multiple of I
+        a = a + ident.scale(boost)
+    _, pivots = _reference_rref(a.field, [a.row(i) for i in range(n)], n)
+    if len(pivots) < n:
+        with pytest.raises(ValueError, match="singular"):
+            inverse(a)
+        return None
+    inv = inverse(a)
+    assert a * inv == ident and inv * a == ident
+    return inv
 
 
 class TestRationalKernels:
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
     def test_product_is_the_sum_of_products(self, data):
-        a = data.draw(q_matrix())
-        b = data.draw(q_matrix(rows=a.cols))
+        a = data.draw(kernel_matrix())
+        b = data.draw(kernel_matrix(rows=a.cols))
         ab = a * b
         assert ab.shape == (a.rows, b.cols)
         for i in range(a.rows):
@@ -375,78 +466,29 @@ class TestRationalKernels:
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
     def test_rank_and_row_echelon_transform(self, data):
-        a = data.draw(q_matrix())
-        _, ref_pivots = _reference_rref(
-            [a.row(i) for i in range(a.rows)], a.cols)
-        assert rank(a) == len(ref_pivots)
-        t, r = row_echelon_transform(a)
-        assert r == len(ref_pivots)
-        assert t * inverse(t) == Matrix.identity(RATIONALS, a.rows)
-        ta = t * a
-        top, _ = _reference_rref([ta.row(i) for i in range(r)], a.cols)
-        assert all(any(row) for row in top)  # the top r rows independent
-        assert all(not x for i in range(r, a.rows) for x in ta.row(i))
-        assert _all_fractions(t, ta)
+        a = data.draw(kernel_matrix())
+        assert _all_fractions(*_check_rank_and_row_echelon_transform(a))
 
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
     def test_nullspace_is_read_off_the_reduced_form(self, data):
-        a = data.draw(q_matrix())
-        ref, pivots = _reference_rref(
-            [a.row(i) for i in range(a.rows)], a.cols)
-        free = [c for c in range(a.cols) if c not in pivots]
-        ns = nullspace(a)
-        assert ns.shape == (a.cols, len(free))
-        assert (a * ns).is_zero()
-        for k, fc in enumerate(free):
-            column = [ns[i, k] for i in range(a.cols)]
-            want = [Fraction(0)] * a.cols
-            want[fc] = Fraction(1)
-            for r, c in enumerate(pivots):
-                want[c] = -ref[r][fc]
-            assert column == want
-        assert _all_fractions(ns)
+        assert _all_fractions(_check_nullspace(data.draw(kernel_matrix())))
 
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
     def test_solve(self, data):
-        a = data.draw(q_matrix())
-        b = data.draw(q_matrix(rows=a.rows))
-        width = a.cols + b.cols
-        aug, pivots = _reference_rref(
-            [a.row(i) + b.row(i) for i in range(a.rows)], width)
-        if any(c >= a.cols for c in pivots):
-            with pytest.raises(ValueError, match="inconsistent"):
-                solve(a, b)
-            return
-        x = solve(a, b)
-        assert x.shape == (a.cols, b.cols)
-        assert a * x == b
-        for c in range(a.cols):
-            if c not in pivots:  # free variables are zero
-                assert all(not v for v in x.row(c))
-        for r, c in enumerate(pivots):
-            assert list(x.row(c)) == aug[r][a.cols:]
-        assert _all_fractions(x)
+        a = data.draw(kernel_matrix())
+        x = _check_solve(a, data.draw(kernel_matrix(rows=a.rows)))
+        assert x is None or _all_fractions(x)
 
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
     def test_inverse(self, data):
         n = data.draw(st.integers(0, 4))
-        a = data.draw(q_matrix(rows=n, cols=n))
-        if data.draw(st.booleans()):
-            # mostly nonsingular: add a large multiple of I
-            a = a + Matrix.identity(RATIONALS, n).scale(
-                data.draw(st.integers(1, _BIG)))
-        _, pivots = _reference_rref([a.row(i) for i in range(n)], n)
-        if len(pivots) < n:
-            with pytest.raises(ValueError, match="singular"):
-                inverse(a)
-            return
-        inv = inverse(a)
-        ident = Matrix.identity(RATIONALS, n)
-        assert a * inv == ident and inv * a == ident
-        assert _all_fractions(inv)
+        a = data.draw(kernel_matrix(rows=n, cols=n))
+        boost = data.draw(st.one_of(st.none(), st.integers(1, _BIG)))
+        inv = _check_inverse(a, boost)
+        assert inv is None or _all_fractions(inv)
 
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
     def test_empty_shapes(self, shape):
@@ -460,27 +502,88 @@ class TestRationalKernels:
             == Matrix.zeros(RATIONALS, cols, 1)
 
 
-class TestNoEmptyElimination:
-    @pytest.mark.parametrize("field", ALL_FIELDS, ids=str)
-    def test_nullspace_without_rows(self, field, monkeypatch):
-        def no_work(*args):
-            raise AssertionError("nullspace built work rows for no rows")
+@pytest.mark.parametrize("field", [GAUSSIAN_CONJ, GF_BIG], ids=str)
+class TestFieldKernels:
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_rank_and_row_echelon_transform(self, field, data):
+        _check_rank_and_row_echelon_transform(
+            data.draw(kernel_matrix(field)))
 
-        monkeypatch.setattr("congru.matrix._work_copies", no_work)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_nullspace_is_read_off_the_reduced_form(self, field, data):
+        _check_nullspace(data.draw(kernel_matrix(field)))
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_solve(self, field, data):
+        a = data.draw(kernel_matrix(field))
+        _check_solve(a, data.draw(kernel_matrix(field, rows=a.rows)))
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_inverse(self, field, data):
+        n = data.draw(st.integers(0, 4))
+        a = data.draw(kernel_matrix(field, rows=n, cols=n))
+        _check_inverse(a, data.draw(st.one_of(st.none(), _ENTRIES[field])))
+
+
+@pytest.mark.parametrize("field", [RATIONALS, GAUSSIAN_CONJ, GF_BIG], ids=str)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_unit_completion(field, data):
+    # the top rows of an echelon form are independent, none included
+    _, ta, r = row_echelon_transform(data.draw(kernel_matrix(field)))
+    e = ta.block(0, r, 0, ta.cols)
+    v, v_inv = unit_completion(e)
+    n = e.cols
+    ident = Matrix.identity(field, n)
+    assert e * v == Matrix.from_blocks(field, [
+        [Matrix.identity(field, r), Matrix.zeros(field, r, n - r)]])
+    assert v_inv * v == ident and v * v_inv == ident
+    assert v == Matrix.from_blocks(field, [
+        [solve(e, Matrix.identity(field, r)), nullspace(e)]])
+
+
+def test_unit_completion_rejects_dependent_rows():
+    with pytest.raises(ValueError, match="independent rows"):
+        unit_completion(_mat(RATIONALS, [[1, 2, 3], [2, 4, 6]]))
+
+
+class TestNoEmptyElimination:
+    # empty and identity inputs go through the one elimination like any
+    # other; these pin the values they give
+    @pytest.mark.parametrize("field", ALL_FIELDS, ids=str)
+    def test_nullspace_without_rows(self, field):
         for cols in (0, 1, 4):
             ns = nullspace(Matrix.zeros(field, 0, cols))
             assert ns == Matrix.identity(field, cols)
 
     @pytest.mark.parametrize("field", ALL_FIELDS, ids=str)
-    def test_inverse_of_identity(self, field, monkeypatch):
-        def no_rref(*args):
-            raise AssertionError("inverse eliminated an identity")
-
-        monkeypatch.setattr("congru.matrix._rref", no_rref)
+    def test_inverse_of_identity(self, field):
         for n in (0, 1, 5):
             ident = Matrix.identity(field, n)
             assert inverse(ident) == ident
-        # one off-diagonal entry is not the identity
         near = _mat(field, [[1, 0], [1, 1]])
-        with pytest.raises(AssertionError, match="eliminated"):
-            inverse(near)
+        assert inverse(near) * near == Matrix.identity(field, 2)
+
+
+GRID_CODEC = {"_read_json", "_read_text", "_write_json", "_write_text"}
+
+
+def test_elimination_privates_stay_in_matrix():
+    # every elimination goes through congru.matrix's public functions;
+    # other modules import from it only public names and the grid codec
+    package = os.path.dirname(congru.__file__)
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "matrix.py":
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in (
+                    "matrix", "congru.matrix"):
+                private = {a.name for a in node.names
+                           if a.name.startswith("_")} - GRID_CODEC
+                assert not private, f"{name} imports {sorted(private)}"

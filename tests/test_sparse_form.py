@@ -306,35 +306,43 @@ def test_gaussian_entries_keep_the_surface_bench_reads():
         assert isinstance(e1 - e2 * e3, GaussianRational)
 
 
-def _baseline_rational_input() -> Matrix:
-    """The baseline recipe over Q at n=26: A = S* (B + J_1 + J_2 + J_3 +
-    J_4 + J_5 + J_3 + J_2) S with B (6 x 6) and S drawn by
-    _draw_nonsingular(random.Random(0), Q, ., 3)."""
+GF_BIG = FieldSpec.prime_field(2 ** 31 - 1)
+
+
+def _baseline_input(field) -> Matrix:
+    """The baseline recipe at n=26: A = S* (B + J_1 + J_2 + J_3 + J_4 +
+    J_5 + J_3 + J_2) S with B (6 x 6) and S drawn by
+    _draw_nonsingular(random.Random(0), field, ., 3)."""
     from congru.verify import _draw_nonsingular
 
     rng = random.Random(0)
-    b = _draw_nonsingular(rng, RATIONALS, 6, 3)
-    canonical = direct_sum(RATIONALS, [b] + [
-        jordan_block(RATIONALS, k) for k in (1, 2, 3, 4, 5, 3, 2)])
-    s = _draw_nonsingular(rng, RATIONALS, 26, 3)
+    b = _draw_nonsingular(rng, field, 6, 3)
+    canonical = direct_sum(field, [b] + [
+        jordan_block(field, k) for k in (1, 2, 3, 4, 5, 3, 2)])
+    s = _draw_nonsingular(rng, field, 26, 3)
     return (s.star * canonical) * s
 
 
-@pytest.mark.parametrize("scaled, digest", [
-    (False,
+@pytest.mark.parametrize("field, scaled, digest", [
+    (RATIONALS, False,
      "515549cccfe7882b129dc6f309ea1bb341e54650b7b2e4b60f3bb92505f7055a"),
-    (True,
+    (RATIONALS, True,
      "e9845e044e8d6b18e51c70543902966cf0f5a90cd40aa753dd3f74afcf87ee35"),
-], ids=["integer", "fractional"])
-def test_rational_transform_is_pinned(scaled, digest):
-    # X must not depend on how Q arithmetic is carried out: these are
-    # the SHA-256 digests of X's text written by plain Fraction
-    # arithmetic.  The fractional input is D A D with
-    # D = diag(1 / (1 + i % 7)), a congruence, so it keeps A's Jordan
-    # structure while every kernel row starts with a denominator.
-    a = _baseline_rational_input()
+    (GAUSSIAN_CONJ, False,
+     "901fc33b111e03e37436d4a2543f3e608a66790e1e5e299fcea9444a7dc432f9"),
+    (GF_BIG, False,
+     "14b84307592a94d191c629a7da04082b064f7fdc1aa2ca15aed16f42586df51a"),
+], ids=["integer", "fractional", "gaussian", "prime"])
+def test_rational_transform_is_pinned(field, scaled, digest):
+    # X must not depend on how the field arithmetic or the elimination
+    # is carried out: these are the SHA-256 digests of X's text as
+    # plain field arithmetic writes it.  The fractional input is D A D
+    # with D = diag(1 / (1 + i % 7)), a congruence, so it keeps A's
+    # Jordan structure while every Q kernel row starts with a
+    # denominator.
+    a = _baseline_input(field)
     if scaled:
-        a = Matrix.from_rows(RATIONALS, [
+        a = Matrix.from_rows(field, [
             [a[i, j] / ((1 + i % 7) * (1 + j % 7)) for j in range(a.cols)]
             for i in range(a.rows)])
     _, x = full_decomposition(a)
