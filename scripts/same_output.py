@@ -29,12 +29,13 @@ calls `congru.cli.main`:
 - `float-regularize` in text and JSON on the 25 float-complex inputs.
 
 A run's stdout, stderr and exit code must match byte for byte.  The
-script prints the number of differing runs and exits 1 on any
-difference.
+script prints the number of differing runs, then the line count of
+each tree's `congru/*.py`, and exits 1 on any difference.
 """
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import re
@@ -201,7 +202,17 @@ def main(argv: list[str]) -> int:
                          else a for a in argv_run]
                 print(f"differs in {', '.join(fields)}: {' '.join(shown)}")
     print(f"{differ} of {len(runs)} runs differ")
+    for src in argv:
+        print(f"{_line_count(src):,} lines in {src}/congru/*.py")
     return 1 if differ else 0
+
+
+def _line_count(src: str) -> int:
+    total = 0
+    for path in glob.glob(os.path.join(src, "congru", "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            total += sum(1 for _ in fh)
+    return total
 
 
 if __name__ == "__main__":

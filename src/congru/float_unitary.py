@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix import MatrixParseError, _read_text, _write_text
+from .regularize import check_non_increasing
 from .scalar import _quote_token
 
 COMPLEX_CONJUGATION = "complex-conjugation"
@@ -188,6 +189,7 @@ def float_regularize(a, mode: FloatMode) -> ReducedForm:
         if rec.m_odd == 0:
             break
         m.extend((rec.m_odd, rec.m_even))
+        check_non_increasing(m)
         t_total = _embed(rec.transform, n, mode.dtype) @ t_total
         current = rec.a_next
     reduced = t_total @ a @ mode.adjoint(t_total)

@@ -8,17 +8,18 @@ transforms.
 
 Every rank, null space, solve, inverse and echelon transform is one
 Gauss-Jordan elimination, _eliminate, over [A | the rows the caller
-mirrors].  Over Q it and the product work on integer rows: a row is a
-list of ints over one row denominator, so their inner loops multiply
-and add plain ints and the elimination clears a column by the
-fraction-free update pv*row_k - q*row_r, with the row's content
-divided out.  Entries still enter and leave every Matrix as Fraction,
-and the values are the ones plain Fraction arithmetic gives.  Over
-Q(i) and GF(p) a row is a list of entries.
+mirrors], and every product, over every field, is one loop, _product.
+Over Q both work on integer rows, lists of ints over one row
+denominator: their inner loops add int products, and an elimination
+clears a column by the fraction-free pv*row_k - q*row_r and divides
+the row's content out.  Entries still enter and leave every Matrix as
+Fraction, with the values plain Fraction arithmetic gives.  Over Q(i)
+and GF(p) a row is a list of entries.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +27,7 @@ from functools import partial
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
-from .scalar import FieldKind, FieldSpec, Scalar
+from .scalar import FieldKind, FieldSpec, Involution, Scalar
 
 
 class MatrixParseError(ValueError):
@@ -70,24 +71,30 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "Matrix":
-        z = field.zero()
-        return cls(field, rows, cols, tuple((z,) * cols for _ in range(rows)))
+        return cls.zero_one(field, rows, cols, ())
+
+    @classmethod
+    def zero_one(cls, field: FieldSpec, rows: int, cols: int,
+                 ones: Iterable[tuple[int, int]]) -> "Matrix":
+        """The rows x cols matrix with a 1 at each (i, j) of ones and
+        zeros elsewhere: every identity, shift and permutation."""
+        z, o = field.zero(), field.one()
+        out = [[z] * cols for _ in range(rows)]
+        for i, j in ones:
+            out[i][j] = o
+        return cls(field, rows, cols, tuple(map(tuple, out)))
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
-        z, o = field.zero(), field.one()
-        return cls(field, n, n, tuple(
-            tuple(o if i == j else z for j in range(n)) for i in range(n)))
+        return cls.zero_one(field, n, n, [(i, i) for i in range(n)])
 
     @classmethod
     def from_blocks(cls, field: FieldSpec, grid: Sequence[Sequence["Matrix"]],
                     ) -> "Matrix":
         """Assemble from a rectangular grid of blocks with consistent
         row heights and column widths (zero-dimension blocks allowed)."""
-        if not grid:
-            return cls.zeros(field, 0, 0)
         heights = [row[0].rows for row in grid]
-        widths = [b.cols for b in grid[0]]
+        widths = [b.cols for b in grid[0]] if grid else []
         for bi, row in enumerate(grid):
             if len(row) != len(widths):
                 raise ValueError("ragged block grid")
@@ -141,25 +148,22 @@ class Matrix:
         if self.field != other.field:
             raise ValueError("mixed fields")
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _entrywise(self, other: "Matrix", op, what: str) -> "Matrix":
         self._check_same_field(other)
         if self.shape != other.shape:
-            raise ValueError("dimension mismatch in addition")
+            raise ValueError(f"dimension mismatch in {what}")
         return Matrix(self.field, self.rows, self.cols, tuple(
-            _reduced(self.field, [a + b for a, b in zip(ra, rb)])
+            _reduced(self.field, list(map(op, ra, rb)))
             for ra, rb in zip(self._r, other._r)))
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(other, operator.add, "addition")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_field(other)
-        if self.shape != other.shape:
-            raise ValueError("dimension mismatch in subtraction")
-        return Matrix(self.field, self.rows, self.cols, tuple(
-            _reduced(self.field, [a - b for a, b in zip(ra, rb)])
-            for ra, rb in zip(self._r, other._r)))
+        return self._entrywise(other, operator.sub, "subtraction")
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.field, self.rows, self.cols, tuple(
-            _reduced(self.field, [-a for a in row]) for row in self._r))
+        return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
         c = self.field.coerce(c)
@@ -172,38 +176,22 @@ class Matrix:
         self._check_same_field(other)
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in product")
-        if self.field.kind is FieldKind.RATIONAL:
-            return Matrix(self.field, self.rows, other.cols,
-                          _mul_q(self._r, other._r, other.cols))
-        zero = self.field.zero()
-        brows = other._r
-        bcols = other.cols
-        out = []
-        for arow in self._r:
-            acc = [zero] * bcols
-            for k, aik in enumerate(arow):
-                if not aik:
-                    continue  # skipping zeros carries the sparse structure
-                brow = brows[k]
-                for j, bkj in enumerate(brow):
-                    if bkj:
-                        acc[j] = acc[j] + aik * bkj
-            out.append(_reduced(self.field, acc))
-        return Matrix(self.field, self.rows, bcols, tuple(out))
+        return Matrix(self.field, self.rows, other.cols,
+                      _product(self.field, self._r, other._r, other.cols))
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.cols, self.rows, tuple(
-            tuple(self._r[i][j] for i in range(self.rows))
-            for j in range(self.cols)))
+        return Matrix(self.field, self.cols, self.rows,
+                      tuple(zip(*self._r)) or ((),) * self.cols)
 
     @property
     def star(self) -> "Matrix":
         """Conjugate transpose under the active involution; the plain
         transpose when the involution is the identity."""
-        conj = self.field.conjugate
-        return Matrix(self.field, self.cols, self.rows, tuple(
-            tuple(conj(self._r[i][j]) for i in range(self.rows))
-            for j in range(self.cols)))
+        t = self.transpose()
+        if self.field.involution is Involution.IDENTITY:
+            return t
+        return Matrix(t.field, t.rows, t.cols, tuple(
+            tuple([x.conjugate() for x in row]) for row in t._r))
 
     # -- slicing ---------------------------------------------------------------
 
@@ -359,13 +347,13 @@ def _reduced(field: FieldSpec, values: list) -> tuple:
     return tuple(values) if p is None else tuple(x % p for x in values)
 
 
-def _eliminate(a: Matrix, aug: tuple, reduce: bool) -> tuple[list, list]:
+def _eliminate(a: Matrix, aug: tuple, reduce: bool) -> tuple[map, list]:
     """Forward elimination on the rows [a | aug], aug a tuple of
     a.rows row tuples, with the first nonzero entry of each column of
     a as its pivot; with `reduce`, continued to the reduced echelon
     form of a: unit pivots, cleared above them last pivot first.
-    Returns the eliminated rows, as tuples of entries, and the pivot
-    (row, col) list."""
+    Returns the eliminated rows, decoded to tuples of entries only as
+    they are read, and the pivot (row, col) list."""
     field = a.field
     if field.kind is FieldKind.RATIONAL:
         rows = [_q_row(x + y) for x, y in zip(a._r, aug)]
@@ -396,7 +384,7 @@ def _eliminate(a: Matrix, aug: tuple, reduce: bool) -> tuple[list, list]:
             for k in range(r):
                 if rows[k][c]:
                     rows[k] = clear(rows[k], rows[r], c)
-    return [decode(row) for row in rows], pivots
+    return map(decode, rows), pivots
 
 
 def _entry_clear(field: FieldSpec, rk: list, rr: list, c: int) -> list:
@@ -451,13 +439,23 @@ def _q_decode(row: list) -> tuple:
     return tuple([_q_fraction(x, d) for x in row])
 
 
-def _mul_q(arows: tuple, brows: tuple, bcols: int) -> tuple:
-    """Rows of A*B over Q.  Each row of B is ints over its own lcm
-    denominator d_k, written once and only if A uses it; each row of A
-    folds its a_ik / d_k into one row denominator L_i, so the product
-    sums plain ints and builds one Fraction per nonzero entry."""
+def _product(field: FieldSpec, arows: tuple, brows: tuple, bcols: int,
+             ) -> tuple:
+    """Rows of A*B.  Each row of B is written once, and only if A uses
+    it, as its nonzero (column, value) pairs over a row denominator
+    d_k; row i of A folds its a_ik / d_k into one denominator L_i, and
+    the loop sums f * v with f = a_ik * L_i / d_k.  Only over Q are
+    the values ints over d_k and L_i other than 1."""
+    if field.kind is FieldKind.RATIONAL:
+        write, start = _q_row, 0
+        fold = lambda a, d: (a.numerator, a.denominator * d)  # noqa: E731
+        finish = lambda acc, den: tuple(  # noqa: E731
+            [_q_fraction(x, den) for x in acc])
+    else:
+        write, start = (lambda row: [*row, 1]), field.zero()
+        fold = lambda a, d: (a, d)  # noqa: E731
+        finish = lambda acc, den: _reduced(field, acc)  # noqa: E731
     bint: list = [None] * len(brows)
-    zero_row = (_ZERO,) * bcols
     out = []
     for arow in arows:
         terms = []
@@ -465,22 +463,19 @@ def _mul_q(arows: tuple, brows: tuple, bcols: int) -> tuple:
             if a:
                 b = bint[k]
                 if b is None:
-                    ints = _q_row(brows[k])
+                    ints = write(brows[k])
                     d = ints.pop()
                     b = bint[k] = ([(j, v) for j, v in enumerate(ints) if v],
                                    d)
                 if b[0]:
-                    terms.append((a.numerator, a.denominator * b[1], b[0]))
-        if not terms:
-            out.append(zero_row)
-            continue
+                    terms.append((*fold(a, b[1]), b[0]))
         den = lcm(*[q for _, q, _ in terms])
-        acc = [0] * bcols
+        acc = [start] * bcols
         for p, q, nz in terms:
-            f = p * (den // q)
+            f = p if q == den else p * (den // q)
             for j, v in nz:
                 acc[j] += f * v
-        out.append(tuple([_q_fraction(x, den) for x in acc]))
+        out.append(finish(acc, den))
     return tuple(out)
 
 
@@ -521,13 +516,14 @@ def _q_unit(rr: list, c: int) -> list:
 # -- the eliminations callers ask for -------------------------------------------
 
 
-def _basis_rows(field: FieldSpec, n: int, rows: list, pivots: list,
+def _basis_rows(field: FieldSpec, n: int, rows: Iterable, pivots: list,
                 ) -> tuple[tuple, list]:
     """The rows of [X | N] read off the reduced rows of [a | aug], a
     with n columns: X solves a*X = aug with every free variable zero,
     and N holds one null-space column per free column of a, free
     columns in increasing order, with its 1 in that column's row.
     Returns (rows, free columns)."""
+    rows = list(rows)
     pivot_cols = {c for _, c in pivots}
     free = [c for c in range(n) if c not in pivot_cols]
     zeros = (field.zero(),) * (len(rows[0]) - n if rows else 0)
@@ -548,6 +544,7 @@ def row_echelon_transform(a: Matrix) -> tuple[Matrix, Matrix, int]:
     it, not multiplied out."""
     n = a.cols
     rows, pivots = _eliminate(a, Matrix.identity(a.field, a.rows)._r, False)
+    rows = list(rows)
     return (Matrix(a.field, a.rows, a.rows, tuple(r[n:] for r in rows)),
             Matrix(a.field, a.rows, n, tuple(r[:n] for r in rows)),
             len(pivots))
@@ -573,8 +570,7 @@ def nullspace(a: Matrix) -> Matrix:
 def solve(a: Matrix, b: Matrix) -> Matrix:
     """One exact solution X of a*X = b with all free variables zero;
     ValueError when the system is inconsistent."""
-    if a.field != b.field:
-        raise ValueError("mixed fields")
+    a._check_same_field(b)
     if a.rows != b.rows:
         raise ValueError("dimension mismatch in solve")
     if b.cols == 0:
@@ -582,6 +578,7 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
         return Matrix.zeros(a.field, a.cols, 0)
     n = a.cols
     rows, pivots = _eliminate(a, b._r, True)
+    rows = list(rows)
     if any(any(row[n:]) for row in rows[len(pivots):]):
         raise ValueError("inconsistent system")
     xrows = [(a.field.zero(),) * b.cols] * n
@@ -610,9 +607,8 @@ def unit_completion(e: Matrix) -> tuple[Matrix, Matrix]:
     if len(pivots) != e.rows:
         raise ValueError("unit_completion requires independent rows")
     v_rows, free = _basis_rows(field, n, rows, pivots)
-    ident = Matrix.identity(field, n)._r
-    return (Matrix(field, n, n, v_rows),
-            Matrix(field, n, n, e._r + tuple(ident[c] for c in free)))
+    i_free = Matrix.zero_one(field, len(free), n, enumerate(free))
+    return Matrix(field, n, n, v_rows), Matrix(field, n, n, e._r + i_free._r)
 
 
 # -- *congruence invariants ------------------------------------------------------
@@ -643,22 +639,13 @@ def invariants(a: Matrix) -> Invariants:
 
 
 def direct_sum(field: FieldSpec, blocks: Sequence[Matrix]) -> Matrix:
-    """Block-diagonal sum; zero-dimension summands follow the stacking
+    """Block-diagonal sum: the blocks on the diagonal of a from_blocks
+    grid, zeros elsewhere.  Zero-dimension summands follow the stacking
     conventions (a p x 0 block contributes p zero rows, a 0 x q block
     q zero columns)."""
-    rows = sum(b.rows for b in blocks)
-    cols = sum(b.cols for b in blocks)
-    z = field.zero()
-    out = []
-    c_before = 0
-    for b in blocks:
-        if b.field != field:
-            raise ValueError("mixed fields in direct sum")
-        c_after = cols - c_before - b.cols
-        for row in b._r:
-            out.append((z,) * c_before + row + (z,) * c_after)
-        c_before += b.cols
-    return Matrix(field, rows, cols, tuple(out))
+    return Matrix.from_blocks(field, [
+        [b if j == i else Matrix.zeros(field, b.rows, c.cols)
+         for j, c in enumerate(blocks)] for i, b in enumerate(blocks)])
 
 
 def jordan_block(field: FieldSpec, n: int) -> Matrix:
@@ -666,27 +653,22 @@ def jordan_block(field: FieldSpec, n: int) -> Matrix:
     superdiagonal, zeros elsewhere."""
     if n < 1:
         raise ValueError("jordan_block requires n >= 1")
-    z, o = field.zero(), field.one()
-    return Matrix(field, n, n, tuple(
-        tuple(o if j == i + 1 else z for j in range(n)) for i in range(n)))
+    return Matrix.zero_one(field, n, n, [(i, i + 1) for i in range(n - 1)])
 
 
 def f_block(field: FieldSpec, n: int) -> Matrix:
     """The (n-1) x n block [I 0]."""
     if n < 1:
         raise ValueError("f_block requires n >= 1")
-    z, o = field.zero(), field.one()
-    return Matrix(field, n - 1, n, tuple(
-        tuple(o if j == i else z for j in range(n)) for i in range(n - 1)))
+    return Matrix.zero_one(field, n - 1, n, [(i, i) for i in range(n - 1)])
 
 
 def g_block(field: FieldSpec, n: int) -> Matrix:
     """The (n-1) x n block [0 I]."""
     if n < 1:
         raise ValueError("g_block requires n >= 1")
-    z, o = field.zero(), field.one()
-    return Matrix(field, n - 1, n, tuple(
-        tuple(o if j == i + 1 else z for j in range(n)) for i in range(n - 1)))
+    return Matrix.zero_one(field, n - 1, n,
+                           [(i, i + 1) for i in range(n - 1)])
 
 
 def permutation_matrix(field: FieldSpec, images: Sequence[int]) -> Matrix:
@@ -695,7 +677,4 @@ def permutation_matrix(field: FieldSpec, images: Sequence[int]) -> Matrix:
     n = len(images)
     if sorted(images) != list(range(n)):
         raise ValueError("not a permutation")
-    z, o = field.zero(), field.one()
-    return Matrix(field, n, n, tuple(
-        tuple(o if j == images[i] else z for j in range(n))
-        for i in range(n)))
+    return Matrix.zero_one(field, n, n, enumerate(images))

@@ -108,16 +108,10 @@ class Replacement:
 def replace_block(field: FieldSpec, k: int) -> Replacement:
     if k < 1:
         raise ValueError("block size must be positive")
-    if k == 1:
-        witness = Matrix.identity(field, 1)
-    else:
-        images = lemma6_permutation(k)
-        # witness rows are indexed by f: row f(b) carries its unit in
-        # column b, so build from the inverse image list
-        inverse = [0] * k
-        for b, a in enumerate(images):
-            inverse[a] = b
-        witness = permutation_matrix(field, inverse)
+    # witness rows are indexed by f: row f(b) carries its unit in
+    # column b; a 1x1 block keeps its place
+    f = lemma6_permutation(k) if k > 1 else (0,)
+    witness = permutation_matrix(field, f).transpose()
     return Replacement("fg" if k % 2 else "ji", (k + 1) // 2,
                        permuted_jordan_target(field, k), witness)
 

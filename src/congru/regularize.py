@@ -133,12 +133,17 @@ def regularize(a: Matrix) -> RegularizationResult:
         stages.append(rec)
         m.extend((rec.m_odd, rec.m_even))
         work = rec.a_next
-    if any(m[i] < m[i + 1] for i in range(len(m) - 1)):
-        raise RuntimeError(
-            f"stage parameters must be non-increasing, got {tuple(m)}")
+    check_non_increasing(m)
     return RegularizationResult(
         tau=len(stages), m=tuple(m), regular_part=work,
         stages=tuple(stages))
+
+
+def check_non_increasing(m: list[int]) -> None:
+    """RuntimeError when the parameter sequence m ever increases."""
+    if any(m[i] < m[i + 1] for i in range(len(m) - 1)):
+        raise RuntimeError(
+            f"stage parameters must be non-increasing, got {tuple(m)}")
 
 
 def multiplicities(result: RegularizationResult) -> BlockSum:

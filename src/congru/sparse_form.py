@@ -61,12 +61,9 @@ def sparse_nilpotent(field, m) -> Matrix:
     m = _validate_m(m)
     off = _offsets(m)
     size = sum(m)
-    z, o = field.zero(), field.one()
-    rows = [[z] * size for _ in range(size)]
-    for j in range(2, len(m) + 1):
-        for t in range(m[j - 1]):
-            rows[off[j] + t][off[j - 1] + t] = o
-    return Matrix(field, size, size, tuple(tuple(r) for r in rows))
+    return Matrix.zero_one(field, size, size, [
+        (off[j] + t, off[j - 1] + t)
+        for j in range(2, len(m) + 1) for t in range(m[j - 1])])
 
 
 def reduce_cde(rec: StageRecord) -> Matrix:
@@ -182,9 +179,8 @@ def canonical_sparse_form(a: Matrix) -> SparseForm:
     )
 
 
-def jordan_permutation(field, m) -> Matrix:
-    """P with P * N * P.transpose() == the Jordan direct sum for the
-    same parameter sequence (blocks in increasing size order).
+def _jordan_images(m) -> list[int]:
+    """The image list of jordan_permutation(field, m).
 
     N decomposes into disjoint chains, one per Jordan block: a chain
     of length k enters at block row k with a column index t that no
@@ -199,16 +195,22 @@ def jordan_permutation(field, m) -> Matrix:
         nxt = m[k] if k < two_tau else 0
         for t in range(nxt, m[k - 1]):
             images.extend(off[k - d] + t for d in range(k))
-    return permutation_matrix(field, images)
+    return images
+
+
+def jordan_permutation(field, m) -> Matrix:
+    """P with P * N * P.transpose() == the Jordan direct sum for the
+    same parameter sequence (blocks in increasing size order)."""
+    return permutation_matrix(field, _jordan_images(m))
 
 
 def full_decomposition(a: Matrix) -> tuple[BlockSum, Matrix]:
     """The complete answer: a BlockSum naming the regular part and
     the Jordan multiset, plus X with X * A * X.star equal to
-    regular (+) J-blocks in increasing size order."""
+    regular (+) J-blocks in increasing size order: the rows of
+    global_transform in the order of I (+) jordan_permutation."""
     sf = canonical_sparse_form(a)
-    field = a.field
-    p = jordan_permutation(field, sf.m)
-    x = direct_sum(field, [Matrix.identity(field, sf.regular_part.rows), p]
-                   ) * sf.global_transform
+    g, rho = sf.global_transform, sf.regular_part.rows
+    order = [*range(rho), *(rho + i for i in _jordan_images(sf.m))]
+    x = Matrix(a.field, g.rows, g.cols, tuple(g.row(i) for i in order))
     return multiplicities(sf), x

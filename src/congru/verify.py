@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .matrix import Matrix, direct_sum, invariants, jordan_block, rank
+from .matrix import Matrix, invariants, rank
 from .regularize import BlockSum, assemble, regularize
 from .scalar import FieldKind, FieldSpec
 from .sparse_form import full_decomposition
@@ -181,12 +181,11 @@ def roundtrip_suite(trials: int, *, seed: int) -> SuiteReport:
             k = rng.randint(1, min(4, budget))
             sizes.append(k)
             budget -= k
-        blocks = [_draw_nonsingular(rng, field, b_size, _ENTRY_BOUND)]
-        blocks.extend(jordan_block(field, k) for k in sorted(sizes))
-        canonical = direct_sum(field, blocks)
+        want = {k: sizes.count(k) for k in set(sizes)}
+        canonical = assemble(BlockSum(
+            _draw_nonsingular(rng, field, b_size, _ENTRY_BOUND), want))
         s = _draw_nonsingular(rng, field, canonical.rows, _ENTRY_BOUND)
         a = (s.star * canonical) * s
-        want = {k: sizes.count(k) for k in set(sizes)}
         bs, x = full_decomposition(a)
         if dict(bs.jordan_multiplicities) != want:
             failures.append(
@@ -198,8 +197,7 @@ def roundtrip_suite(trials: int, *, seed: int) -> SuiteReport:
                 f"trial {i}: regular size {bs.regular_part.rows} != "
                 f"{b_size}")
             continue
-        rep = check_transform(a, x, assemble(BlockSum(
-            bs.regular_part, bs.jordan_multiplicities)))
+        rep = check_transform(a, x, assemble(bs))
         if not rep.ok:
             failures.append(f"trial {i}: {rep.reason}")
     return SuiteReport(trials, trials - len(failures), tuple(failures))

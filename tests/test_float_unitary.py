@@ -110,6 +110,19 @@ class TestFloatRegularize:
         assert any("borderline" in w for w in rf.warnings)
 
 
+    def test_increasing_m_is_refused(self, monkeypatch):
+        # rank n - 1 for the working block and 2 for its n - 1 x 1
+        # coupling block: the first stage gives m = (1, 2)
+        def increasing(s, shape, mode, scale):
+            return (shape[0] - 1 if shape[0] == shape[1] else 2), []
+
+        monkeypatch.setattr("congru.float_unitary._decide_rank", increasing)
+        a = np.arange(16.0).reshape(4, 4) + np.eye(4)
+        with pytest.raises(RuntimeError,
+                           match=r"non-increasing, got \(1, 2\)"):
+            float_regularize(a, FloatMode.real_identity())
+
+
 class TestPattern:
     def test_mask_tau_1(self):
         # layout [regular, m_2, m_1]; coupling cell and B cell free

@@ -26,8 +26,9 @@ from congru import (
 from congru.matrix import (f_block, g_block, row_echelon_transform,
                            unit_completion)
 
-from conftest import (ALL_FIELDS, GAUSSIAN_CONJ, GF7, RATIONALS,
-                      fielded_square, scalar_strategy, square_matrix)
+from conftest import (ALL_FIELDS, GAUSSIAN_CONJ, GAUSSIAN_IDENT, GF7,
+                      RATIONALS, fielded_square, scalar_strategy,
+                      square_matrix)
 
 
 def _mat(field, rows):
@@ -149,6 +150,44 @@ class TestStar:
         b = data.draw(square_matrix(a.field, min_n=a.rows, max_n=a.rows))
         assert (a * b).star == b.star * a.star
         assert a.star.star == a
+
+    @pytest.mark.parametrize("field", ALL_FIELDS, ids=str)
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_star_and_transpose_entries(self, field, data):
+        rows, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+        sc = scalar_strategy(field)
+        a = Matrix.from_rows(
+            field, [[data.draw(sc) for _ in range(cols)] for _ in range(rows)],
+            cols=cols)
+        t, s = a.transpose(), a.star
+        assert t.shape == s.shape == (cols, rows)
+        for i in range(rows):
+            for j in range(cols):
+                assert t[j, i] == a[i, j]
+                assert s[j, i] == field.conjugate(a[i, j])
+        assert t.transpose() == a and s.star == a
+
+    @pytest.mark.parametrize("field", ALL_FIELDS, ids=str)
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_star_and_transpose_of_empty_shapes(self, field, shape):
+        a = Matrix.zeros(field, *shape)
+        want = Matrix.zeros(field, shape[1], shape[0])
+        assert a.transpose() == want and a.star == want
+        assert want.transpose() == a and want.star == a
+
+    @pytest.mark.parametrize("field", [RATIONALS, GAUSSIAN_IDENT, GF7],
+                             ids=str)
+    def test_star_under_the_identity_is_the_transpose(self, field,
+                                                      monkeypatch):
+        def no_conjugate(self, x):
+            raise AssertionError("star conjugated under the identity")
+
+        a = _mat(field, [[1, 2, 0], [0, 3, 4]])
+        if field is GAUSSIAN_IDENT:
+            a = a.scale(field.imaginary_unit()) + a
+        monkeypatch.setattr(FieldSpec, "conjugate", no_conjugate)
+        assert a.star == a.transpose()
 
 
 class TestElimination:
@@ -293,6 +332,25 @@ class TestBuilders:
     def test_permutation_validated(self):
         with pytest.raises(ValueError, match="not a permutation"):
             permutation_matrix(RATIONALS, [0, 0])
+
+    @pytest.mark.parametrize("field", ALL_FIELDS, ids=str)
+    def test_zero_one(self, field):
+        m = Matrix.zero_one(field, 2, 3, [(0, 2), (1, 0)])
+        z, o = field.zero(), field.one()
+        assert m == Matrix.from_rows(field, [[z, z, o], [o, z, z]])
+        assert Matrix.zero_one(field, 3, 0, []).shape == (3, 0)
+        assert Matrix.identity(field, 3) \
+            == Matrix.zero_one(field, 3, 3, [(0, 0), (1, 1), (2, 2)])
+        assert Matrix.zeros(field, 2, 2) == Matrix.zero_one(field, 2, 2, [])
+
+    def test_direct_sum_of_blocks(self):
+        a = _mat(RATIONALS, [[1, 2]])
+        b = _mat(RATIONALS, [[3], [4]])
+        assert direct_sum(RATIONALS, [a, b]).to_text() \
+            == "3 3\n1 2 0\n0 0 3\n0 0 4\n"
+        assert direct_sum(RATIONALS, []) == Matrix.zeros(RATIONALS, 0, 0)
+        assert direct_sum(RATIONALS, [Matrix.zeros(RATIONALS, 0, 2), b]) \
+            == _mat(RATIONALS, [[0, 0, 3], [0, 0, 4]])
 
     def test_direct_sum_mixed_fields_rejected(self):
         with pytest.raises(ValueError, match="mixed fields"):
@@ -449,19 +507,24 @@ def _check_inverse(a: Matrix, boost) -> Matrix | None:
     return inv
 
 
+def _check_product(a: Matrix, b: Matrix) -> Matrix:
+    field = a.field
+    ab = a * b
+    assert ab.shape == (a.rows, b.cols)
+    for i in range(a.rows):
+        for j in range(b.cols):
+            assert ab[i, j] == _stored(field, [sum(
+                (a[i, k] * b[k, j] for k in range(a.cols)), field.zero())])[0]
+    return ab
+
+
 class TestRationalKernels:
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
     def test_product_is_the_sum_of_products(self, data):
         a = data.draw(kernel_matrix())
         b = data.draw(kernel_matrix(rows=a.cols))
-        ab = a * b
-        assert ab.shape == (a.rows, b.cols)
-        for i in range(a.rows):
-            for j in range(b.cols):
-                assert ab[i, j] == sum(
-                    (a[i, k] * b[k, j] for k in range(a.cols)), Fraction(0))
-        assert _all_fractions(ab)
+        assert _all_fractions(_check_product(a, b))
 
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
@@ -506,6 +569,15 @@ class TestRationalKernels:
 class TestFieldKernels:
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
+    def test_product_is_the_sum_of_products(self, field, data):
+        a = data.draw(kernel_matrix(field))
+        ab = _check_product(a, data.draw(kernel_matrix(field, rows=a.cols)))
+        # stored entries: the field's own type, GF(p) ones in [0, p)
+        assert all(type(x) is type(field.zero()) for x in _entries(ab))
+        assert _entries(ab) == _stored(field, _entries(ab))
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
     def test_rank_and_row_echelon_transform(self, field, data):
         _check_rank_and_row_echelon_transform(
             data.draw(kernel_matrix(field)))
@@ -529,6 +601,14 @@ class TestFieldKernels:
         _check_inverse(a, data.draw(st.one_of(st.none(), _ENTRIES[field])))
 
 
+def test_prime_products_are_reduced():
+    # every term is (p - 1)^2 = 1, far above p before the reduction
+    p = GF_BIG.p
+    a = _mat(GF_BIG, [[p - 1, p - 1, p - 1]])
+    assert a * a.transpose() == _mat(GF_BIG, [[3]])
+    assert a.transpose() * a == _mat(GF_BIG, [[1] * 3] * 3)
+
+
 @pytest.mark.parametrize("field", [RATIONALS, GAUSSIAN_CONJ, GF_BIG], ids=str)
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
@@ -549,6 +629,22 @@ def test_unit_completion(field, data):
 def test_unit_completion_rejects_dependent_rows():
     with pytest.raises(ValueError, match="independent rows"):
         unit_completion(_mat(RATIONALS, [[1, 2, 3], [2, 4, 6]]))
+
+
+def test_rank_reads_only_the_pivots(monkeypatch):
+    # rank, and through it nullity, invariants and is_nonsingular,
+    # count pivots without decoding the eliminated rows
+    h = Fraction(1, 2)
+    a = _mat(RATIONALS, [[h, 1, 0], [1, 2, 0], [0, h, Fraction(3, 4)]])
+
+    def no_decode(row):
+        raise AssertionError("a rank decoded its rows")
+
+    monkeypatch.setattr("congru.matrix._q_decode", no_decode)
+    assert rank(a) == 2 and nullity(a) == 1
+    assert invariants(a) == Invariants(nu=1, zeta=0, kappa=1, rho=1)
+    assert not a.is_nonsingular()
+    assert Matrix.identity(RATIONALS, 3).is_nonsingular()
 
 
 class TestNoEmptyElimination:

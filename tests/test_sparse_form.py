@@ -194,6 +194,19 @@ def test_full_decomposition_properties(data):
         assert dict(bs.jordan_multiplicities) == {}
 
 
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_jordan_permutation_applied_as_a_row_order(data):
+    # X is (I (+) P) * global_transform without the product
+    a = data.draw(fielded_square(max_n=5))
+    sf = canonical_sparse_form(a)
+    field = a.field
+    p = jordan_permutation(field, sf.m)
+    ident = Matrix.identity(field, sf.regular_part.rows)
+    assert full_decomposition(a)[1] \
+        == direct_sum(field, [ident, p]) * sf.global_transform
+
+
 def test_scrambled_sums_recovered_exactly():
     rng = random.Random(2024)
     for field in (RATIONALS, GAUSSIAN_CONJ, GAUSSIAN_IDENT):
