@@ -29,8 +29,15 @@ calls `congru.cli.main`:
 - `float-regularize` in text and JSON on the 25 float-complex inputs.
 
 A run's stdout, stderr and exit code must match byte for byte.  The
-script prints the number of differing runs, then the line count of
-each tree's `congru/*.py`, and exits 1 on any difference.
+script prints the number of differing runs, then the number that
+still differ once the entries of every transform, replaced transform,
+regular part and pencil coefficient matrix are masked (their
+dimensions kept; float-regularize runs are never masked), then how
+many of the change tree's `decompose --json --emit-transform`
+transforms X pass `check_transform(A, X, assemble(answer))` against
+that run's own answer, and last the line count of each tree's
+`congru/*.py`.  It exits 1 on any byte difference and on any failed
+check.
 """
 
 from __future__ import annotations
@@ -80,6 +87,35 @@ for argv in json.load(sys.stdin):
     results.append([status, out.getvalue(), err.getvalue()])
 json.dump(results, sys.stdout)
 """
+
+# reads [[argv, stdout], ...] of decompose --json --emit-transform runs
+# and writes the argv of every run whose transform fails check_transform
+CHECK_CHILD = r"""
+import json, sys
+from congru import BlockSum, Matrix, assemble, check_transform
+from congru.cli import CliConfig, _load_exact, _resolve_field, build_parser
+
+failed = []
+for argv, out in json.load(sys.stdin):
+    config = CliConfig(**vars(build_parser().parse_args(argv)))
+    field = _resolve_field(config)
+    obj = json.loads(out)
+    mults = {int(k): v for k, v in obj["multiplicities"].items()}
+    target = assemble(BlockSum(Matrix.from_json_dict(field, obj["regular"]),
+                               mults))
+    x = Matrix.from_json_dict(field, obj["transform"])
+    if not check_transform(_load_exact(config, field), x, target).ok:
+        failed.append(argv)
+json.dump(failed, sys.stdout)
+"""
+
+# the matrices whose entries depend on the completions that the stages
+# and merges choose; the structural comparison masks their entries
+JSON_MASKED = ("regular", "transform", "replaced_transform", "constant",
+               "lambda")
+TEXT_MASKED = ("regular:", "transform:", "replaced transform:",
+               "jordan constant:", "jordan lambda:", "replaced constant:",
+               "replaced lambda:")
 
 
 def _write_text_copy(json_path: str) -> str:
@@ -165,15 +201,54 @@ def build_runs(directory: str) -> list[list[str]]:
     return runs
 
 
-def run_tree(src: str, runs: list) -> subprocess.Popen:
+def run_tree(src: str, runs: list, child: str = CHILD) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src),
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.Popen([sys.executable, "-c", CHILD], env=env,
+    proc = subprocess.Popen([sys.executable, "-c", child], env=env,
                             stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                             text=True)
     proc.stdin.write(json.dumps(runs))
     proc.stdin.close()
     return proc
+
+
+def _masked_json(obj):
+    if isinstance(obj, list):
+        return [_masked_json(v) for v in obj]
+    if not isinstance(obj, dict):
+        return obj
+    return {k: ({"rows": v["rows"], "cols": v["cols"]}
+                if k in JSON_MASKED and isinstance(v, dict) and "entries" in v
+                else _masked_json(v)) for k, v in obj.items()}
+
+
+def _masked_text(out: str) -> str:
+    """Each masked matrix keeps its label and its "rows cols" line."""
+    lines, kept = out.split("\n"), []
+    i = 0
+    while i < len(lines):
+        kept.append(lines[i])
+        if lines[i] in TEXT_MASKED:
+            kept.append(lines[i + 1])
+            i += 1 + int(lines[i + 1].split()[0])
+        i += 1
+    return "\n".join(kept)
+
+
+def _structure(argv: list, result: list) -> list:
+    """A run's result with the entries of JSON_MASKED / TEXT_MASKED
+    matrices dropped; a failed run and a float run stay as they are."""
+    status, out, err = result
+    if status != 0 or argv[0] == "float-regularize":
+        return result
+    if "--json" in argv:
+        return [status, _masked_json(json.loads(out)), err]
+    return [status, _masked_text(out), err]
+
+
+def _is_checked(argv: list, result: list) -> bool:
+    return (argv[0] == "decompose" and "--json" in argv
+            and "--emit-transform" in argv and result[0] == 0)
 
 
 def main(argv: list[str]) -> int:
@@ -190,21 +265,42 @@ def main(argv: list[str]) -> int:
                 print(f"child process for {src} failed", file=sys.stderr)
                 return 1
             results.append(json.loads(out))
-    differ = 0
-    for argv_run, old, new in zip(runs, *results):
+        checked = [[run, res[1]] for run, res in zip(runs, results[1])
+                   if _is_checked(run, res)]
+        proc = run_tree(argv[1], checked, CHECK_CHILD)
+        out = proc.stdout.read()
+        if proc.wait() != 0:
+            print(f"check process for {argv[1]} failed", file=sys.stderr)
+            return 1
+        failed_checks = json.loads(out)
+
+    def shown(run: list) -> str:
+        return " ".join(a[len(directory) + 1:] if a.startswith(directory)
+                        else a for a in run)
+
+    differ = structural = 0
+    for run, old, new in zip(runs, *results):
         if old != new:
             differ += 1
             if differ <= 5:
                 fields = [k for k, a, b in zip(("exit code", "stdout",
                                                 "stderr"), old, new)
                           if a != b]
-                shown = [a[len(directory) + 1:] if a.startswith(directory)
-                         else a for a in argv_run]
-                print(f"differs in {', '.join(fields)}: {' '.join(shown)}")
+                print(f"differs in {', '.join(fields)}: {shown(run)}")
+        if _structure(run, old) != _structure(run, new):
+            structural += 1
+            if structural <= 5:
+                print(f"differs in structure: {shown(run)}")
     print(f"{differ} of {len(runs)} runs differ")
+    print(f"{structural} of {len(runs)} runs differ with matrix entries "
+          "masked")
+    for run in failed_checks:
+        print(f"check_transform fails: {shown(run)}")
+    print(f"{len(checked) - len(failed_checks)} of {len(checked)} "
+          f"decompose transforms of {argv[1]} pass check_transform")
     for src in argv:
         print(f"{_line_count(src):,} lines in {src}/congru/*.py")
-    return 1 if differ else 0
+    return 1 if differ or failed_checks else 0
 
 
 def _line_count(src: str) -> int:

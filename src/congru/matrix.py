@@ -538,16 +538,25 @@ def _basis_rows(field: FieldSpec, n: int, rows: Iterable, pivots: list,
 
 
 def row_echelon_transform(a: Matrix) -> tuple[Matrix, Matrix, int]:
-    """A nonsingular T, product of elementary row operations, such that
-    T*a has its rank(a) independent rows on top and its zero rows at
-    the bottom.  Returns (T, T*a, rank), T*a as the elimination leaves
-    it, not multiplied out."""
-    n = a.cols
-    rows, pivots = _eliminate(a, Matrix.identity(a.field, a.rows)._r, False)
+    """A nonsingular T with T*a = [a[P, :]; 0], P the rank(a) rows of
+    a that became pivots in one forward elimination of [a | I], in
+    increasing order: T is the unit rows at P over the eliminated left
+    null basis, so a nonsingular a gets T = I.  Pivot row i is row p_i
+    of a plus multiples of earlier pivot rows, so p_i is the first
+    nonzero column of its mirror half that is not an earlier p.
+    Returns (T, T*a, rank), T*a read from a, not multiplied out."""
+    field, m, n = a.field, a.rows, a.cols
+    rows, pivots = _eliminate(a, Matrix.identity(field, m)._r, False)
     rows = list(rows)
-    return (Matrix(a.field, a.rows, a.rows, tuple(r[n:] for r in rows)),
-            Matrix(a.field, a.rows, n, tuple(r[:n] for r in rows)),
-            len(pivots))
+    p: list = []
+    for row in rows[:len(pivots)]:
+        p.append(next(j for j, x in enumerate(row[n:]) if x and j not in p))
+    p.sort()
+    null = rows[len(p):]
+    top = Matrix.zero_one(field, len(p), m, enumerate(p))._r
+    return (Matrix(field, m, m, top + tuple(row[n:] for row in null)),
+            Matrix(field, m, n, tuple(a._r[i] for i in p)
+                   + tuple(row[:n] for row in null)), len(p))
 
 
 def rank(a: Matrix) -> int:

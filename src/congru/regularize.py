@@ -72,17 +72,16 @@ class BlockSum:
 def stage(a: Matrix) -> StageRecord:
     """One two-step *congruence stage on a square matrix.
 
-    Step 1 compresses the row space: with S from row elimination,
-    (S*A)*S.star has its bottom m_odd = nullity(A) rows and columns of
-    zeros, leaving [[M, N], [0, 0]].  Step 2 pushes the rank of N to
-    the bottom: R*N has zero rows on top and m_even = rank(N)
-    independent rows below.  The composed T = (R (+) I) * S produces
-    the stage block form.  Each step is one row_echelon_transform,
-    which hands back S*A (or R*N) as eliminated, so neither is
-    multiplied out.
-
-    A nonsingular input (0x0 included) is reported, not rejected:
-    m_odd = m_even = 0, T = I and a_next = A, with empty b, c, d, e.
+    Step 1 compresses the row space: S = [unit rows at P; L], P the
+    pivot rows of A and L a basis of its left null space, gives
+    (S*A)*S.star = [[M, N], [0, 0]] with M = A[P, P] and m_odd =
+    nullity(A).  Step 2 pushes the rank of N to the bottom: R = [left
+    null basis of N; unit rows at its pivot rows P2] gives R*N = [0; e]
+    with e = N[P2, :] and m_even = rank(N).  T = [R*S_top; L] produces
+    the stage block form, which grows only through the null bases.  A
+    nonsingular input (0x0 included) takes the same path: P is every
+    row, so m_odd = m_even = 0, T = I, a_next = A and b, c, d, e are
+    empty.
     """
     if not a.is_square():
         raise ValueError("stage requires a square matrix")
@@ -90,19 +89,14 @@ def stage(a: Matrix) -> StageRecord:
     field = a.field
     s, sa, r = row_echelon_transform(a)
     m_odd = n - r
-    if m_odd == 0:
-        zeros = Matrix.zeros
-        return StageRecord(
-            m_odd=0, m_even=0, transform=Matrix.identity(field, n),
-            a_next=a, b=zeros(field, n, 0), c=zeros(field, 0, n),
-            d=zeros(field, 0, 0), e=zeros(field, 0, 0))
     sa = sa * s.star
     m_block = sa.block(0, r, 0, r)
     rr, rn, m_even = row_echelon_transform(sa.block(0, r, r, n))
     # zeros on top: the m_even independent rows of R*N go to the bottom
     rr = Matrix.from_blocks(field, [[rr.block(m_even, r, 0, r)],
                                     [rr.block(0, m_even, 0, r)]])
-    t = direct_sum(field, [rr, Matrix.identity(field, m_odd)]) * s
+    t = Matrix.from_blocks(field, [[rr * s.block(0, r, 0, n)],
+                                   [s.block(r, n, 0, n)]])
     rm = (rr * m_block) * rr.star
     rho = r - m_even
     return StageRecord(

@@ -256,6 +256,34 @@ def test_row_echelon_transform_properties(data):
 
 
 @given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_row_echelon_transform_keeps_the_pivot_rows(data):
+    # T is unit rows at increasing columns P over a left null basis,
+    # so the top rows of T*a are the rows of a at P
+    field = data.draw(st.sampled_from(ALL_FIELDS))
+    m, n = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    grid = [[data.draw(scalar_strategy(field)) for _ in range(n)]
+            for _ in range(m)]
+    if m >= 2 and data.draw(st.booleans()):
+        # a multiple of an earlier row lowers the rank
+        i = data.draw(st.integers(1, m - 1))
+        c = data.draw(scalar_strategy(field))
+        grid[i] = [c * x for x in grid[data.draw(st.integers(0, i - 1))]]
+    a = Matrix.from_rows(field, grid, cols=n)
+    t, ta, r = row_echelon_transform(a)
+    assert r == rank(a)
+    assert ta == t * a
+    p = []
+    for i in range(r):
+        support = [j for j, x in enumerate(t.row(i)) if x]
+        assert len(support) == 1 and t[i, support[0]] == field.one()
+        p.extend(support)
+    assert p == sorted(set(p))
+    assert [ta.row(i) for i in range(r)] == [a.row(j) for j in p]
+    assert (t.block(r, m, 0, m) * a).is_zero()
+
+
+@given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_solve_recovers_constructed_solution(data):
     a = data.draw(fielded_square(max_n=4))

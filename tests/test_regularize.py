@@ -51,9 +51,13 @@ class TestStageWorkedExample:
         assert rec.e[0, 0] != GAUSSIAN_IDENT.zero()
 
     def test_stage_reports_nonsingular(self):
-        # a nonsingular block ends the loop: m_odd == 0, nothing moves
+        # a nonsingular block ends the loop: m_odd == 0, nothing moves;
+        # the first pivot of the last one is row 1, so its pivot rows
+        # keep their order only once sorted
         for a in (Matrix.identity(RATIONALS, 2),
-                  Matrix.zeros(RATIONALS, 0, 0)):
+                  Matrix.zeros(RATIONALS, 0, 0),
+                  Matrix.from_rows(RATIONALS,
+                                   [[0, 1, 2], [3, 0, 1], [1, 1, 0]])):
             rec = stage(a)
             assert (rec.m_odd, rec.m_even) == (0, 0)
             assert rec.transform == Matrix.identity(RATIONALS, a.rows)
