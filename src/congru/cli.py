@@ -18,8 +18,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .float_unitary import (FloatMode, _read_float, float_regularize,
                             pattern_residual, render_float_matrix,
@@ -31,6 +30,9 @@ from .regularize import regularize
 from .scalar import FieldSpec
 from .sparse_form import canonical_sparse_form, full_decomposition
 from .verify import invariance_suite, roundtrip_suite
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _EXACT_FIELDS = ("rational", "gaussian-rational", "prime-field")
 _FLOAT_FIELDS = ("real", "complex")
@@ -132,6 +134,8 @@ def _load_exact(config: CliConfig, field: FieldSpec) -> Matrix:
 
 
 def _load_float(config: CliConfig, complex_entries: bool) -> np.ndarray:
+    import numpy as np  # only the float command needs it
+
     a = _read_float(_read_json if config.json_io else _read_text,
                     _read_document(config), complex_entries, square=True)
     if a.size and not np.isfinite(a).all():

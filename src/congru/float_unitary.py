@@ -18,11 +18,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .matrix import MatrixParseError, _read_text, _write_text
 from .regularize import check_non_increasing
 from .scalar import _quote_token
+
+
+class _Numpy:
+    """Stands in for numpy until the first attribute read, which
+    imports it and rebinds the module global np to the real module.
+    The package imports this module eagerly, and the exact path never
+    needs numpy, so an exact command does not pay numpy's import."""
+
+    def __getattr__(self, name):
+        global np
+        import numpy
+        np = numpy
+        return getattr(numpy, name)
+
+
+np = _Numpy()
 
 COMPLEX_CONJUGATION = "complex-conjugation"
 COMPLEX_IDENTITY = "complex-identity"

@@ -680,6 +680,12 @@ def g_block(field: FieldSpec, n: int) -> Matrix:
                            [(i, i + 1) for i in range(n - 1)])
 
 
+def unit_columns(a: Matrix) -> list[int]:
+    """The column of the first nonzero entry of each row of a; for
+    unit rows, such as a permutation's, the column of each row's 1."""
+    return [next(j for j, x in enumerate(row) if x) for row in a._r]
+
+
 def permutation_matrix(field: FieldSpec, images: Sequence[int]) -> Matrix:
     """P with P[i, images[i]] = 1, so row i of P*A is row images[i]
     of A."""

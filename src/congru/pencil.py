@@ -20,6 +20,7 @@ from .matrix import (
     g_block,
     jordan_block,
     permutation_matrix,
+    unit_columns,
 )
 from .scalar import FieldSpec
 from .sparse_form import full_decomposition
@@ -140,11 +141,16 @@ class PencilDecomposition:
     @property
     def replaced_transform(self) -> Matrix:
         """Transform carrying the pencil straight to the replaced
-        form: the per-block witnesses stacked on the Jordan
-        transform."""
-        return self._block_sum(
-            Matrix.identity(self.pencil.field, self.regular.rows),
-            lambda kb: kb.replacement.witness) * self.transform
+        form: (I (+) the per-block witnesses) * transform, read as the
+        rows of transform in the order of those permutations."""
+        order = list(range(self.regular.rows))
+        for kb in self.kronecker_blocks:
+            cols = unit_columns(kb.replacement.witness)
+            for _ in range(kb.multiplicity):
+                base = len(order)
+                order.extend(base + c for c in cols)
+        x = self.transform
+        return Matrix(x.field, x.rows, x.cols, tuple(map(x.row, order)))
 
     def jordan_parts(self) -> tuple[Matrix, Matrix]:
         """Coefficient pair (C, C.star) of the Jordan-pair presentation:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .matrix import (Matrix, direct_sum, jordan_block,
-                     row_echelon_transform)
+                     row_echelon_transform, unit_columns)
 
 
 @dataclass(frozen=True)
@@ -89,14 +89,23 @@ def stage(a: Matrix) -> StageRecord:
     field = a.field
     s, sa, r = row_echelon_transform(a)
     m_odd = n - r
-    sa = sa * s.star
-    m_block = sa.block(0, r, 0, r)
-    rr, rn, m_even = row_echelon_transform(sa.block(0, r, r, n))
+    # S_top is the unit rows at P: M = A[P, P] is read from A and only
+    # N = A[P, :]*L* is multiplied out
+    p = unit_columns(s.block(0, r, 0, n))
+    l = s.block(r, n, 0, n)
+    m_block = Matrix(field, r, r, tuple(
+        tuple(row[j] for j in p) for row in map(a.row, p)))
+    rr, rn, m_even = row_echelon_transform(sa.block(0, r, 0, n) * l.star)
     # zeros on top: the m_even independent rows of R*N go to the bottom
     rr = Matrix.from_blocks(field, [[rr.block(m_even, r, 0, r)],
                                     [rr.block(0, m_even, 0, r)]])
-    t = Matrix.from_blocks(field, [[rr * s.block(0, r, 0, n)],
-                                   [s.block(r, n, 0, n)]])
+    # R*S_top is R with its column j moved to column p_j
+    col = dict(zip(p, range(r)))
+    zero = field.zero()
+    rs = Matrix(field, r, n, tuple(
+        tuple(row[col[c]] if c in col else zero for c in range(n))
+        for row in map(rr.row, range(r))))
+    t = Matrix.from_blocks(field, [[rs], [l]])
     rm = (rr * m_block) * rr.star
     rho = r - m_even
     return StageRecord(

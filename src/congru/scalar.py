@@ -381,7 +381,7 @@ class FieldSpec:
             if self.kind is FieldKind.RATIONAL:
                 if not _RATIONAL_RE.fullmatch(s):
                     raise ValueError(s)
-                return Fraction(s)
+                return Fraction(*_ratio(s))
             if self.kind is FieldKind.PRIME_FIELD:
                 return int(s, 10) % self.p
             return _parse_gaussian(s)
@@ -422,19 +422,32 @@ _GAUSSIAN_RE = re.compile(
 )
 
 
+def _ratio(s: str) -> tuple[int, int]:
+    """(n, d) with d > 0 for a token that matched [+-]?_RAT, read with
+    int(): Fraction(s) would run its own regex over the token again.
+    ZeroDivisionError for a zero denominator, as from Fraction(s)."""
+    num, _, den = s.partition("/")
+    d = int(den) if den else 1
+    if not d:
+        raise ZeroDivisionError(s)
+    return int(num), d
+
+
 def _parse_gaussian(s: str) -> GaussianRational:
     m = _GAUSSIAN_RE.match(s)
     if m is None:
         raise ValueError(s)
-    if m.group("real") is not None:
-        return GaussianRational(Fraction(m.group("real")), 0)
-    if m.group("real1") is not None:
-        re_part = Fraction(m.group("real1"))
-        coef = Fraction(m.group("c1")) if m.group("c1") else Fraction(1)
-        if m.group("s1") == "-":
-            coef = -coef
-        return GaussianRational(re_part, coef)
-    coef = Fraction(m.group("c0")) if m.group("c0") else Fraction(1)
-    if m.group("s0") == "-":
-        coef = -coef
-    return GaussianRational(0, coef)
+    if m["real"] is not None:
+        a, d = _ratio(m["real"])
+        return _reduced(a, 0, d)
+    if m["real1"] is not None:
+        a, d = _ratio(m["real1"])
+        sign, coef = m["s1"], m["c1"]
+    else:
+        a, d = 0, 1
+        sign, coef = m["s0"], m["c0"]
+    b, e = _ratio(coef) if coef else (1, 1)
+    if sign == "-":
+        b = -b
+    # (a/d) + (b/e)*i = (a*e + b*d*i) / (d*e)
+    return _reduced(a * e, b * d, d * e)

@@ -288,6 +288,53 @@ def test_closed_stdout_exits_quietly(tmp_path):
     assert err == b""
 
 
+# One process: exact decompose in text and JSON, a check of what is
+# loaded, then float-regularize; prints one JSON line of the results.
+_EXACT_THEN_FLOAT = """
+import contextlib, io, json, sys
+import congru, congru.cli
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = congru.cli.main(list(argv))
+    return status, out.getvalue()
+
+text, doc, flt = sys.argv[1:]
+statuses = [run("decompose", "--field", "gaussian-rational",
+                "--involution", "conjugate", *args)[0]
+            for args in ([text], ["--json", doc])]
+loaded = ["numpy" in sys.modules, "congru.float_unitary" in sys.modules]
+print(json.dumps({"statuses": statuses, "loaded": loaded,
+                  "float": run("float-regularize", "--involution",
+                               "conjugate", flt)}))
+"""
+
+
+def test_exact_commands_do_not_load_numpy(tmp_path, worked):
+    doc = tmp_path / "w.json"
+    doc.write_text(json.dumps({"rows": 2, "cols": 2,
+                               "entries": ["1", "-i", "i", "1"]}))
+    flt = tmp_path / "f.txt"
+    flt.write_text(WORKED_FLOAT)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(congru.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _EXACT_THEN_FLOAT, worked, str(doc),
+         str(flt)], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["statuses"] == [0, 0]
+    assert got["loaded"] == [False, True]
+    fresh = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from congru.cli import main; sys.exit(main())",
+         "float-regularize", "--involution", "conjugate", str(flt)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert got["float"] == [fresh.returncode, fresh.stdout]
+    assert got["float"][1].startswith("m=")
+
+
 class TestJsonMode:
     def test_decompose_json(self, capsys, tmp_path, worked):
         src = json.loads(
