@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .matrix import MatrixParseError, _read_text, _write_text
-from .regularize import check_non_increasing
+from .regularize import block_slices, run_stages
 from .scalar import _quote_token
 
 
@@ -154,7 +154,8 @@ def float_stage(a, mode: FloatMode, scale: float | None = None,
     rank vanish, so U^H plays the row-compression transform for every
     mode.  Step 2: an SVD of the coupling block N, with the row order
     reversed, pushes its rank to the bottom rows.  m_odd = 0 signals a
-    numerically nonsingular input (nothing to split off).
+    numerically nonsingular input (nothing to split off); a 0x0 input
+    takes the same path, through empty SVDs.
 
     scale overrides the reference magnitude for the relative rank
     rule; float_regularize passes the original matrix norm so later,
@@ -162,10 +163,6 @@ def float_stage(a, mode: FloatMode, scale: float | None = None,
     """
     a = _coerce(a, mode)
     n = a.shape[0]
-    if n == 0:
-        empty = np.zeros((0, 0), dtype=mode.dtype)
-        return FloatStageRecord(0, 0, np.eye(0, dtype=mode.dtype),
-                                empty, empty, ())
     u, s, _ = np.linalg.svd(a)
     if scale is None:
         scale = float(s[0]) if len(s) else 0.0
@@ -192,43 +189,22 @@ def float_regularize(a, mode: FloatMode) -> ReducedForm:
     block pattern with the parameter sequence."""
     a = _coerce(a, mode)
     n = a.shape[0]
-    t_total = np.eye(n, dtype=mode.dtype)
-    m: list[int] = []
-    warnings: list[str] = []
     scale = float(np.linalg.norm(a, 2)) if n else 0.0
-    current = a
-    while current.shape[0]:
-        rec = float_stage(current, mode, scale)
-        warnings.extend(rec.warnings)
-        if rec.m_odd == 0:
-            break
-        m.extend((rec.m_odd, rec.m_even))
-        check_non_increasing(m)
+    stages, last = run_stages(a, lambda w: float_stage(w, mode, scale))
+    t_total = np.eye(n, dtype=mode.dtype)
+    for rec in stages:
         t_total = _embed(rec.transform, n, mode.dtype) @ t_total
-        current = rec.a_next
+    m = tuple(v for rec in stages for v in (rec.m_odd, rec.m_even))
     reduced = t_total @ a @ mode.adjoint(t_total)
     rho = n - sum(m)
     return ReducedForm(
-        m=tuple(m), transform=t_total, reduced=reduced,
-        regular_block=reduced[:rho, :rho], warnings=tuple(warnings),
+        m=m, transform=t_total, reduced=reduced,
+        regular_block=reduced[:rho, :rho],
+        warnings=tuple(w for rec in (*stages, last) for w in rec.warnings),
         mode=mode)
 
 
 # -- the reduced block pattern -------------------------------------------------
-
-
-def block_slices(rho: int, m: tuple[int, ...]) -> list[tuple[int, slice]]:
-    """(label, slice) pairs for the diagonal block layout.  Top to
-    bottom the blocks are the regular part (label 2*tau + 1) followed
-    by m_2tau, ..., m_1 (label = index)."""
-    labels = [len(m) + 1] + list(range(len(m), 0, -1))
-    sizes = [rho] + list(reversed(m))
-    out = []
-    start = 0
-    for lbl, sz in zip(labels, sizes):
-        out.append((lbl, slice(start, start + sz)))
-        start += sz
-    return out
 
 
 def _cell_required_zero(a_lbl: int, b_lbl: int, reg: int) -> bool:

@@ -243,11 +243,12 @@ class Matrix:
 # -- the grid format -------------------------------------------------------------
 # One codec for every matrix read or written, exact or float.  Text: a
 # "rows cols" header line, then one line of cols whitespace-separated
-# entries per row (blank or absent when cols is 0).  JSON: an object
-# with rows, cols and the row-major list of entries.  The readers take
-# the per-entry parser, which raises ValueError (or OverflowError) on a
-# bad token, and return (rows, cols, entries) with the entries parsed.
-# square=True rejects a non-square header before any entry is read.
+# entries per row.  JSON: an object with rows, cols and the row-major
+# list of entries.  The readers take the per-entry parser, which raises
+# ValueError (or OverflowError) on a bad token, and return (rows, cols,
+# entries) with the entries parsed.  square=True rejects a non-square
+# header before any entry is read.  A header with rows but no columns
+# is rejected: it declares a matrix that no entry bounds.
 
 
 def _check_dims(rows: int, cols: int, square: bool) -> None:
@@ -256,6 +257,9 @@ def _check_dims(rows: int, cols: int, square: bool) -> None:
     if square and rows != cols:
         raise MatrixParseError(
             f"expected a square matrix, found {rows}x{cols}", 1, 1)
+    if rows and not cols:
+        raise MatrixParseError(
+            "a matrix with 0 columns must have 0 rows", 1, 1)
 
 
 def _read_text(text: str, parse: Callable, square: bool = False) -> tuple:
@@ -273,7 +277,7 @@ def _read_text(text: str, parse: Callable, square: bool = False) -> tuple:
     _check_dims(rows, cols, square)
     # only the lines that exist are visited: the header is untrusted
     body = lines[1:rows + 1]
-    if cols and len(body) < rows:
+    if len(body) < rows:
         body.append("")  # the first missing row reports itself below
     entries = []
     for lineno, raw in enumerate(body, start=2):

@@ -22,6 +22,7 @@ from .matrix import (
     permutation_matrix,
     unit_columns,
 )
+from .regularize import BlockSum, assemble
 from .scalar import FieldSpec
 from .sparse_form import full_decomposition
 
@@ -131,13 +132,6 @@ class PencilDecomposition:
     regular: Matrix
     kronecker_blocks: tuple[KroneckerBlock, ...]
 
-    def _block_sum(self, first: Matrix, block) -> Matrix:
-        """first (+) kb.multiplicity copies of block(kb) for each block kb."""
-        blocks = [first]
-        for kb in self.kronecker_blocks:
-            blocks.extend([block(kb)] * kb.multiplicity)
-        return direct_sum(self.pencil.field, blocks)
-
     @property
     def replaced_transform(self) -> Matrix:
         """Transform carrying the pencil straight to the replaced
@@ -156,16 +150,18 @@ class PencilDecomposition:
         """Coefficient pair (C, C.star) of the Jordan-pair presentation:
         transform * pencil(lam) * transform.star == C + lam * C.star,
         with C the regular part followed by J_k summands ascending."""
-        c = self._block_sum(
-            self.regular, lambda kb: jordan_block(self.pencil.field, kb.size))
+        c = assemble(BlockSum(self.regular, {
+            kb.size: kb.multiplicity for kb in self.kronecker_blocks}))
         return c, c.star
 
     def replaced_parts(self) -> tuple[Matrix, Matrix]:
         """Coefficient pair of the replaced presentation, each Jordan
         summand swapped for its Kronecker pair: replaced_transform
         carries the pencil onto C + lam * C.star."""
-        c = self._block_sum(self.regular,
-                            lambda kb: kb.replacement.constant_part)
+        blocks = [self.regular]
+        for kb in self.kronecker_blocks:
+            blocks.extend([kb.replacement.constant_part] * kb.multiplicity)
+        c = direct_sum(self.pencil.field, blocks)
         return c, c.star
 
     def jordan_form(self, lam) -> Matrix:

@@ -120,33 +120,36 @@ def stage(a: Matrix) -> StageRecord:
     )
 
 
-def regularize(a: Matrix) -> RegularizationResult:
-    """Iterate `stage` on the shrinking working block until it reports
-    a nonsingular block (m_odd == 0).  Records every singular stage;
-    raises RuntimeError if the parameter sequence m ever increases."""
-    if not a.is_square():
-        raise ValueError("regularize requires a square matrix")
-    stages: list[StageRecord] = []
+def run_stages(a, step):
+    """The stage loop of both reductions, exact and float, which differ
+    only in step.  Applies step to a, then to each record's a_next,
+    until a record reports a nonsingular block (m_odd == 0); returns
+    the singular records and that final record.  Raises RuntimeError
+    as soon as the parameter sequence m increases."""
+    stages = []
     m: list[int] = []
-    work = a
-    while True:
-        rec = stage(work)
-        if rec.m_odd == 0:
-            break
+    rec = step(a)
+    while rec.m_odd:
         stages.append(rec)
         m.extend((rec.m_odd, rec.m_even))
-        work = rec.a_next
-    check_non_increasing(m)
+        if m != sorted(m, reverse=True):
+            raise RuntimeError(
+                f"stage parameters must be non-increasing, got {tuple(m)}")
+        rec = step(rec.a_next)
+    return stages, rec
+
+
+def regularize(a: Matrix) -> RegularizationResult:
+    """Iterate `stage` on the shrinking working block until it reports
+    a nonsingular block, and record every singular stage.  The final
+    stage has T = I, so its a_next is its input, the regular part."""
+    if not a.is_square():
+        raise ValueError("regularize requires a square matrix")
+    stages, last = run_stages(a, stage)
     return RegularizationResult(
-        tau=len(stages), m=tuple(m), regular_part=work,
-        stages=tuple(stages))
-
-
-def check_non_increasing(m: list[int]) -> None:
-    """RuntimeError when the parameter sequence m ever increases."""
-    if any(m[i] < m[i + 1] for i in range(len(m) - 1)):
-        raise RuntimeError(
-            f"stage parameters must be non-increasing, got {tuple(m)}")
+        tau=len(stages),
+        m=tuple(v for rec in stages for v in (rec.m_odd, rec.m_even)),
+        regular_part=last.a_next, stages=tuple(stages))
 
 
 def multiplicities(result: RegularizationResult) -> BlockSum:
@@ -175,3 +178,15 @@ def assemble(block_sum: BlockSum) -> Matrix:
             raise ValueError("negative multiplicity")
         blocks.extend(jordan_block(field, k) for _ in range(count))
     return direct_sum(field, blocks)
+
+
+def block_slices(rho: int, m: tuple[int, ...]) -> list[tuple[int, slice]]:
+    """(label, slice) pairs for the diagonal block layout that m
+    fixes.  Top to bottom the blocks are the regular part (label
+    2*tau + 1) followed by m_2tau, ..., m_1 (label = index)."""
+    out = []
+    start = 0
+    for lbl, size in zip(range(len(m) + 1, 0, -1), [rho, *reversed(m)]):
+        out.append((lbl, slice(start, start + size)))
+        start += size
+    return out

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 from .matrix import (Matrix, direct_sum, permutation_matrix, solve,
                      unit_completion)
-from .regularize import BlockSum, StageRecord, multiplicities, regularize
+from .regularize import (BlockSum, StageRecord, block_slices,
+                         multiplicities, regularize)
 # bench/test_bench.py checks that this module still binds `stage`
 from .regularize import stage  # noqa: F401
 
@@ -43,23 +44,13 @@ def _validate_m(m) -> tuple[int, ...]:
     return m
 
 
-def _offsets(m: tuple[int, ...]) -> dict[int, int]:
-    # block j of N starts at row/column offsets[j]; blocks are laid
-    # out top to bottom as m_2tau, ..., m_1
-    off = {}
-    acc = 0
-    for j in range(len(m), 0, -1):
-        off[j] = acc
-        acc += m[j - 1]
-    return off
-
-
 def sparse_nilpotent(field, m) -> Matrix:
     """The canonical nilpotent block matrix for a parameter sequence:
     unit blocks [I_{m_j} 0] of size m_j x m_{j-1} on the first block
     superdiagonal, zeros elsewhere."""
     m = _validate_m(m)
-    off = _offsets(m)
+    # block j of N starts at row and column off[j]
+    off = {j: s.start for j, s in block_slices(0, m)}
     size = sum(m)
     return Matrix.zero_one(field, size, size, [
         (off[j] + t, off[j - 1] + t)
@@ -188,7 +179,7 @@ def _jordan_images(m) -> list[int]:
     the Jordan blocks shorter first, ties broken by t.
     """
     m = _validate_m(m)
-    off = _offsets(m)
+    off = {j: s.start for j, s in block_slices(0, m)}
     two_tau = len(m)
     images: list[int] = []
     for k in range(1, two_tau + 1):

@@ -253,6 +253,8 @@ def test_public_surface():
                          ("pencil", "lemma6_permutation"),
                          ("pencil", "permuted_jordan_target"),
                          ("pencil", "replace_block"),
+                         ("regularize", "block_slices"),
+                         ("regularize", "run_stages"),
                          ("float_unitary", "block_slices"),
                          ("float_unitary", "required_zero_mask"),
                          ("verify", "nilpotent_jordan_oracle"),

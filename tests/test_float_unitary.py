@@ -59,8 +59,15 @@ class TestFloatStage:
             float_stage(np.zeros((1, 2)), FloatMode.real_identity())
 
     def test_empty_input(self):
-        rec = float_stage(np.zeros((0, 0)), FloatMode.real_identity())
-        assert (rec.m_odd, rec.m_even) == (0, 0)
+        # a 0x0 input takes the general path: empty SVDs, no split
+        for mode in (FloatMode.real_identity(), FloatMode.complex_identity(),
+                     FloatMode.complex_conjugation()):
+            rec = float_stage(np.zeros((0, 0)), mode)
+            assert (rec.m_odd, rec.m_even) == (0, 0)
+            for block in (rec.transform, rec.form, rec.a_next):
+                assert block.shape == (0, 0)
+                assert block.dtype == mode.dtype
+            assert rec.warnings == ()
 
     def test_nonsingular_input_signals_zero(self):
         rec = float_stage(np.eye(3), FloatMode.real_identity())
@@ -238,9 +245,13 @@ class TestFloatTextFormat:
     @pytest.mark.parametrize("header", ["100000000000000000000 0",
                                         "0 100000000000000000000"])
     def test_huge_zero_width_header(self, header):
-        # no entry to read, but numpy cannot shape an array this large
+        # rows without columns are refused by the header check; a huge
+        # width over no rows has no entry to read, but numpy cannot
+        # shape an array this large
+        expected = {"100000000000000000000 0": "0 columns must have 0 rows",
+                    "0 100000000000000000000": "too large"}[header]
         for complex_entries in (False, True):
-            with pytest.raises(MatrixParseError, match="too large") as ei:
+            with pytest.raises(MatrixParseError, match=expected) as ei:
                 parse_float_matrix(header, complex_entries=complex_entries)
             assert (ei.value.line, ei.value.column) == (1, 1)
 

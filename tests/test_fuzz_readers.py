@@ -20,9 +20,10 @@ _TOKENS = st.sampled_from([
 ])
 _SEP = st.sampled_from([" ", "  ", "\t", "\r", "\x0b", " "])
 
-# Header integers stay small: a zero-width grid (rows x 0) holds one
-# empty row per declared row, so a huge row count is a huge matrix.
-# The CLI rejects such a header as non-square; see the CLI tests below.
+# Header integers stay small, so that drawn rows often match the
+# header.  A zero-width header with rows (rows x 0) is rejected at
+# line 1, so no declared row count is allocated; the CLI rejects it
+# as non-square first, see the CLI tests below.
 _DIM = st.integers(-2, 4)
 
 

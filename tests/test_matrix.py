@@ -91,10 +91,15 @@ class TestTextFormat:
             Matrix.from_text(RATIONALS, "1 1\n1\njunk\n")
 
     def test_zero_cols_blank_lines_optional(self):
-        a = Matrix.from_text(RATIONALS, "3 0\n")
-        assert a.shape == (3, 0)
-        b = Matrix.from_text(RATIONALS, "3 0\n\n\n\n")
-        assert b.shape == (3, 0)
+        # rows without columns are refused at the header, before any
+        # line is visited, so a huge row count costs nothing
+        for text in ("3 0\n", "3 0\n\n\n\n", "3000000000 0\n"):
+            with pytest.raises(MatrixParseError, match="0 columns") as ei:
+                Matrix.from_text(RATIONALS, text)
+            assert (ei.value.line, ei.value.column) == (1, 1)
+        with pytest.raises(MatrixParseError, match="0 columns"):
+            Matrix.from_json_dict(
+                RATIONALS, {"rows": 3000000000, "cols": 0, "entries": []})
 
     def test_zero_by_zero(self):
         a = Matrix.from_text(RATIONALS, "0 0\n")

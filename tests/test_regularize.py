@@ -1,5 +1,6 @@
 """Stage reduction and the regularizing loop."""
 
+import dataclasses
 import sys
 
 import pytest
@@ -140,6 +141,21 @@ class TestRegularize:
         monkeypatch.setattr(mod, "stage", lambda work: next(recs))
         with pytest.raises(RuntimeError, match="non-increasing"):
             regularize(Matrix.zeros(RATIONALS, 3, 3))
+
+    def test_increasing_m_is_refused(self, monkeypatch):
+        # the exact twin of the float test: the first stage gives
+        # m = (1, 2), refused before its a_next is staged
+        mod = sys.modules["congru.regularize"]
+        real = mod.stage
+        recs = iter([
+            dataclasses.replace(real(Matrix.zeros(RATIONALS, 1, 1)),
+                                m_even=2),
+            real(Matrix.identity(RATIONALS, 1))])
+        monkeypatch.setattr(mod, "stage", lambda work: next(recs))
+        with pytest.raises(RuntimeError,
+                           match=r"non-increasing, got \(1, 2\)"):
+            regularize(Matrix.zeros(RATIONALS, 3, 3))
+        assert next(recs, None) is not None
 
 
 @given(data=st.data())
