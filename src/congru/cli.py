@@ -27,14 +27,16 @@ from .matrix import (Matrix, MatrixParseError, _read_json, _read_text,
                      _write_json, invariants)
 from .pencil import SelfadjointPencil, pencil_regularize
 from .regularize import regularize
-from .scalar import FieldSpec
+from .scalar import FieldKind, FieldSpec, Involution
 from .sparse_form import canonical_sparse_form, full_decomposition
 from .verify import invariance_suite, roundtrip_suite
 
 if TYPE_CHECKING:
     import numpy as np
 
-_EXACT_FIELDS = ("rational", "gaussian-rational", "prime-field")
+# the flag values are the library's own names
+_EXACT_FIELDS = tuple(kind.value for kind in FieldKind)
+_INVOLUTIONS = tuple(inv.value for inv in Involution)
 _FLOAT_FIELDS = ("real", "complex")
 
 
@@ -69,24 +71,15 @@ class CliResult:
 def _resolve_field(config: CliConfig) -> FieldSpec:
     if config.prime is not None and config.field != "prime-field":
         raise CliInputError("--prime is only valid with --field prime-field")
+    if config.field == "prime-field" and config.prime is None:
+        raise CliInputError("--field prime-field requires --prime")
+    if (config.involution == "conjugate"
+            and config.field != "gaussian-rational"):
+        raise CliInputError("conjugation requires --field gaussian-rational")
     try:
-        if config.field == "rational":
-            if config.involution == "conjugate":
-                raise CliInputError(
-                    "conjugation requires --field gaussian-rational")
-            return FieldSpec.rationals()
-        if config.field == "gaussian-rational":
-            return FieldSpec.gaussian(
-                conjugation=config.involution == "conjugate")
-        if config.prime is None:
-            raise CliInputError("--field prime-field requires --prime")
-        if config.involution == "conjugate":
-            raise CliInputError(
-                "conjugation requires --field gaussian-rational")
-        return FieldSpec.prime_field(config.prime)
+        return FieldSpec(FieldKind(config.field),
+                         Involution(config.involution), config.prime)
     except ValueError as exc:
-        if isinstance(exc, CliInputError):
-            raise
         raise CliInputError(str(exc)) from None
 
 
@@ -369,7 +362,7 @@ def run(config: CliConfig) -> CliResult:
 
 def _add_exact_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--field", choices=_EXACT_FIELDS, default="rational")
-    p.add_argument("--involution", choices=("identity", "conjugate"),
+    p.add_argument("--involution", choices=_INVOLUTIONS,
                    default="identity")
     p.add_argument("--prime", type=int, default=None,
                    help="modulus for --field prime-field")
@@ -395,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("float-regularize")
     p.add_argument("--field", choices=_FLOAT_FIELDS, default="complex")
-    p.add_argument("--involution", choices=("identity", "conjugate"),
+    p.add_argument("--involution", choices=_INVOLUTIONS,
                    default="identity")
     p.add_argument("--tol", type=float, default=None,
                    help="fixed rank tolerance (default: relative rule)")

@@ -257,13 +257,15 @@ def unitarity_residual(t: np.ndarray) -> float:
 
 def _real_entry(tok) -> float:
     try:
+        if type(tok) is bool:
+            raise TypeError  # JSON true and false are not numbers
         return float(tok)  # a decimal literal or a JSON number
     except (TypeError, ValueError):
         raise ValueError(f"invalid real entry {_quote_token(tok)}") from None
 
 
 def _complex_entry(tok) -> complex | float:
-    if isinstance(tok, (int, float)):  # a JSON number
+    if type(tok) is float or type(tok) is int:  # a JSON number, not a bool
         return float(tok)
     s = str(tok).replace("*i", "i").replace("*j", "j").replace("i", "j")
     try:

@@ -27,7 +27,7 @@ from functools import partial
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
-from .scalar import FieldKind, FieldSpec, Involution, Scalar
+from .scalar import _INTEGER_RE, FieldKind, FieldSpec, Involution, Scalar
 
 
 class MatrixParseError(ValueError):
@@ -201,6 +201,21 @@ class Matrix:
         return Matrix(self.field, r1 - r0, c1 - c0, tuple(
             row[c0:c1] for row in self._r[r0:r1]))
 
+    def take(self, rows: Sequence[int],
+             cols: Sequence[int | None] | None = None) -> "Matrix":
+        """The rows at `rows`, in that order; with cols, column j of
+        the result is column cols[j], or zeros where cols[j] is None."""
+        picked = [self._r[i] for i in rows if 0 <= i < self.rows]
+        if len(picked) != len(rows) or cols is not None and not all(
+                c is None or 0 <= c < self.cols for c in cols):
+            raise ValueError("take out of range")
+        if cols is None:
+            return Matrix(self.field, len(picked), self.cols, tuple(picked))
+        zero = self.field.zero()
+        return Matrix(self.field, len(picked), len(cols), tuple(
+            tuple([zero if c is None else row[c] for c in cols])
+            for row in picked))
+
     # -- rank and singularity ----------------------------------------------------
 
     def is_nonsingular(self) -> bool:
@@ -267,13 +282,9 @@ def _read_text(text: str, parse: Callable, square: bool = False) -> tuple:
     if not lines or not lines[0].strip():
         raise MatrixParseError("missing header line", 1, 1)
     header = lines[0].split()
-    try:
-        if len(header) != 2:
-            raise ValueError
-        rows, cols = int(header[0]), int(header[1])
-    except ValueError:
-        raise MatrixParseError(
-            "header must be two integers: rows cols", 1, 1) from None
+    if len(header) != 2 or not all(map(_INTEGER_RE.fullmatch, header)):
+        raise MatrixParseError("header must be two integers: rows cols", 1, 1)
+    rows, cols = int(header[0]), int(header[1])
     _check_dims(rows, cols, square)
     # only the lines that exist are visited: the header is untrusted
     body = lines[1:rows + 1]
@@ -304,12 +315,12 @@ def _read_text(text: str, parse: Callable, square: bool = False) -> tuple:
 def _read_json(obj, parse: Callable, square: bool = False) -> tuple:
     if not isinstance(obj, dict):
         raise MatrixParseError("expected a JSON object", 1, 1)
-    try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        entries = obj["entries"]
-    except (KeyError, TypeError, ValueError, OverflowError):
-        raise MatrixParseError(
-            "object must carry rows, cols, entries", 1, 1) from None
+    rows, cols = obj.get("rows"), obj.get("cols")
+    # JSON integers only: not 1.9, "1" or true
+    if (type(rows) is not int or type(cols) is not int
+            or "entries" not in obj):
+        raise MatrixParseError("object must carry rows, cols, entries", 1, 1)
+    entries = obj["entries"]
     _check_dims(rows, cols, square)
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise MatrixParseError("entries must hold rows*cols values", 1, 1)
@@ -541,14 +552,14 @@ def _basis_rows(field: FieldSpec, n: int, rows: Iterable, pivots: list,
     return tuple(out), free
 
 
-def row_echelon_transform(a: Matrix) -> tuple[Matrix, Matrix, int]:
-    """A nonsingular T with T*a = [a[P, :]; 0], P the rank(a) rows of
-    a that became pivots in one forward elimination of [a | I], in
-    increasing order: T is the unit rows at P over the eliminated left
-    null basis, so a nonsingular a gets T = I.  Pivot row i is row p_i
-    of a plus multiples of earlier pivot rows, so p_i is the first
-    nonzero column of its mirror half that is not an earlier p.
-    Returns (T, T*a, rank), T*a read from a, not multiplied out."""
+def row_echelon_transform(a: Matrix) -> tuple[list[int], Matrix]:
+    """(P, L) from one forward elimination of [a | I]: P the rank(a)
+    rows of a that became pivots, in increasing order, and L the
+    eliminated left null basis, L*a = 0.  T = [unit rows at P; L] is
+    nonsingular with T*a = [a[P, :]; 0], and a nonsingular a has every
+    row in P.  Pivot row i is row p_i of a plus multiples of earlier
+    pivot rows, so p_i is the first nonzero column of its mirror half
+    that is not an earlier p."""
     field, m, n = a.field, a.rows, a.cols
     rows, pivots = _eliminate(a, Matrix.identity(field, m)._r, False)
     rows = list(rows)
@@ -556,11 +567,8 @@ def row_echelon_transform(a: Matrix) -> tuple[Matrix, Matrix, int]:
     for row in rows[:len(pivots)]:
         p.append(next(j for j, x in enumerate(row[n:]) if x and j not in p))
     p.sort()
-    null = rows[len(p):]
-    top = Matrix.zero_one(field, len(p), m, enumerate(p))._r
-    return (Matrix(field, m, m, top + tuple(row[n:] for row in null)),
-            Matrix(field, m, n, tuple(a._r[i] for i in p)
-                   + tuple(row[:n] for row in null)), len(p))
+    return p, Matrix(field, m - len(p), m,
+                     tuple(row[n:] for row in rows[len(p):]))
 
 
 def rank(a: Matrix) -> int:

@@ -143,8 +143,7 @@ class PencilDecomposition:
             for _ in range(kb.multiplicity):
                 base = len(order)
                 order.extend(base + c for c in cols)
-        x = self.transform
-        return Matrix(x.field, x.rows, x.cols, tuple(map(x.row, order)))
+        return self.transform.take(order)
 
     def jordan_parts(self) -> tuple[Matrix, Matrix]:
         """Coefficient pair (C, C.star) of the Jordan-pair presentation:

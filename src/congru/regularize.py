@@ -17,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .matrix import (Matrix, direct_sum, jordan_block,
-                     row_echelon_transform, unit_columns)
+from .matrix import Matrix, direct_sum, jordan_block, row_echelon_transform
 
 
 @dataclass(frozen=True)
@@ -72,51 +71,43 @@ class BlockSum:
 def stage(a: Matrix) -> StageRecord:
     """One two-step *congruence stage on a square matrix.
 
-    Step 1 compresses the row space: S = [unit rows at P; L], P the
-    pivot rows of A and L a basis of its left null space, gives
-    (S*A)*S.star = [[M, N], [0, 0]] with M = A[P, P] and m_odd =
-    nullity(A).  Step 2 pushes the rank of N to the bottom: R = [left
-    null basis of N; unit rows at its pivot rows P2] gives R*N = [0; e]
-    with e = N[P2, :] and m_even = rank(N).  T = [R*S_top; L] produces
-    the stage block form, which grows only through the null bases.  A
-    nonsingular input (0x0 included) takes the same path: P is every
-    row, so m_odd = m_even = 0, T = I, a_next = A and b, c, d, e are
-    empty.
+    Step 1 compresses the row space: with (P, L) the pivot rows of A
+    and its eliminated left null basis, S = [unit rows at P; L] gives
+    (S*A)*S.star = [[M, N], [0, 0]] with M = A[P, P], N = A[P, :]*L*
+    and m_odd = nullity(A).  Step 2 pushes the rank of N to the bottom:
+    with (P2, L2) those of N, R = [L2; unit rows at P2] gives
+    R*N = [0; e] with e = N[P2, :] and m_even = rank(N).
+    T = [R*S_top; L] produces the stage block form, which grows only
+    through the null bases.  A nonsingular input (0x0 included) takes
+    the same path: P is every row, so m_odd = m_even = 0, T = I,
+    a_next = A and b, c, d, e are empty.
     """
     if not a.is_square():
         raise ValueError("stage requires a square matrix")
     n = a.rows
     field = a.field
-    s, sa, r = row_echelon_transform(a)
-    m_odd = n - r
-    # S_top is the unit rows at P: M = A[P, P] is read from A and only
-    # N = A[P, :]*L* is multiplied out
-    p = unit_columns(s.block(0, r, 0, n))
-    l = s.block(r, n, 0, n)
-    m_block = Matrix(field, r, r, tuple(
-        tuple(row[j] for j in p) for row in map(a.row, p)))
-    rr, rn, m_even = row_echelon_transform(sa.block(0, r, 0, n) * l.star)
-    # zeros on top: the m_even independent rows of R*N go to the bottom
-    rr = Matrix.from_blocks(field, [[rr.block(m_even, r, 0, r)],
-                                    [rr.block(0, m_even, 0, r)]])
+    p, l = row_echelon_transform(a)
+    r = len(p)
+    n_block = a.take(p) * l.star
+    p2, l2 = row_echelon_transform(n_block)
+    m_even = len(p2)
+    rr = Matrix.from_blocks(field, [
+        [l2], [Matrix.zero_one(field, m_even, r, enumerate(p2))]])
     # R*S_top is R with its column j moved to column p_j
     col = dict(zip(p, range(r)))
-    zero = field.zero()
-    rs = Matrix(field, r, n, tuple(
-        tuple(row[col[c]] if c in col else zero for c in range(n))
-        for row in map(rr.row, range(r))))
-    t = Matrix.from_blocks(field, [[rs], [l]])
-    rm = (rr * m_block) * rr.star
+    t = Matrix.from_blocks(field, [
+        [rr.take(range(r), [col.get(c) for c in range(n)])], [l]])
+    rm = (rr * a.take(p, p)) * rr.star
     rho = r - m_even
     return StageRecord(
-        m_odd=m_odd,
+        m_odd=n - r,
         m_even=m_even,
         transform=t,
         a_next=rm.block(0, rho, 0, rho),
         b=rm.block(0, rho, rho, r),
         c=rm.block(rho, r, 0, rho),
         d=rm.block(rho, r, rho, r),
-        e=rn.block(0, m_even, 0, m_odd),
+        e=n_block.take(p2),
     )
 
 

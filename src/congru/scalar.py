@@ -333,19 +333,19 @@ class FieldSpec:
         if self.kind is FieldKind.RATIONAL:
             if isinstance(x, Fraction):
                 return x
-            if isinstance(x, int):
+            if type(x) is int:  # a bool is not a number
                 return Fraction(x)
         elif self.kind is FieldKind.GAUSSIAN_RATIONAL:
             if isinstance(x, GaussianRational):
                 return x
-            if isinstance(x, (int, Fraction)):
+            if type(x) is int or isinstance(x, Fraction):
                 return GaussianRational(x, 0)
         else:
             if isinstance(x, ModInt):
                 if x.p != self.p:
                     raise ValueError("mixed moduli")
                 return x.val
-            if isinstance(x, int):
+            if type(x) is int:
                 return x % self.p
             if isinstance(x, Fraction):
                 # n/d maps to n * d^-1 mod p
@@ -383,7 +383,9 @@ class FieldSpec:
                     raise ValueError(s)
                 return Fraction(*_ratio(s))
             if self.kind is FieldKind.PRIME_FIELD:
-                return int(s, 10) % self.p
+                if not _INTEGER_RE.fullmatch(s):
+                    raise ValueError(s)
+                return int(s) % self.p
             return _parse_gaussian(s)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"invalid scalar {_quote_token(text)}") from None
@@ -407,10 +409,13 @@ def _quote_token(token) -> str:
     return r if len(r) <= 40 else r[:40] + "…"
 
 
-# one rational grammar, p or p/q, for Q and both parts of Q(i).
-# Fraction alone also takes decimals and exponents, and with them a
-# short token such as 1e999999999 that builds an enormous integer.
-_RAT = r"\d+(?:/\d+)?"
+# one ASCII integer grammar, for GF(p) tokens and the grid headers,
+# and one rational grammar, p or p/q, for Q and both parts of Q(i).
+# int() alone also takes "_" separators and any Unicode digit, and
+# Fraction decimals and exponents, and with them a short token such as
+# 1e999999999 that builds an enormous integer.
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+_RAT = r"[0-9]+(?:/[0-9]+)?"
 _RATIONAL_RE = re.compile(rf"[+-]?{_RAT}")
 
 _GAUSSIAN_RE = re.compile(

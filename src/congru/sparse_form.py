@@ -201,7 +201,6 @@ def full_decomposition(a: Matrix) -> tuple[BlockSum, Matrix]:
     regular (+) J-blocks in increasing size order: the rows of
     global_transform in the order of I (+) jordan_permutation."""
     sf = canonical_sparse_form(a)
-    g, rho = sf.global_transform, sf.regular_part.rows
+    rho = sf.regular_part.rows
     order = [*range(rho), *(rho + i for i in _jordan_images(sf.m))]
-    x = Matrix(a.field, g.rows, g.cols, tuple(g.row(i) for i in order))
-    return multiplicities(sf), x
+    return multiplicities(sf), sf.global_transform.take(order)

@@ -17,6 +17,26 @@ GF7 = FieldSpec.prime_field(7)
 
 ALL_FIELDS = (RATIONALS, GAUSSIAN_CONJ, GAUSSIAN_IDENT, GF7)
 
+# Numbers outside the input grammars: digits are ASCII 0-9 with no "_",
+# headers and JSON rows/cols are integers, and true/false is no number.
+# Each is (--field value, document), a JSON document as a dict; prime
+# fields read modulo 7.  Library readers raise MatrixParseError on
+# each, and the CLI exits 1.
+MALFORMED_NUMBERS = [
+    *((f, f"1 1\n{tok}\n") for f in
+      ("rational", "gaussian-rational", "prime-field")
+      for tok in ("1_0", "1_000", "\u0661\u0662", "\uff11\uff12")),
+    ("rational", "0_1 0_1\n5\n"),
+    ("rational", "\u0661 \u0661\n5\n"),
+    ("real", "0_1 0_1\n5\n"),
+    *(("rational", {"rows": v, "cols": v, "entries": ["1"]})
+      for v in (1.9, True, "1")),
+    ("complex", {"rows": 1.0, "cols": 1, "entries": [1.0]}),
+    *((f, {"rows": 1, "cols": 1, "entries": [b]})
+      for f in ("rational", "gaussian-rational", "prime-field", "real",
+                "complex") for b in (True, False)),
+]
+
 _small = st.integers(-4, 4)
 
 

@@ -12,6 +12,8 @@ import congru
 from congru import SuiteReport
 from congru.cli import main
 
+from conftest import MALFORMED_NUMBERS
+
 WORKED = "2 2\n1 -i\ni 1\n"
 WORKED_FLOAT = "2 2\n1 -1i\n1i 1\n"
 GAUSS = ["--field", "gaussian-rational"]
@@ -415,6 +417,43 @@ class TestErrors:
         assert "prime" in err
 
 
+_PRIMES = (None, 7, 8, 2**31 + 11, -7, 0)
+_PRIME_ONLY = "--prime is only valid with --field prime-field"
+_NEEDS_PRIME = "--field prime-field requires --prime"
+_CONJ = "conjugation requires --field gaussian-rational"
+# (field, involution) -> the stderr text for each of _PRIMES, or None
+# where the flags name a field
+_FLAG_ERRORS = {
+    ("rational", "identity"): [None] + [_PRIME_ONLY] * 5,
+    ("rational", "conjugate"): [_CONJ] + [_PRIME_ONLY] * 5,
+    ("gaussian-rational", "identity"): [None] + [_PRIME_ONLY] * 5,
+    ("gaussian-rational", "conjugate"): [None] + [_PRIME_ONLY] * 5,
+    ("prime-field", "identity"): [
+        _NEEDS_PRIME, None, "8 is not prime",
+        "prime modulus must be below 2**31", "-7 is not prime",
+        "0 is not prime"],
+    ("prime-field", "conjugate"): [_NEEDS_PRIME] + [_CONJ] * 5,
+}
+
+
+@pytest.mark.parametrize("field, involution, prime, error", [
+    (f, i, p, e) for (f, i), errors in _FLAG_ERRORS.items()
+    for p, e in zip(_PRIMES, errors)])
+def test_field_flag_combinations(capsys, tmp_path, field, involution, prime,
+                                 error):
+    p = tmp_path / "a.txt"
+    p.write_text("2 2\n0 1\n1 0\n")
+    prime_flag = [] if prime is None else ["--prime", str(prime)]
+    status, out, err = run_cli(capsys, [
+        "decompose", "--field", field, "--involution", involution,
+        *prime_flag, str(p)])
+    if error is None:
+        assert (status, out, err) == (
+            0, "regular 2x2\nregular:\n2 2\n0 1\n1 0\n", "")
+    else:
+        assert (status, out, err) == (1, "", f"error: {error}\n")
+
+
 class TestArgv:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -494,6 +533,24 @@ class TestHostileInput:
         assert err.startswith("error: line ")
         assert "…" in err
         assert len(err.encode()) < 200
+
+    @pytest.mark.parametrize("field_flag, doc", MALFORMED_NUMBERS)
+    def test_numbers_outside_the_grammar(self, capsys, tmp_path, field_flag,
+                                         doc):
+        p = tmp_path / "bad.in"
+        p.write_text(json.dumps(doc) if isinstance(doc, dict) else doc,
+                     encoding="utf-8")
+        if field_flag in ("real", "complex"):
+            argv = ["float-regularize", "--field", field_flag]
+        else:
+            argv = ["decompose", "--field", field_flag]
+            if field_flag == "prime-field":
+                argv += ["--prime", "7"]
+        if isinstance(doc, dict):
+            argv.append("--json")
+        status, out, err = run_cli(capsys, [*argv, str(p)])
+        assert (status, out) == (1, "")
+        assert err.startswith("error: line ")
 
     def test_invalid_utf8(self, capsys, tmp_path):
         p = tmp_path / "bin.txt"

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import congru
 from congru import (
+    FieldKind,
     FieldSpec,
     Invariants,
     Matrix,
@@ -23,12 +24,13 @@ from congru import (
     rank,
     solve,
 )
-from congru.matrix import (f_block, g_block, row_echelon_transform,
-                           unit_completion)
+from congru.float_unitary import _read_float
+from congru.matrix import (_read_json, _read_text, f_block, g_block,
+                           row_echelon_transform, unit_completion)
 
 from conftest import (ALL_FIELDS, GAUSSIAN_CONJ, GAUSSIAN_IDENT, GF7,
-                      RATIONALS, fielded_square, scalar_strategy,
-                      square_matrix)
+                      MALFORMED_NUMBERS, RATIONALS, fielded_square,
+                      scalar_strategy, square_matrix)
 
 
 def _mat(field, rows):
@@ -125,6 +127,21 @@ class TestJsonFormat:
             Matrix.from_json_dict(RATIONALS, {"rows": 1})
 
 
+@pytest.mark.parametrize("field_flag, doc", MALFORMED_NUMBERS)
+def test_numbers_outside_the_grammar_are_parse_errors(field_flag, doc):
+    with pytest.raises(MatrixParseError):
+        if field_flag in ("real", "complex"):
+            _read_float(_read_json if isinstance(doc, dict) else _read_text,
+                        doc, field_flag == "complex")
+        else:
+            kind = FieldKind(field_flag)
+            field = FieldSpec(kind, p=7 if kind is FieldKind.PRIME_FIELD
+                              else None)
+            read = (Matrix.from_json_dict if isinstance(doc, dict)
+                    else Matrix.from_text)
+            read(field, doc)
+
+
 @pytest.mark.parametrize("field", ALL_FIELDS, ids=str)
 @given(data=st.data())
 @settings(max_examples=40)
@@ -195,12 +212,37 @@ class TestStar:
         assert a.star == a.transpose()
 
 
+class TestTake:
+    a = _mat(RATIONALS, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+
+    def test_rows_in_the_given_order(self):
+        assert self.a.take([2, 0, 2]) == _mat(
+            RATIONALS, [[7, 8, 9], [1, 2, 3], [7, 8, 9]])
+        assert self.a.take(range(3)) == self.a
+
+    def test_no_rows(self):
+        assert self.a.take([]) == Matrix.zeros(RATIONALS, 0, 3)
+        assert self.a.take([], [1, None]) == Matrix.zeros(RATIONALS, 0, 2)
+
+    @pytest.mark.parametrize("field", ALL_FIELDS, ids=str)
+    def test_none_columns_are_zero(self, field):
+        a = _mat(field, [[1, 2], [3, 4]])
+        assert a.take([1, 0], [None, 0, None, 1, 1]) == _mat(
+            field, [[0, 3, 0, 4, 4], [0, 1, 0, 2, 2]])
+        assert a.take([0], []) == Matrix.zeros(field, 1, 0)
+
+    @pytest.mark.parametrize("rows, cols", [
+        ([3], None), ([-1], None), ([0], [3]), ([0], [-1]), ([0, 5], [0])])
+    def test_out_of_range(self, rows, cols):
+        with pytest.raises(ValueError, match="out of range"):
+            self.a.take(rows, cols)
+
+
 class TestElimination:
     def test_row_echelon_bottom(self):
         a = _mat(RATIONALS, [[0, 0], [1, 2]])
-        t, ta, r = row_echelon_transform(a)
+        t, ta, r = _echelon(a)
         assert r == 1
-        assert ta == t * a
         assert ta.row(1) == (Fraction(0), Fraction(0))
         assert not ta.row(0) == (Fraction(0), Fraction(0))
 
@@ -248,14 +290,29 @@ def test_rank_nullity_and_nullspace(data):
     assert (a * ns).is_zero()
 
 
+def _echelon(a: Matrix) -> tuple[Matrix, Matrix, int]:
+    """row_echelon_transform(a) = (P, L) checked and returned as
+    (T, T*a, rank), T = [unit rows at P; L]: P increasing, L*a = 0, T
+    nonsingular, and the top rows of T*a are a[P, :]."""
+    field, m = a.field, a.rows
+    p, l = row_echelon_transform(a)
+    r = len(p)
+    assert p == sorted(set(p)) and all(0 <= i < m for i in p)
+    assert l.shape == (m - r, m) and (l * a).is_zero()
+    t = Matrix.from_blocks(field, [
+        [Matrix.zero_one(field, r, m, enumerate(p))], [l]])
+    assert t.is_nonsingular()
+    ta = t * a
+    assert ta.block(0, r, 0, a.cols) == a.take(p)
+    return t, ta, r
+
+
 @given(data=st.data())
 @settings(max_examples=50, deadline=None)
 def test_row_echelon_transform_properties(data):
     a = data.draw(fielded_square())
-    t, ta, r = row_echelon_transform(a)
-    assert t.is_nonsingular()
+    t, ta, r = _echelon(a)
     assert r == rank(a)
-    assert ta == t * a
     for i in range(r, a.rows):
         assert all(not x for x in ta.row(i))
 
@@ -263,8 +320,7 @@ def test_row_echelon_transform_properties(data):
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_row_echelon_transform_keeps_the_pivot_rows(data):
-    # T is unit rows at increasing columns P over a left null basis,
-    # so the top rows of T*a are the rows of a at P
+    # T = [unit rows at P; L] keeps the rows of a at P on top
     field = data.draw(st.sampled_from(ALL_FIELDS))
     m, n = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
     grid = [[data.draw(scalar_strategy(field)) for _ in range(n)]
@@ -275,17 +331,9 @@ def test_row_echelon_transform_keeps_the_pivot_rows(data):
         c = data.draw(scalar_strategy(field))
         grid[i] = [c * x for x in grid[data.draw(st.integers(0, i - 1))]]
     a = Matrix.from_rows(field, grid, cols=n)
-    t, ta, r = row_echelon_transform(a)
+    _, ta, r = _echelon(a)
     assert r == rank(a)
-    assert ta == t * a
-    p = []
-    for i in range(r):
-        support = [j for j, x in enumerate(t.row(i)) if x]
-        assert len(support) == 1 and t[i, support[0]] == field.one()
-        p.extend(support)
-    assert p == sorted(set(p))
-    assert [ta.row(i) for i in range(r)] == [a.row(j) for j in p]
-    assert (t.block(r, m, 0, m) * a).is_zero()
+    assert ta.block(r, m, 0, n).is_zero()
 
 
 @given(data=st.data())
@@ -477,10 +525,9 @@ def _check_rank_and_row_echelon_transform(a: Matrix) -> tuple:
     _, ref_pivots = _reference_rref(
         a.field, [a.row(i) for i in range(a.rows)], a.cols)
     assert rank(a) == len(ref_pivots)
-    t, ta, r = row_echelon_transform(a)
+    t, ta, r = _echelon(a)
     assert r == len(ref_pivots)
     assert t * inverse(t) == Matrix.identity(a.field, a.rows)
-    assert ta == t * a
     top, _ = _reference_rref(a.field, [ta.row(i) for i in range(r)], a.cols)
     assert all(any(row) for row in top)  # the top r rows independent
     assert all(not x for i in range(r, a.rows) for x in ta.row(i))
@@ -647,8 +694,9 @@ def test_prime_products_are_reduced():
 @settings(max_examples=40, deadline=None)
 def test_unit_completion(field, data):
     # the top rows of an echelon form are independent, none included
-    _, ta, r = row_echelon_transform(data.draw(kernel_matrix(field)))
-    e = ta.block(0, r, 0, ta.cols)
+    a = data.draw(kernel_matrix(field))
+    p, _ = row_echelon_transform(a)
+    e, r = a.take(p), len(p)
     v, v_inv = unit_completion(e)
     n = e.cols
     ident = Matrix.identity(field, n)
@@ -701,18 +749,37 @@ class TestNoEmptyElimination:
 GRID_CODEC = {"_read_json", "_read_text", "_write_json", "_write_text"}
 
 
+def _other_modules():
+    """(file name, AST) of every congru module but matrix.py."""
+    package = os.path.dirname(congru.__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name != "matrix.py":
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                yield name, ast.parse(fh.read())
+
+
 def test_elimination_privates_stay_in_matrix():
     # every elimination goes through congru.matrix's public functions;
     # other modules import from it only public names and the grid codec
-    package = os.path.dirname(congru.__file__)
-    for name in sorted(os.listdir(package)):
-        if not name.endswith(".py") or name == "matrix.py":
-            continue
-        with open(os.path.join(package, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
+    for name, tree in _other_modules():
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module in (
                     "matrix", "congru.matrix"):
                 private = {a.name for a in node.names
                            if a.name.startswith("_")} - GRID_CODEC
                 assert not private, f"{name} imports {sorted(private)}"
+
+
+def test_rows_are_read_and_written_only_in_matrix():
+    # the row format is matrix.py's alone: no other module builds a
+    # Matrix from raw rows or reads them back
+    for name, tree in _other_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                callee = getattr(func, "id", getattr(func, "attr", None))
+                assert callee != "Matrix", \
+                    f"{name}:{node.lineno} calls Matrix(...)"
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in ("row", "_r"), \
+                    f"{name}:{node.lineno} reads .{node.attr}"

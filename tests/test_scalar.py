@@ -326,6 +326,7 @@ class TestScalarGrammar:
 
     @pytest.mark.parametrize("bad", [
         "", "x", "1+", "i2", "++i", "1 + i", "1/0", "i*3", "2ii",
+        "1_0", "\u0661\u0662", "\uff11\uff12", "1_0+i", "1+\u0662*i",
     ])
     def test_gaussian_rejected_forms(self, bad):
         with pytest.raises(ValueError, match="scalar"):
@@ -333,7 +334,7 @@ class TestScalarGrammar:
 
     @pytest.mark.parametrize("bad", [
         "0.5", "1e5", "1e5000", "1e999999999", "1/2e3", ".5", "1_0", "/2",
-        "1/", "1 /2", "i",
+        "1/", "1 /2", "i", "\u0661\u0662", "\uff11\uff12", "1/\u0662",
     ])
     def test_rational_rejected_forms(self, bad):
         # Q shares the p or p/q grammar of the Q(i) parts: a decimal or
@@ -360,6 +361,16 @@ class TestScalarGrammar:
         assert Matrix.from_rows(GAUSSIAN_CONJ, [[x]]).to_text() \
             == f"1 1\n{text}\n"
         assert GAUSSIAN_CONJ.parse_scalar(str(x)) == x
+
+    @pytest.mark.parametrize("bad", [
+        "", "x", "0.5", "1e5", "1/2", "i", "+", "1_0", "1_000",
+        "\u0661\u0662", "\uff11\uff12", "0x1f",
+    ])
+    def test_prime_rejected_forms(self, bad):
+        # a residue is [+-]?[0-9]+: int() alone would also read "_"
+        # separators and every Unicode digit
+        with pytest.raises(ValueError, match="scalar"):
+            GF7.parse_scalar(bad)
 
     def test_prime_field_residue(self):
         assert GF7.parse_scalar("13") == 6
