@@ -23,6 +23,11 @@ calls `congru.cli.main`:
   with D = diag(1 / (1 + i % 7)): no benchmark workload has Q or Q(i)
   inputs with denominators, and these start every integer row of the
   Q kernels with a denominator other than 1;
+- `decompose --json --emit-transform` with `--prime 2147483647` and
+  with `--prime 2` on the direct sums A_0 (+) A_1, A_2 (+) A_3, ... of
+  the exact-prime inputs, n up to 64 where the benchmark stops at 36:
+  larger GF(p) eliminations and products, whose packed rows have more
+  slots and take more clears;
 - `verify --json --seed 1`: the round-trip suite with 20 trials, and
   the invariance suite with 3 trials on the first input of each exact
   workload;
@@ -161,6 +166,25 @@ def _write_fractional_copy(json_path: str) -> str:
     return path
 
 
+def _write_direct_sum(first: str, second: str) -> str:
+    """first (+) second, block diagonal, next to first."""
+    with open(first, encoding="utf-8") as fh:
+        a = json.load(fh)
+    with open(second, encoding="utf-8") as fh:
+        b = json.load(fh)
+    n, m = a["cols"], b["cols"]
+    entries = []
+    for i in range(a["rows"]):
+        entries += a["entries"][i * n:(i + 1) * n] + ["0"] * m
+    for i in range(b["rows"]):
+        entries += ["0"] * n + b["entries"][i * m:(i + 1) * m]
+    path = first[:-len(".json")] + "-sum.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"rows": a["rows"] + b["rows"], "cols": n + m,
+                   "entries": entries}, fh)
+    return path
+
+
 def build_runs(directory: str) -> list[list[str]]:
     runs = [["verify", "--json", "--seed", str(SEED), "--trials", "20"]]
     for name, workload in WORKLOADS.items():
@@ -198,6 +222,14 @@ def build_runs(directory: str) -> list[list[str]]:
                     runs.append(["decompose", *flags, "--json",
                                  "--emit-transform",
                                  _write_fractional_copy(path)])
+        if workload.field == "prime-field":
+            paths = [req["path"] for req in manifest["requests"]]
+            for first, second in zip(paths[::2], paths[1::2]):
+                path = _write_direct_sum(first, second)
+                for prime in (PRIME, 2):
+                    runs.append(["decompose", "--field", "prime-field",
+                                 "--prime", str(prime), "--json",
+                                 "--emit-transform", path])
     return runs
 
 

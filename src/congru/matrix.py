@@ -9,23 +9,29 @@ transforms.
 Every rank, null space, solve, inverse and echelon transform is one
 Gauss-Jordan elimination, _eliminate, over [A | the rows the caller
 mirrors], and every product, over every field, is one loop, _product.
-Over Q both work on integer rows, lists of ints over one row
-denominator: their inner loops add int products, and an elimination
-clears a column by the fraction-free pv*row_k - q*row_r and divides
-the row's content out.  Entries still enter and leave every Matrix as
-Fraction, with the values plain Fraction arithmetic gives.  Over Q(i)
-and GF(p) a row is a list of entries.
+Only the work row's format depends on the field.  Over Q both work on
+integer rows, lists of ints over one row denominator: their inner
+loops add int products, and an elimination clears a column by the
+fraction-free pv*row_k - q*row_r and divides the row's content out.
+Entries still enter and leave every Matrix as Fraction, with the
+values plain Fraction arithmetic gives.  Over Q(i) a row is a list of
+entries.  Over GF(p) a row is one int that packs its entries into
+fixed-width slots, wide enough that no slot carries into the next, so
+that a row operation is one big-int multiply-add; rows are unpacked
+and reduced mod p only when a kernel returns them.  Every Matrix over
+GF(p) still stores its entries as ints in [0, p).
 """
 
 from __future__ import annotations
 
 import operator
 import re
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .scalar import _INTEGER_RE, FieldKind, FieldSpec, Involution, Scalar
 
@@ -352,8 +358,10 @@ def _write_json(rows: int, cols: int, grid: Iterable, render: Callable,
 # row operations onto: b for solve, I for inverse and for a transform,
 # nothing for rank and nullspace.  Only the work row's format depends
 # on the field: over Q a list of ints with the row denominator
-# appended, over Q(i) and GF(p) a list of entries, reduced into [0, p)
-# over GF(p) so that they stay canonical and compare as plain ints.
+# appended, over Q(i) a list of entries, over GF(p) one packed int (see
+# _Packing).  `pivot` gives a pivot row and the factor its clears
+# share: the pivot entry, or -1/pivot mod p over GF(p).  A clear reads
+# the entry it clears and returns a row whose entry is 0 unchanged.
 
 
 def _reduced(field: FieldSpec, values: list) -> tuple:
@@ -362,7 +370,8 @@ def _reduced(field: FieldSpec, values: list) -> tuple:
     return tuple(values) if p is None else tuple(x % p for x in values)
 
 
-def _eliminate(a: Matrix, aug: tuple, reduce: bool) -> tuple[map, list]:
+def _eliminate(a: Matrix, aug: tuple, reduce: bool,
+               ) -> tuple[Iterator[tuple], list]:
     """Forward elimination on the rows [a | aug], aug a tuple of
     a.rows row tuples, with the first nonzero entry of each column of
     a as its pivot; with `reduce`, continued to the reduced echelon
@@ -370,58 +379,135 @@ def _eliminate(a: Matrix, aug: tuple, reduce: bool) -> tuple[map, list]:
     Returns the eliminated rows, decoded to tuples of entries only as
     they are read, and the pivot (row, col) list."""
     field = a.field
+    joined = [x + y for x, y in zip(a._r, aug)]
+    m = len(joined)
     if field.kind is FieldKind.RATIONAL:
-        rows = [_q_row(x + y) for x, y in zip(a._r, aug)]
-        clear, unit, decode = _q_update, _q_unit, _q_decode
+        rows = list(map(_q_row, joined))
+        entry, pivot, clear = operator.getitem, _own_pivot, _q_update
+        unit, decode = _q_unit, partial(map, _q_decode)
+    elif field.p is None:
+        rows = list(map(list, joined))
+        entry, pivot, clear = operator.getitem, _own_pivot, _entry_clear
+        unit, decode = _entry_unit, partial(map, tuple)
     else:
-        rows = [list(x + y) for x, y in zip(a._r, aug)]
-        clear = partial(_entry_clear, field)
-        unit = partial(_entry_unit, field)
-        decode = tuple
-    m = len(rows)
+        g = _Packing(field.p, len(joined[0]) if joined else 0, 2 * m + 1)
+        rows = list(map(g.pack, joined))
+        entry, pivot, clear = g.entry, g.pivot, g.clear
+        unit, decode = g.unit, g.decode
+
+    def sweep(r: int, c: int, others: Iterable[int]) -> None:
+        # clear column c of the rows `others` with pivot row r
+        rows[r], f = pivot(rows[r], c)
+        rr = rows[r]
+        for k in others:
+            rows[k] = clear(rows[k], rr, c, f)
+
     pivots: list = []
     for c in range(a.cols):
         r = len(pivots)
         if r == m:
             break
-        k = next((k for k in range(r, m) if rows[k][c]), None)
+        k = next((k for k in range(r, m) if entry(rows[k], c)), None)
         if k is None:
             continue
         rows[r], rows[k] = rows[k], rows[r]
-        for k in range(r + 1, m):
-            if rows[k][c]:
-                rows[k] = clear(rows[k], rows[r], c)
+        sweep(r, c, range(r + 1, m))
         pivots.append((r, c))
     if reduce:
         for r, c in pivots:
             rows[r] = unit(rows[r], c)
         for r, c in reversed(pivots):
-            for k in range(r):
-                if rows[k][c]:
-                    rows[k] = clear(rows[k], rows[r], c)
-    return map(decode, rows), pivots
+            sweep(r, c, range(r))
+    return decode(rows), pivots
 
 
-def _entry_clear(field: FieldSpec, rk: list, rr: list, c: int) -> list:
-    """Clear column c of row k in place with pivot row r, which has
-    zeros before column c."""
-    p = field.p
-    if p is None:
-        f = rk[c] / rr[c]
-        for j in range(c, len(rr)):
-            if rr[j]:
-                rk[j] = rk[j] - f * rr[j]
-    else:
-        f = rk[c] * field.inverse(rr[c]) % p
-        rk[c:] = [(d - f * x) % p for d, x in zip(rk[c:], rr[c:])]
+def _own_pivot(rr: list, c: int) -> tuple:
+    return rr, rr[c]
+
+
+def _entry_clear(rk: list, rr: list, c: int, pv) -> list:
+    """Clear column c of row k in place with pivot row r, which has pv
+    at column c and zeros before it."""
+    if not rk[c]:
+        return rk
+    f = rk[c] / pv
+    for j in range(c, len(rr)):
+        if rr[j]:
+            rk[j] = rk[j] - f * rr[j]
     return rk
 
 
-def _entry_unit(field: FieldSpec, rr: list, c: int) -> list:
+def _entry_unit(rr: list, c: int) -> list:
     """Scale row r in place to a unit pivot at column c."""
-    inv = field.inverse(rr[c])
-    rr[c:] = _reduced(field, [x * inv for x in rr[c:]])
+    inv = 1 / rr[c]
+    rr[c:] = [x * inv for x in rr[c:]]
     return rr
+
+
+# -- GF(p) kernels on packed rows ------------------------------------------------
+# Slot j of a row, bits [8wj, 8w(j+1)), holds a value congruent to entry
+# j.  No slot goes negative or reaches 2^8w, so none borrows or carries.
+# The bound: a slot that sums at most t terms below p^2 stays below
+# t * p^2 < 2^(2 bits(p) + bits(t)), and w = ceil((2 bits(p) + bits(t))
+# / 8), rounded up to a width struct reads as two fields.  A product
+# slot sums K = len(brows) terms a_ik * b_kj.  An elimination reduces
+# each pivot row into [0, p) right before it clears other rows, so a
+# clear rk + f * rr with f < p adds less than p^2 to a slot; a row
+# takes at most 2m clears, so t = 2m + 1 covers it.
+
+# slot width in bytes -> its low and high field; the low field, half
+# the slot or 8 bytes, holds an entry, since 2 bits(p) < 8w and p < 2^31
+_SLOTS = {2: "BB", 4: "HH", 8: "II", 9: "QB", 10: "QH", 12: "QI", 16: "QQ"}
+
+
+class _Packing:
+    """Rows of n residues mod p in slots that hold t terms below p^2,
+    for any t below 2**66."""
+
+    __slots__ = ("p", "n", "w", "s", "mask", "_in", "_slot", "_high")
+
+    def __init__(self, p: int, n: int, t: int):
+        self.p, self.n = p, n
+        w = (2 * p.bit_length() + t.bit_length() + 7) // 8
+        self.w = w = min(x for x in _SLOTS if x >= w)
+        self.s, self.mask = 8 * w, (1 << 8 * w) - 1
+        self._slot = struct.Struct("<" + _SLOTS[w])
+        low = struct.calcsize(_SLOTS[w][0])
+        self._in = struct.Struct("<" + f"{_SLOTS[w][0]}{w - low}x" * n)
+        self._high = 2 ** (8 * low) % p
+
+    def pack(self, row) -> int:
+        return int.from_bytes(self._in.pack(*row), "little")
+
+    def unpack(self, xs: list) -> list:
+        """The entries of the rows xs, reduced into [0, p), in one list."""
+        p, k, size = self.p, self._high, self.n * self.w
+        b = b"".join([x.to_bytes(size, "little") for x in xs])
+        return [(lo + hi * k) % p for lo, hi in self._slot.iter_unpack(b)]
+
+    def decode(self, xs: list) -> Iterator[tuple]:
+        """The rows xs as tuples of entries, all unpacked at once when
+        the first is read."""
+        n, values = self.n, self.unpack(xs)
+        yield from [tuple(values[i * n:i * n + n]) for i in range(len(xs))]
+
+    def entry(self, x: int, c: int) -> int:
+        return (x >> c * self.s & self.mask) % self.p
+
+    def pivot(self, rr: int, c: int) -> tuple:
+        """Pivot row rr reduced, and -1/rr[c] mod p."""
+        values = self.unpack([rr])
+        return self.pack(values), -pow(values[c], -1, self.p) % self.p
+
+    def clear(self, rk: int, rr: int, c: int, f: int) -> int:
+        """rk + (q * f mod p) * rr, q the entry of rk at column c."""
+        return rk + self.entry(rk, c) * f % self.p * rr
+
+    def unit(self, rr: int, c: int) -> int:
+        """Pivot row rr scaled to a unit pivot at column c, reduced."""
+        p, values = self.p, self.unpack([rr])
+        inv = pow(values[c], -1, p)
+        return self.pack([x * inv % p for x in values])
 
 
 # -- Q kernels on integer rows ---------------------------------------------------
@@ -460,16 +546,23 @@ def _product(field: FieldSpec, arows: tuple, brows: tuple, bcols: int,
     it, as its nonzero (column, value) pairs over a row denominator
     d_k; row i of A folds its a_ik / d_k into one denominator L_i, and
     the loop sums f * v with f = a_ik * L_i / d_k.  Only over Q are
-    the values ints over d_k and L_i other than 1."""
+    the values ints over d_k and L_i other than 1.  Over GF(p) a row
+    of B is the single pair (0, the row packed), so the loop does one
+    big-int multiply-add per nonzero a_ik, and the sums are unpacked
+    together at the end."""
+    fold = lambda a, d: (a, d)  # noqa: E731
+    finish, decode = (lambda acc, den: tuple(acc)), iter
     if field.kind is FieldKind.RATIONAL:
-        write, start = _q_row, 0
+        write, start, width = _q_row, 0, bcols
         fold = lambda a, d: (a.numerator, a.denominator * d)  # noqa: E731
         finish = lambda acc, den: tuple(  # noqa: E731
             [_q_fraction(x, den) for x in acc])
+    elif field.p is None:
+        write, start, width = (lambda row: [*row, 1]), field.zero(), bcols
     else:
-        write, start = (lambda row: [*row, 1]), field.zero()
-        fold = lambda a, d: (a, d)  # noqa: E731
-        finish = lambda acc, den: _reduced(field, acc)  # noqa: E731
+        g = _Packing(field.p, bcols, len(brows))
+        write, start, width = (lambda row: [g.pack(row), 1]), 0, 1
+        finish, decode = (lambda acc, den: acc[0]), g.decode
     bint: list = [None] * len(brows)
     out = []
     for arow in arows:
@@ -485,22 +578,24 @@ def _product(field: FieldSpec, arows: tuple, brows: tuple, bcols: int,
                 if b[0]:
                     terms.append((*fold(a, b[1]), b[0]))
         den = lcm(*[q for _, q, _ in terms])
-        acc = [start] * bcols
+        acc = [start] * width
         for p, q, nz in terms:
             f = p if q == den else p * (den // q)
             for j, v in nz:
                 acc[j] += f * v
         out.append(finish(acc, den))
-    return tuple(out)
+    return tuple(decode(out))
 
 
-def _q_update(rk: list, rr: list, c: int) -> list:
+def _q_update(rk: list, rr: list, c: int, pv: int) -> list:
     """Clear column c of row k with pivot row r, both ints with their
     denominator last, with pivot pv = rr[c] and zeros before column c
     in rr.  The result (pv * rk - q * rr) / (dk * pv), with q = rk[c]
     and gcd(pv, q) cancelled first, comes back in the same format with
-    the content of the row divided out."""
-    pv, q = rr[c], rk[c]
+    the content of the row divided out; rk itself when q = 0."""
+    q = rk[c]
+    if not q:
+        return rk
     g = gcd(pv, q)
     pv //= g
     q //= g

@@ -374,7 +374,9 @@ class FieldSpec:
     # i, -i, b*i, bi); prime field: a decimal residue.
 
     def parse_scalar(self, text: str) -> Scalar:
-        s = text.strip()
+        # ASCII whitespace only: str.strip() would also take the
+        # Unicode spaces a JSON string can carry, such as U+2003
+        s = text.strip(" \t\n\r\f\v")
         if not s:
             raise ValueError("empty scalar")
         try:

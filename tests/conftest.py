@@ -18,10 +18,11 @@ GF7 = FieldSpec.prime_field(7)
 ALL_FIELDS = (RATIONALS, GAUSSIAN_CONJ, GAUSSIAN_IDENT, GF7)
 
 # Numbers outside the input grammars: digits are ASCII 0-9 with no "_",
-# headers and JSON rows/cols are integers, and true/false is no number.
-# Each is (--field value, document), a JSON document as a dict; prime
-# fields read modulo 7.  Library readers raise MatrixParseError on
-# each, and the CLI exits 1.
+# headers and JSON rows/cols are integers, true/false is no number, and
+# only ASCII whitespace may pad an exact JSON string entry.  Each is
+# (--field value, document), a JSON document as a dict; prime fields
+# read modulo 7.  Library readers raise MatrixParseError on each, and
+# the CLI exits 1.
 MALFORMED_NUMBERS = [
     *((f, f"1 1\n{tok}\n") for f in
       ("rational", "gaussian-rational", "prime-field")
@@ -35,6 +36,10 @@ MALFORMED_NUMBERS = [
     *((f, {"rows": 1, "cols": 1, "entries": [b]})
       for f in ("rational", "gaussian-rational", "prime-field", "real",
                 "complex") for b in (True, False)),
+    # EM SPACE, NO-BREAK SPACE and IDEOGRAPHIC SPACE around a 7
+    *((f, {"rows": 1, "cols": 1, "entries": [e]})
+      for f in ("rational", "gaussian-rational", "prime-field")
+      for e in ("\u20037", "7\u00a0", "\u30007")),
 ]
 
 _small = st.integers(-4, 4)

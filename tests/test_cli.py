@@ -552,6 +552,20 @@ class TestHostileInput:
         assert (status, out) == (1, "")
         assert err.startswith("error: line ")
 
+    @pytest.mark.parametrize("field_flag", [
+        ["--field", "rational"], GAUSS, ["--field", "prime-field",
+                                         "--prime", "7"]], ids=str)
+    def test_ascii_whitespace_pads_json_strings(self, capsys, tmp_path,
+                                                field_flag):
+        results = []
+        for entry in (" 7 ", "7", "\t7\n"):
+            p = tmp_path / "one.json"
+            p.write_text(json.dumps({"rows": 1, "cols": 1,
+                                     "entries": [entry]}))
+            results.append(run_cli(capsys, ["decompose", *field_flag,
+                                            "--json", str(p)]))
+        assert results[0][0] == 0 and results[0] == results[1] == results[2]
+
     def test_invalid_utf8(self, capsys, tmp_path):
         p = tmp_path / "bin.txt"
         p.write_bytes(b"1 1\n\xff\n")

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,8 +26,8 @@ from congru import (
     solve,
 )
 from congru.float_unitary import _read_float
-from congru.matrix import (_read_json, _read_text, f_block, g_block,
-                           row_echelon_transform, unit_completion)
+from congru.matrix import (_eliminate, _read_json, _read_text, f_block,
+                           g_block, row_echelon_transform, unit_completion)
 
 from conftest import (ALL_FIELDS, GAUSSIAN_CONJ, GAUSSIAN_IDENT, GF7,
                       MALFORMED_NUMBERS, RATIONALS, fielded_square,
@@ -125,6 +126,12 @@ class TestJsonFormat:
     def test_missing_keys(self):
         with pytest.raises(MatrixParseError, match="rows, cols, entries"):
             Matrix.from_json_dict(RATIONALS, {"rows": 1})
+
+    @pytest.mark.parametrize("field", [RATIONALS, GAUSSIAN_CONJ, GF7],
+                             ids=str)
+    def test_string_entries_pad_with_ascii_whitespace(self, field):
+        doc = {"rows": 1, "cols": 3, "entries": [" 7 ", "\t7\n", "\r7\f\v"]}
+        assert Matrix.from_json_dict(field, doc) == _mat(field, [[7] * 3])
 
 
 @pytest.mark.parametrize("field_flag, doc", MALFORMED_NUMBERS)
@@ -442,11 +449,12 @@ class TestBuilders:
 # -- the eliminations against their definitions -------------------------------
 # Every elimination runs through one loop, whose row format depends
 # on the field: over Q integer rows with one denominator per row, over
-# Q(i) and GF(p) lists of entries.  These properties check products and
-# eliminations against a plain Gauss-Jordan elimination in the field's
-# own arithmetic, on entries up to 2**70 in size over Q and Q(i) and on
-# all of GF(2**31 - 1), with zero rows, zero columns and empty shapes.
-# Over Q they also check that only Fraction entries come back out.
+# Q(i) lists of entries and over GF(p) packed ints.  These properties
+# check products and eliminations against a plain Gauss-Jordan
+# elimination in the field's own arithmetic, on entries up to 2**70 in
+# size over Q and Q(i) and on all of GF(2**31 - 1), with zero rows,
+# zero columns and empty shapes.  Over Q they also check that only
+# Fraction entries come back out.
 
 _BIG = 2 ** 70
 GF_BIG = FieldSpec.prime_field(2 ** 31 - 1)
@@ -705,6 +713,90 @@ def test_unit_completion(field, data):
     assert v_inv * v == ident and v * v_inv == ident
     assert v == Matrix.from_blocks(field, [
         [solve(e, Matrix.identity(field, r)), nullspace(e)]])
+
+
+# -- packed GF(p) rows at their slot bound ---------------------------------------
+# A GF(p) row is one int of w-byte slots, and w covers the most a slot
+# can sum: 2m + 1 terms below p^2 in an elimination of m rows, K terms
+# in a product with K = len(B's rows).  The property tests above draw
+# at most 4x4, far below the bound.  Here dense full-rank inputs of up
+# to 40 rows make every row take the most clears, and every product
+# term is (p - 1)^2; each result is checked against plain per-entry
+# mod-p elimination and sums.
+
+_SLOT_PRIMES = (2, 3, 2 ** 31 - 1)
+
+
+def _plain_forward(p: int, rows: list, ncols: int) -> tuple[list, list]:
+    """Forward elimination mod p, entry by entry, with first-nonzero
+    pivots: (rows, pivot (row, col) list)."""
+    rows = [list(r) for r in rows]
+    pivots: list = []
+    for c in range(ncols):
+        r = len(pivots)
+        k = next((k for k in range(r, len(rows)) if rows[k][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        for k in range(r + 1, len(rows)):
+            f = rows[k][c] * inv % p
+            rows[k] = [(x - f * y) % p for x, y in zip(rows[k], rows[r])]
+        pivots.append((r, c))
+    return rows, pivots
+
+
+def _dense_full_rank(p: int, rows: int, cols: int, small: bool) -> Matrix:
+    """A seeded rows x cols matrix of row rank `rows`, its entries drawn
+    from {0, 1, p - 1} (small) or from all of [0, p)."""
+    field = FieldSpec.prime_field(p)
+    rng = random.Random(p * 1000 + rows * 10 + cols + small)
+    while True:
+        entries = [[rng.choice((0, 1, p - 1)) if small else rng.randrange(p)
+                    for _ in range(cols)] for _ in range(rows)]
+        if len(_plain_forward(p, entries, cols)[1]) == rows:
+            return Matrix.from_rows(field, entries)
+
+
+@pytest.mark.parametrize("small", [True, False], ids=["0-1-(p-1)", "any"])
+@pytest.mark.parametrize("shape", [(40, 40), (40, 80)], ids=str)
+@pytest.mark.parametrize("p", _SLOT_PRIMES)
+def test_slot_bound_eliminations(p, shape, small):
+    a = _dense_full_rank(p, *shape, small)
+    m, n = shape
+    field, ident = a.field, Matrix.identity(a.field, m)
+    start = [a.row(i) + ident.row(i) for i in range(m)]
+    rows, pivots = _eliminate(a, ident._r, False)
+    assert (list(map(list, rows)), pivots) == _plain_forward(p, start, n)
+    rows, pivots = _eliminate(a, ident._r, True)
+    ref, ref_pivots = _reference_rref(field, start, n)
+    assert (list(map(list, rows)), [c for _, c in pivots]) == (ref,
+                                                               ref_pivots)
+    assert rank(a) == m
+    basis = nullspace(a)
+    assert basis.shape == (n, n - m) and (a * basis).is_zero()
+    assert rank(basis) == n - m
+    v, v_inv = unit_completion(a)
+    assert a * v == Matrix.zero_one(field, m, n, [(i, i) for i in range(m)])
+    assert v * v_inv == Matrix.identity(field, n)
+    square = _dense_full_rank(p, m, m, not small)
+    inv = inverse(square)
+    assert inv * square == ident and square * inv == ident
+    x = solve(square, a)
+    ref, _ = _reference_rref(
+        field, [square.row(i) + a.row(i) for i in range(m)], m)
+    assert [list(x.row(i)) for i in range(m)] == [r[m:] for r in ref]
+
+
+@pytest.mark.parametrize("p", _SLOT_PRIMES)
+def test_slot_bound_product(p):
+    # K = 200 terms, each (p - 1)^2, in every entry
+    field, k = FieldSpec.prime_field(p), 200
+    a = Matrix.from_rows(field, [[p - 1] * k] * 2)
+    b = Matrix.from_rows(field, [[p - 1] * 3] * k)
+    entry = k * (p - 1) ** 2 % p
+    assert a * b == Matrix.from_rows(field, [[entry] * 3] * 2)
+    assert b.star * a.star == Matrix.from_rows(field, [[entry] * 2] * 3)
 
 
 def test_unit_completion_rejects_dependent_rows():
