@@ -41,12 +41,14 @@ dimensions kept; float-regularize runs are never masked), then how
 many of the change tree's `decompose --json --emit-transform`
 transforms X pass `check_transform(A, X, assemble(answer))` against
 that run's own answer, and last the line count of each tree's
-`congru/*.py`.  It exits 1 on any byte difference and on any failed
+`congru/*.py`, all lines and code lines (not blank, not a comment,
+not a docstring).  It exits 1 on any byte difference and on any failed
 check.
 """
 
 from __future__ import annotations
 
+import ast
 import glob
 import json
 import os
@@ -331,16 +333,35 @@ def main(argv: list[str]) -> int:
     print(f"{len(checked) - len(failed_checks)} of {len(checked)} "
           f"decompose transforms of {argv[1]} pass check_transform")
     for src in argv:
-        print(f"{_line_count(src):,} lines in {src}/congru/*.py")
+        lines, code = _line_counts(src)
+        print(f"{lines:,} lines, {code:,} of them code, in "
+              f"{src}/congru/*.py")
     return 1 if differ or failed_checks else 0
 
 
-def _line_count(src: str) -> int:
-    total = 0
+def _line_counts(src: str) -> tuple[int, int]:
+    """All lines, and code lines: those that are not blank, not a
+    comment and not part of a docstring."""
+    lines = code = 0
     for path in glob.glob(os.path.join(src, "congru", "*.py")):
         with open(path, encoding="utf-8") as fh:
-            total += sum(1 for _ in fh)
-    return total
+            text = fh.read()
+        docstrings = set()
+        for node in ast.walk(ast.parse(text)):
+            body = getattr(node, "body", None)
+            if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef))
+                    and body and isinstance(body[0], ast.Expr)
+                    and isinstance(body[0].value, ast.Constant)
+                    and isinstance(body[0].value.value, str)):
+                docstrings.update(range(body[0].lineno,
+                                        body[0].end_lineno + 1))
+        for k, line in enumerate(text.splitlines(), start=1):
+            lines += 1
+            stripped = line.strip()
+            code += bool(stripped and not stripped.startswith("#")
+                         and k not in docstrings)
+    return lines, code
 
 
 if __name__ == "__main__":

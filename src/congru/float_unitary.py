@@ -252,13 +252,16 @@ def unitarity_residual(t: np.ndarray) -> float:
 
 # -- text and JSON I/O -----------------------------------------------------------
 # The grid format of matrix.py, with decimal floating-point literals;
-# complex entries use the a+b*i grammar.
+# complex entries use the a+b*i grammar.  A literal is ASCII without
+# `_`: float() and complex() would also read digit separators,
+# non-ASCII digits and Unicode whitespace, which the exact fields reject.
 
 
 def _real_entry(tok) -> float:
     try:
-        if type(tok) is bool:
-            raise TypeError  # JSON true and false are not numbers
+        if type(tok) is bool or type(tok) is str and (
+                "_" in tok or not tok.isascii()):
+            raise TypeError  # JSON true/false, or outside the grammar
         return float(tok)  # a decimal literal or a JSON number
     except (TypeError, ValueError):
         raise ValueError(f"invalid real entry {_quote_token(tok)}") from None
@@ -269,6 +272,8 @@ def _complex_entry(tok) -> complex | float:
         return float(tok)
     s = str(tok).replace("*i", "i").replace("*j", "j").replace("i", "j")
     try:
+        if "_" in s or not s.isascii():
+            raise ValueError
         return complex(s)
     except ValueError:
         raise ValueError(f"invalid complex entry {_quote_token(tok)}") from None

@@ -9,7 +9,12 @@ transforms.
 Every rank, null space, solve, inverse and echelon transform is one
 Gauss-Jordan elimination, _eliminate, over [A | the rows the caller
 mirrors], and every product, over every field, is one loop, _product.
-Only the work row's format depends on the field.  Over Q both work on
+Only the work row's format depends on the field, and each field has
+one decoder from work rows to entries, which both loops use.  An
+elimination hands back its rows undecoded, with the row of A each
+pivot row started as, so a caller decodes only the rows it reads: a
+rank none, an echelon transform only its null rows, and _basis_rows,
+the one reader of reduced rows, all of them.  Over Q both work on
 integer rows, lists of ints over one row denominator: their inner
 loops add int products, and an elimination clears a column by the
 fraction-free pv*row_k - q*row_r and divides the row's content out.
@@ -18,7 +23,7 @@ values plain Fraction arithmetic gives.  Over Q(i) a row is a list of
 entries.  Over GF(p) a row is one int that packs its entries into
 fixed-width slots, wide enough that no slot carries into the next, so
 that a row operation is one big-int multiply-add; rows are unpacked
-and reduced mod p only when a kernel returns them.  Every Matrix over
+and reduced mod p only when they are decoded.  Every Matrix over
 GF(p) still stores its entries as ints in [0, p).
 """
 
@@ -29,9 +34,9 @@ import re
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .scalar import _INTEGER_RE, FieldKind, FieldSpec, Involution, Scalar
 
@@ -371,26 +376,28 @@ def _reduced(field: FieldSpec, values: list) -> tuple:
 
 
 def _eliminate(a: Matrix, aug: tuple, reduce: bool,
-               ) -> tuple[Iterator[tuple], list]:
+               ) -> tuple[list, list, Callable]:
     """Forward elimination on the rows [a | aug], aug a tuple of
     a.rows row tuples, with the first nonzero entry of each column of
     a as its pivot; with `reduce`, continued to the reduced echelon
     form of a: unit pivots, cleared above them last pivot first.
-    Returns the eliminated rows, decoded to tuples of entries only as
-    they are read, and the pivot (row, col) list."""
+    Returns the eliminated rows, still in the field's work format, one
+    (column, source) pair per pivot row, pivot row i being row i and
+    source the row of a it was swapped in from, and the field's
+    decoder, which turns a list of work rows into tuples of entries."""
     field = a.field
     joined = [x + y for x, y in zip(a._r, aug)]
     m = len(joined)
     if field.kind is FieldKind.RATIONAL:
         rows = list(map(_q_row, joined))
         entry, pivot, clear = operator.getitem, _own_pivot, _q_update
-        unit, decode = _q_unit, partial(map, _q_decode)
+        unit, decode = _q_unit, _q_decode
     elif field.p is None:
         rows = list(map(list, joined))
         entry, pivot, clear = operator.getitem, _own_pivot, _entry_clear
-        unit, decode = _entry_unit, partial(map, tuple)
+        unit, decode = _entry_unit, _entry_decode
     else:
-        g = _Packing(field.p, len(joined[0]) if joined else 0, 2 * m + 1)
+        g = _packing(field.p, len(joined[0]) if joined else 0, 2 * m + 1)
         rows = list(map(g.pack, joined))
         entry, pivot, clear = g.entry, g.pivot, g.clear
         unit, decode = g.unit, g.decode
@@ -402,6 +409,7 @@ def _eliminate(a: Matrix, aug: tuple, reduce: bool,
         for k in others:
             rows[k] = clear(rows[k], rr, c, f)
 
+    source = list(range(m))
     pivots: list = []
     for c in range(a.cols):
         r = len(pivots)
@@ -411,14 +419,15 @@ def _eliminate(a: Matrix, aug: tuple, reduce: bool,
         if k is None:
             continue
         rows[r], rows[k] = rows[k], rows[r]
+        source[r], source[k] = source[k], source[r]
         sweep(r, c, range(r + 1, m))
-        pivots.append((r, c))
+        pivots.append((c, source[r]))
     if reduce:
-        for r, c in pivots:
+        for r, (c, _) in enumerate(pivots):
             rows[r] = unit(rows[r], c)
-        for r, c in reversed(pivots):
+        for r, (c, _) in reversed([*enumerate(pivots)]):
             sweep(r, c, range(r))
-    return decode(rows), pivots
+    return rows, pivots, decode
 
 
 def _own_pivot(rr: list, c: int) -> tuple:
@@ -444,6 +453,11 @@ def _entry_unit(rr: list, c: int) -> list:
     return rr
 
 
+def _entry_decode(rows: list) -> list:
+    """Rows of entries as tuples."""
+    return list(map(tuple, rows))
+
+
 # -- GF(p) kernels on packed rows ------------------------------------------------
 # Slot j of a row, bits [8wj, 8w(j+1)), holds a value congruent to entry
 # j.  No slot goes negative or reaches 2^8w, so none borrows or carries.
@@ -461,15 +475,12 @@ _SLOTS = {2: "BB", 4: "HH", 8: "II", 9: "QB", 10: "QH", 12: "QI", 16: "QQ"}
 
 
 class _Packing:
-    """Rows of n residues mod p in slots that hold t terms below p^2,
-    for any t below 2**66."""
+    """Rows of n residues mod p in w-byte slots, w a width in _SLOTS."""
 
     __slots__ = ("p", "n", "w", "s", "mask", "_in", "_slot", "_high")
 
-    def __init__(self, p: int, n: int, t: int):
-        self.p, self.n = p, n
-        w = (2 * p.bit_length() + t.bit_length() + 7) // 8
-        self.w = w = min(x for x in _SLOTS if x >= w)
+    def __init__(self, p: int, n: int, w: int):
+        self.p, self.n, self.w = p, n, w
         self.s, self.mask = 8 * w, (1 << 8 * w) - 1
         self._slot = struct.Struct("<" + _SLOTS[w])
         low = struct.calcsize(_SLOTS[w][0])
@@ -485,11 +496,10 @@ class _Packing:
         b = b"".join([x.to_bytes(size, "little") for x in xs])
         return [(lo + hi * k) % p for lo, hi in self._slot.iter_unpack(b)]
 
-    def decode(self, xs: list) -> Iterator[tuple]:
-        """The rows xs as tuples of entries, all unpacked at once when
-        the first is read."""
+    def decode(self, xs: list) -> list:
+        """The rows xs as tuples of entries, all unpacked at once."""
         n, values = self.n, self.unpack(xs)
-        yield from [tuple(values[i * n:i * n + n]) for i in range(len(xs))]
+        return [tuple(values[i * n:i * n + n]) for i in range(len(xs))]
 
     def entry(self, x: int, c: int) -> int:
         return (x >> c * self.s & self.mask) % self.p
@@ -508,6 +518,18 @@ class _Packing:
         p, values = self.p, self.unpack([rr])
         inv = pow(values[c], -1, p)
         return self.pack([x * inv % p for x in values])
+
+
+# each packing compiles two struct formats, so one is built per
+# (p, n, w) and kept; a decomposition needs up to about two dozen
+_packing_of_width = lru_cache(maxsize=256)(_Packing)
+
+
+def _packing(p: int, n: int, t: int) -> _Packing:
+    """The packing of rows of n residues mod p whose slots sum at most
+    t terms below p^2, for any t below 2**66."""
+    w = (2 * p.bit_length() + t.bit_length() + 7) // 8
+    return _packing_of_width(p, n, min(x for x in _SLOTS if x >= w))
 
 
 # -- Q kernels on integer rows ---------------------------------------------------
@@ -535,9 +557,11 @@ def _q_row(row) -> list:
     return ints
 
 
-def _q_decode(row: list) -> tuple:
-    d = row.pop()
-    return tuple([_q_fraction(x, d) for x in row])
+def _q_decode(rows: list) -> list:
+    """Integer rows, each with its denominator last, as tuples of
+    Fractions."""
+    return [tuple([_q_fraction(x, row[-1]) for x in row[:-1]])
+            for row in rows]
 
 
 def _product(field: FieldSpec, arows: tuple, brows: tuple, bcols: int,
@@ -551,16 +575,15 @@ def _product(field: FieldSpec, arows: tuple, brows: tuple, bcols: int,
     big-int multiply-add per nonzero a_ik, and the sums are unpacked
     together at the end."""
     fold = lambda a, d: (a, d)  # noqa: E731
-    finish, decode = (lambda acc, den: tuple(acc)), iter
+    finish, decode = (lambda acc, den: acc), _entry_decode
     if field.kind is FieldKind.RATIONAL:
-        write, start, width = _q_row, 0, bcols
+        write, start, width, decode = _q_row, 0, bcols, _q_decode
         fold = lambda a, d: (a.numerator, a.denominator * d)  # noqa: E731
-        finish = lambda acc, den: tuple(  # noqa: E731
-            [_q_fraction(x, den) for x in acc])
+        finish = lambda acc, den: [*acc, den]  # noqa: E731
     elif field.p is None:
         write, start, width = (lambda row: [*row, 1]), field.zero(), bcols
     else:
-        g = _Packing(field.p, bcols, len(brows))
+        g = _packing(field.p, bcols, len(brows))
         write, start, width = (lambda row: [g.pack(row), 1]), 0, 1
         finish, decode = (lambda acc, den: acc[0]), g.decode
     bint: list = [None] * len(brows)
@@ -626,44 +649,39 @@ def _q_unit(rr: list, c: int) -> list:
 # -- the eliminations callers ask for -------------------------------------------
 
 
-def _basis_rows(field: FieldSpec, n: int, rows: Iterable, pivots: list,
-                ) -> tuple[tuple, list]:
-    """The rows of [X | N] read off the reduced rows of [a | aug], a
-    with n columns: X solves a*X = aug with every free variable zero,
-    and N holds one null-space column per free column of a, free
-    columns in increasing order, with its 1 in that column's row.
-    Returns (rows, free columns)."""
-    rows = list(rows)
-    pivot_cols = {c for _, c in pivots}
+def _basis_rows(a: Matrix, aug: Matrix) -> tuple[tuple, list, list]:
+    """The rows of [X | N] read off the reduced echelon form of
+    [a | aug]: X solves a*X = aug with every free variable zero, and N
+    holds one null-space column per free column of a, free columns in
+    increasing order, with its 1 in that column's row.  Returns (rows,
+    free columns, the aug parts of the rows that reduced to zero in
+    a); a*X = aug has a solution only if those are all zero."""
+    field, n = a.field, a.cols
+    rows, pivots, decode = _eliminate(a, aug._r, True)
+    rows = decode(rows)
+    pivot_cols = {c for c, _ in pivots}
     free = [c for c in range(n) if c not in pivot_cols]
-    zeros = (field.zero(),) * (len(rows[0]) - n if rows else 0)
+    zeros = (field.zero(),) * aug.cols
     unit = Matrix.identity(field, len(free))._r
     out: list = [None] * n
     for k, fc in enumerate(free):
         out[fc] = zeros + unit[k]
-    for r, c in pivots:
-        row = rows[r]
+    for row, (c, _) in zip(rows, pivots):
         out[c] = row[n:] + _reduced(field, [-row[fc] for fc in free])
-    return tuple(out), free
+    return tuple(out), free, [row[n:] for row in rows[len(pivots):]]
 
 
 def row_echelon_transform(a: Matrix) -> tuple[list[int], Matrix]:
     """(P, L) from one forward elimination of [a | I]: P the rank(a)
     rows of a that became pivots, in increasing order, and L the
-    eliminated left null basis, L*a = 0.  T = [unit rows at P; L] is
-    nonsingular with T*a = [a[P, :]; 0], and a nonsingular a has every
-    row in P.  Pivot row i is row p_i of a plus multiples of earlier
-    pivot rows, so p_i is the first nonzero column of its mirror half
-    that is not an earlier p."""
+    eliminated left null basis, L*a = 0, the only rows decoded.
+    T = [unit rows at P; L] is nonsingular with T*a = [a[P, :]; 0],
+    and a nonsingular a has every row in P."""
     field, m, n = a.field, a.rows, a.cols
-    rows, pivots = _eliminate(a, Matrix.identity(field, m)._r, False)
-    rows = list(rows)
-    p: list = []
-    for row in rows[:len(pivots)]:
-        p.append(next(j for j, x in enumerate(row[n:]) if x and j not in p))
-    p.sort()
-    return p, Matrix(field, m - len(p), m,
-                     tuple(row[n:] for row in rows[len(p):]))
+    rows, pivots, decode = _eliminate(a, Matrix.identity(field, m)._r, False)
+    r = len(pivots)
+    return sorted(s for _, s in pivots), Matrix(field, m - r, m, tuple(
+        row[n:] for row in decode(rows[r:])))
 
 
 def rank(a: Matrix) -> int:
@@ -678,8 +696,7 @@ def nullspace(a: Matrix) -> Matrix:
     """Columns form a basis of the right null space, one per free
     column of the reduced echelon form, free columns in increasing
     index order."""
-    rows, pivots = _eliminate(a, ((),) * a.rows, True)
-    basis, free = _basis_rows(a.field, a.cols, rows, pivots)
+    basis, free, _ = _basis_rows(a, Matrix.zeros(a.field, a.rows, 0))
     return Matrix(a.field, a.cols, len(free), basis)
 
 
@@ -692,25 +709,20 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
     if b.cols == 0:
         # no right-hand side is always consistent; nothing to eliminate
         return Matrix.zeros(a.field, a.cols, 0)
-    n = a.cols
-    rows, pivots = _eliminate(a, b._r, True)
-    rows = list(rows)
-    if any(any(row[n:]) for row in rows[len(pivots):]):
+    basis, _, null_aug = _basis_rows(a, b)
+    if any(map(any, null_aug)):
         raise ValueError("inconsistent system")
-    xrows = [(a.field.zero(),) * b.cols] * n
-    for r, c in pivots:
-        xrows[c] = rows[r][n:]
-    return Matrix(a.field, n, b.cols, tuple(xrows))
+    return Matrix(a.field, a.cols, b.cols,
+                  tuple(row[:b.cols] for row in basis))
 
 
 def inverse(a: Matrix) -> Matrix:
     if not a.is_square():
         raise ValueError("inverse requires a square matrix")
-    n = a.rows
-    rows, pivots = _eliminate(a, Matrix.identity(a.field, n)._r, True)
-    if len(pivots) != n:
+    basis, free, _ = _basis_rows(a, Matrix.identity(a.field, a.rows))
+    if free:
         raise ValueError("matrix is singular")
-    return Matrix(a.field, n, n, tuple(r[n:] for r in rows))
+    return Matrix(a.field, a.rows, a.rows, basis)
 
 
 def unit_completion(e: Matrix) -> tuple[Matrix, Matrix]:
@@ -719,10 +731,9 @@ def unit_completion(e: Matrix) -> tuple[Matrix, Matrix]:
     V^-1 is e stacked on the rows of I at e's free columns, since on
     those rows solve's part is zero and the null-space part is I."""
     field, n = e.field, e.cols
-    rows, pivots = _eliminate(e, Matrix.identity(field, e.rows)._r, True)
-    if len(pivots) != e.rows:
+    v_rows, free, null_aug = _basis_rows(e, Matrix.identity(field, e.rows))
+    if null_aug:
         raise ValueError("unit_completion requires independent rows")
-    v_rows, free = _basis_rows(field, n, rows, pivots)
     i_free = Matrix.zero_one(field, len(free), n, enumerate(free))
     return Matrix(field, n, n, v_rows), Matrix(field, n, n, e._r + i_free._r)
 

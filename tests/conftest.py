@@ -19,10 +19,10 @@ ALL_FIELDS = (RATIONALS, GAUSSIAN_CONJ, GAUSSIAN_IDENT, GF7)
 
 # Numbers outside the input grammars: digits are ASCII 0-9 with no "_",
 # headers and JSON rows/cols are integers, true/false is no number, and
-# only ASCII whitespace may pad an exact JSON string entry.  Each is
-# (--field value, document), a JSON document as a dict; prime fields
-# read modulo 7.  Library readers raise MatrixParseError on each, and
-# the CLI exits 1.
+# only ASCII whitespace may pad a JSON string entry.  Each is (--field
+# value, document), a JSON document as a dict; prime fields read
+# modulo 7.  Library readers raise MatrixParseError on each, and the
+# CLI exits 1.
 MALFORMED_NUMBERS = [
     *((f, f"1 1\n{tok}\n") for f in
       ("rational", "gaussian-rational", "prime-field")
@@ -38,8 +38,12 @@ MALFORMED_NUMBERS = [
                 "complex") for b in (True, False)),
     # EM SPACE, NO-BREAK SPACE and IDEOGRAPHIC SPACE around a 7
     *((f, {"rows": 1, "cols": 1, "entries": [e]})
-      for f in ("rational", "gaussian-rational", "prime-field")
+      for f in ("rational", "gaussian-rational", "prime-field", "real",
+                "complex")
       for e in ("\u20037", "7\u00a0", "\u30007")),
+    ("complex", {"rows": 1, "cols": 1, "entries": ["1_0+2*i"]}),
+    *((f, f"1 1\n{tok}\n") for f in ("real", "complex")
+      for tok in ("1_0", "\u0661\u0662", "\uff11\uff12")),
 ]
 
 _small = st.integers(-4, 4)

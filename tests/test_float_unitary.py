@@ -19,7 +19,8 @@ from congru import (
     render_float_matrix,
     unitarity_residual,
 )
-from congru.float_unitary import block_slices, required_zero_mask
+from congru.float_unitary import _read_float, block_slices, required_zero_mask
+from congru.matrix import _read_json
 
 from conftest import GAUSSIAN_CONJ, GAUSSIAN_IDENT, RATIONALS
 
@@ -235,6 +236,23 @@ class TestFloatTextFormat:
         with pytest.raises(MatrixParseError) as ei:
             parse_float_matrix("1 2\n1.0 abc\n", complex_entries=False)
         assert (ei.value.line, ei.value.column) == (2, 5)
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_literals_are_ascii_without_separators(self, complex_entries):
+        # float() and complex() read all of these; the grammar does not
+        for tok in ("1_0", "\u0661\u0662", "\uff11\uff12"):
+            with pytest.raises(MatrixParseError) as ei:
+                parse_float_matrix(f"1 2\n1.0 {tok}\n",
+                                   complex_entries=complex_entries)
+            assert (ei.value.line, ei.value.column) == (2, 5)
+        strings = ["\u20037", "7\u00a0"] + ["1_0+2*i"] * complex_entries
+        for entry in strings:
+            doc = {"rows": 1, "cols": 2, "entries": [1.0, entry]}
+            with pytest.raises(MatrixParseError) as ei:
+                _read_float(_read_json, doc, complex_entries)
+            assert (ei.value.line, ei.value.column) == (1, 2)
+        doc = {"rows": 1, "cols": 2, "entries": [" 7 ", 7]}
+        assert (_read_float(_read_json, doc, complex_entries) == 7).all()
 
     def test_header_errors(self):
         with pytest.raises(MatrixParseError):

@@ -26,8 +26,9 @@ from congru import (
     solve,
 )
 from congru.float_unitary import _read_float
-from congru.matrix import (_eliminate, _read_json, _read_text, f_block,
-                           g_block, row_echelon_transform, unit_completion)
+from congru.matrix import (_SLOTS, _eliminate, _packing, _Packing, _read_json,
+                           _read_text, f_block, g_block,
+                           row_echelon_transform, unit_completion)
 
 from conftest import (ALL_FIELDS, GAUSSIAN_CONJ, GAUSSIAN_IDENT, GF7,
                       MALFORMED_NUMBERS, RATIONALS, fielded_square,
@@ -766,12 +767,14 @@ def test_slot_bound_eliminations(p, shape, small):
     m, n = shape
     field, ident = a.field, Matrix.identity(a.field, m)
     start = [a.row(i) + ident.row(i) for i in range(m)]
-    rows, pivots = _eliminate(a, ident._r, False)
-    assert (list(map(list, rows)), pivots) == _plain_forward(p, start, n)
-    rows, pivots = _eliminate(a, ident._r, True)
+    rows, pivots, decode = _eliminate(a, ident._r, False)
+    ref, ref_pivots = _plain_forward(p, start, n)
+    assert (list(map(list, decode(rows))), [c for c, _ in pivots]) == (
+        ref, [c for _, c in ref_pivots])
+    rows, pivots, decode = _eliminate(a, ident._r, True)
     ref, ref_pivots = _reference_rref(field, start, n)
-    assert (list(map(list, rows)), [c for _, c in pivots]) == (ref,
-                                                               ref_pivots)
+    assert (list(map(list, decode(rows))), [c for c, _ in pivots]) == (
+        ref, ref_pivots)
     assert rank(a) == m
     basis = nullspace(a)
     assert basis.shape == (n, n - m) and (a * basis).is_zero()
@@ -799,6 +802,29 @@ def test_slot_bound_product(p):
     assert b.star * a.star == Matrix.from_rows(field, [[entry] * 2] * 3)
 
 
+# a (p, t) for each width in _SLOTS that _packing picks it for; each
+# width reads a slot through its own pair of struct fields
+_WIDTH_CASES = {2: [(3, 5)], 4: [(251, 5)], 8: [(65521, 5), (2 ** 31 - 1, 3)],
+                9: [(2 ** 31 - 1, 100)], 10: [(2 ** 31 - 1, 2 ** 10)],
+                12: [(2 ** 31 - 1, 2 ** 20)], 16: [(2 ** 31 - 1, 2 ** 34)]}
+
+
+@pytest.mark.parametrize("w", sorted(_SLOTS))
+def test_every_slot_width_unpacks_mod_p(w):
+    n = 7
+    for p, t in _WIDTH_CASES[w]:
+        g = _packing(p, n, t)
+        assert g.w == w
+        rng = random.Random(p * w)
+        rows = [[rng.randrange(p) for _ in range(n)] for _ in range(5)]
+        assert g.unpack(list(map(g.pack, rows))) == sum(rows, [])
+        # any slot value, up to the largest, reads as itself mod p
+        slots = [(1 << 8 * w) - 1, 0] + [rng.randrange(1 << 8 * w)
+                                         for _ in range(n - 2)]
+        packed = sum(v << 8 * w * j for j, v in enumerate(slots))
+        assert g.unpack([packed]) == [v % p for v in slots]
+
+
 def test_unit_completion_rejects_dependent_rows():
     with pytest.raises(ValueError, match="independent rows"):
         unit_completion(_mat(RATIONALS, [[1, 2, 3], [2, 4, 6]]))
@@ -818,6 +844,29 @@ def test_rank_reads_only_the_pivots(monkeypatch):
     assert invariants(a) == Invariants(nu=1, zeta=0, kappa=1, rho=1)
     assert not a.is_nonsingular()
     assert Matrix.identity(RATIONALS, 3).is_nonsingular()
+
+
+@pytest.mark.parametrize("field", [RATIONALS, GAUSSIAN_CONJ, GF_BIG], ids=str)
+def test_row_echelon_transform_decodes_only_null_rows(field, monkeypatch):
+    # P comes from the pivots' source rows, so only L's rows are decoded
+    decoded: list = []
+    if field.p is not None:
+        real = _Packing.decode
+        monkeypatch.setattr(_Packing, "decode",
+                            lambda g, xs: decoded.extend(xs) or real(g, xs))
+    else:
+        name = ("_q_decode" if field.kind is FieldKind.RATIONAL
+                else "_entry_decode")
+        real = getattr(congru.matrix, name)
+        monkeypatch.setattr(congru.matrix, name,
+                            lambda rows: decoded.extend(rows) or real(rows))
+    nonsingular = _mat(field, [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    assert row_echelon_transform(nonsingular)[0] == [0, 1, 2]
+    assert decoded == []
+    a = _mat(field, [[0, 1, 1], [1, 0, 1], [1, 1, 2], [2, 1, 3]])
+    p, left = row_echelon_transform(a)
+    assert p == [0, 1] and len(decoded) == 2
+    assert (left * a).is_zero() and left.shape == (2, 4)
 
 
 class TestNoEmptyElimination:
