@@ -20,14 +20,15 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .float_unitary import (FloatMode, _read_float, float_regularize,
-                            pattern_residual, render_float_matrix,
-                            render_float_scalar, unitarity_residual)
+from .float_unitary import (FloatMode, _read_float, _real_entry,
+                            float_regularize, pattern_residual,
+                            render_float_matrix, render_float_scalar,
+                            unitarity_residual)
 from .matrix import (Matrix, MatrixParseError, _read_json, _read_text,
                      _write_json, invariants)
 from .pencil import SelfadjointPencil, pencil_regularize
 from .regularize import regularize
-from .scalar import FieldKind, FieldSpec, Involution
+from .scalar import _INTEGER_RE, FieldKind, FieldSpec, Involution
 from .sparse_form import canonical_sparse_form, full_decomposition
 from .verify import invariance_suite, roundtrip_suite
 
@@ -298,15 +299,13 @@ def _cmd_verify(config: CliConfig) -> CliResult:
     seed = config.seed
     if seed is None:
         env = os.environ.get("CONGRU_SEED")
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError:
-                raise CliInputError(
-                    f"CONGRU_SEED must be an integer, got {env!r}"
-                    ) from None
-        else:
+        if env is None:
             seed = 0
+        elif _INTEGER_RE.fullmatch(env):
+            seed = int(env)
+        else:
+            raise CliInputError(
+                f"CONGRU_SEED must be an integer, got {env!r}")
     if config.trials < 1:
         raise CliInputError("--trials must be positive")
     if config.input_path is not None:
@@ -358,13 +357,28 @@ def run(config: CliConfig) -> CliResult:
 
 
 # -- argument parsing ----------------------------------------------------------
+# Number flags take the grammar of the matrix entries: int() and float()
+# alone also read "_" separators and non-ASCII digits.
+
+
+def _integer(text: str) -> int:
+    if not _INTEGER_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+    return int(text)
+
+
+def _real(text: str) -> float:
+    try:
+        return _real_entry(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
 
 
 def _add_exact_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--field", choices=_EXACT_FIELDS, default="rational")
     p.add_argument("--involution", choices=_INVOLUTIONS,
                    default="identity")
-    p.add_argument("--prime", type=int, default=None,
+    p.add_argument("--prime", type=_integer, default=None,
                    help="modulus for --field prime-field")
     p.add_argument("--json", action="store_true", dest="json_io",
                    help="read and write JSON instead of the text format")
@@ -390,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", choices=_FLOAT_FIELDS, default="complex")
     p.add_argument("--involution", choices=_INVOLUTIONS,
                    default="identity")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_real, default=None,
                    help="fixed rank tolerance (default: relative rule)")
     p.add_argument("--json", action="store_true", dest="json_io")
     p.add_argument("input_path", metavar="input",
@@ -398,9 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify")
     _add_exact_flags(p)
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_integer, default=None,
                    help="suite seed (default CONGRU_SEED or 0)")
-    p.add_argument("--trials", type=int, default=25)
+    p.add_argument("--trials", type=_integer, default=25)
     p.add_argument("input_path", metavar="input", nargs="?", default=None,
                    help="optional matrix: run the invariance suite on it "
                         "instead of the round-trip suite")

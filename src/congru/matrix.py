@@ -14,17 +14,19 @@ one decoder from work rows to entries, which both loops use.  An
 elimination hands back its rows undecoded, with the row of A each
 pivot row started as, so a caller decodes only the rows it reads: a
 rank none, an echelon transform only its null rows, and _basis_rows,
-the one reader of reduced rows, all of them.  Over Q both work on
-integer rows, lists of ints over one row denominator: their inner
-loops add int products, and an elimination clears a column by the
-fraction-free pv*row_k - q*row_r and divides the row's content out.
-Entries still enter and leave every Matrix as Fraction, with the
-values plain Fraction arithmetic gives.  Over Q(i) a row is a list of
-entries.  Over GF(p) a row is one int that packs its entries into
-fixed-width slots, wide enough that no slot carries into the next, so
-that a row operation is one big-int multiply-add; rows are unpacked
-and reduced mod p only when they are decoded.  Every Matrix over
-GF(p) still stores its entries as ints in [0, p).
+the one reader of reduced rows, all of them.  No elimination scales a
+row: a reduced pivot row is its pivot times its reduced echelon row,
+and _basis_rows divides the entries it reads by that pivot.  Over Q
+both loops work on integer rows, lists of ints over one row
+denominator: their inner loops add int products, and an elimination
+clears a column by the fraction-free pv*row_k - q*row_r and divides
+the row's content out.  Entries still enter and leave every Matrix as
+Fraction, with the values plain Fraction arithmetic gives.  Over Q(i)
+a row is a list of entries.  Over GF(p) a row is one int that packs
+its entries into fixed-width slots, wide enough that no slot carries
+into the next, so that a row operation is one big-int multiply-add;
+rows are unpacked and reduced mod p only when they are decoded.
+Every Matrix over GF(p) still stores its entries as ints in [0, p).
 """
 
 from __future__ import annotations
@@ -379,28 +381,28 @@ def _eliminate(a: Matrix, aug: tuple, reduce: bool,
                ) -> tuple[list, list, Callable]:
     """Forward elimination on the rows [a | aug], aug a tuple of
     a.rows row tuples, with the first nonzero entry of each column of
-    a as its pivot; with `reduce`, continued to the reduced echelon
-    form of a: unit pivots, cleared above them last pivot first.
-    Returns the eliminated rows, still in the field's work format, one
-    (column, source) pair per pivot row, pivot row i being row i and
-    source the row of a it was swapped in from, and the field's
-    decoder, which turns a list of work rows into tuples of entries."""
+    a as its pivot; with `reduce`, each pivot column is also cleared
+    above its pivot, last pivot first, so that pivot row i is its
+    pivot times row i of the reduced echelon form of a.  Returns the
+    eliminated rows, still in the field's work format, one (column,
+    source) pair per pivot row, pivot row i being row i and source the
+    row of a it was swapped in from, and the field's decoder, which
+    turns a list of work rows into tuples of entries."""
     field = a.field
     joined = [x + y for x, y in zip(a._r, aug)]
     m = len(joined)
     if field.kind is FieldKind.RATIONAL:
         rows = list(map(_q_row, joined))
         entry, pivot, clear = operator.getitem, _own_pivot, _q_update
-        unit, decode = _q_unit, _q_decode
+        decode = _q_decode
     elif field.p is None:
         rows = list(map(list, joined))
         entry, pivot, clear = operator.getitem, _own_pivot, _entry_clear
-        unit, decode = _entry_unit, _entry_decode
+        decode = _entry_decode
     else:
         g = _packing(field.p, len(joined[0]) if joined else 0, 2 * m + 1)
         rows = list(map(g.pack, joined))
-        entry, pivot, clear = g.entry, g.pivot, g.clear
-        unit, decode = g.unit, g.decode
+        entry, pivot, clear, decode = g.entry, g.pivot, g.clear, g.decode
 
     def sweep(r: int, c: int, others: Iterable[int]) -> None:
         # clear column c of the rows `others` with pivot row r
@@ -423,8 +425,6 @@ def _eliminate(a: Matrix, aug: tuple, reduce: bool,
         sweep(r, c, range(r + 1, m))
         pivots.append((c, source[r]))
     if reduce:
-        for r, (c, _) in enumerate(pivots):
-            rows[r] = unit(rows[r], c)
         for r, (c, _) in reversed([*enumerate(pivots)]):
             sweep(r, c, range(r))
     return rows, pivots, decode
@@ -444,13 +444,6 @@ def _entry_clear(rk: list, rr: list, c: int, pv) -> list:
         if rr[j]:
             rk[j] = rk[j] - f * rr[j]
     return rk
-
-
-def _entry_unit(rr: list, c: int) -> list:
-    """Scale row r in place to a unit pivot at column c."""
-    inv = 1 / rr[c]
-    rr[c:] = [x * inv for x in rr[c:]]
-    return rr
 
 
 def _entry_decode(rows: list) -> list:
@@ -512,12 +505,6 @@ class _Packing:
     def clear(self, rk: int, rr: int, c: int, f: int) -> int:
         """rk + (q * f mod p) * rr, q the entry of rk at column c."""
         return rk + self.entry(rk, c) * f % self.p * rr
-
-    def unit(self, rr: int, c: int) -> int:
-        """Pivot row rr scaled to a unit pivot at column c, reduced."""
-        p, values = self.p, self.unpack([rr])
-        inv = pow(values[c], -1, p)
-        return self.pack([x * inv % p for x in values])
 
 
 # each packing compiles two struct formats, so one is built per
@@ -637,15 +624,6 @@ def _q_update(rk: list, rr: list, c: int, pv: int) -> list:
     return new
 
 
-def _q_unit(rr: list, c: int) -> list:
-    """Row r scaled to a unit pivot at column c: d_r / pv times row r
-    is the same ints over pv = rr[c], and then over pv / g once their
-    content g is divided out."""
-    ints = rr[:-1]
-    g = gcd(*ints)
-    return [x // g for x in ints] + [rr[c] // g]
-
-
 # -- the eliminations callers ask for -------------------------------------------
 
 
@@ -667,7 +645,10 @@ def _basis_rows(a: Matrix, aug: Matrix) -> tuple[tuple, list, list]:
     for k, fc in enumerate(free):
         out[fc] = zeros + unit[k]
     for row, (c, _) in zip(rows, pivots):
-        out[c] = row[n:] + _reduced(field, [-row[fc] for fc in free])
+        # the pivot row is its reduced echelon row times its pivot
+        inv = field.inverse(row[c])
+        out[c] = _reduced(field, [x * inv for x in row[n:]]
+                          + [-row[fc] * inv for fc in free])
     return tuple(out), free, [row[n:] for row in rows[len(pivots):]]
 
 

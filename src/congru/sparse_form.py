@@ -87,8 +87,11 @@ def reduce_cde(rec: StageRecord) -> Matrix:
 
 def _merge_level(g: Matrix, xg: Matrix, bottom_zero: int,
                  rec: StageRecord) -> Matrix:
-    """The transform F that merges one reduced stage around the
-    already-canonical inner block g.
+    """F * (xg (+) I), for F the transform that merges one reduced
+    stage around the already-canonical inner block
+    g = xg * rec.a_next * xg.star: the inner transform xg taken into
+    F's grid, so that the result acts on the stage's own form
+    [[rec.a_next, rec.b, 0], [0, 0, [I 0]], [0, 0, 0]].
 
     g is h x h with its bottom `bottom_zero` rows zero and its other
     rows of disjoint support (so independent); its bottom columns are
@@ -111,7 +114,8 @@ def _merge_level(g: Matrix, xg: Matrix, bottom_zero: int,
 
     So F = [[I, 0, [-G1.star, 0]], [(K*V).star, V.star,
     V.star * [-G2.star, 0]], [0, 0, W]], with
-    V.star * G2.star = (b3 * V).star * K[nz:] = [K[nz:]; 0].
+    V.star * G2.star = (b3 * V).star * K[nz:] = [K[nz:]; 0], and
+    F * (xg (+) I) has xg and (K*V).star * xg in its first block column.
     """
     field = g.field
     m_odd, m_even = rec.m_odd, rec.m_even
@@ -124,11 +128,11 @@ def _merge_level(g: Matrix, xg: Matrix, bottom_zero: int,
     v, v_inv = unit_completion(bhat.block(nz, h, 0, m_even))
     w = direct_sum(field, [v_inv, ident(field, pad)])
     return Matrix.from_blocks(field, [
-        [ident(field, h), zeros(field, h, m_even),
+        [xg, zeros(field, h, m_even),
          Matrix.from_blocks(field, [[-(g.star * k_sol),
                                       zeros(field, h, pad)]])],
         # V.star * [-G2.star, 0] = [[-K[nz:], 0], [0, 0]]
-        [(k_sol * v).star, v.star,
+        [(k_sol * v).star * xg, v.star,
          direct_sum(field, [-k_sol.block(nz, h, 0, m_even),
                             zeros(field, m_even - bottom_zero, pad)])],
         [zeros(field, m_odd, h), zeros(field, m_odd, m_even), w],
@@ -157,9 +161,7 @@ def canonical_sparse_form(a: Matrix) -> SparseForm:
         w = reduce_cde(rec) * rec.transform
         g = direct_sum(field, [res.regular_part,
                                sparse_nilpotent(field, m[2 * k + 2:])])
-        factor = _merge_level(g, xg, bottom_zero, rec)
-        pad = Matrix.identity(field, rec.m_even + rec.m_odd)
-        xg = factor * direct_sum(field, [xg, pad]) * w
+        xg = _merge_level(g, xg, bottom_zero, rec) * w
         bottom_zero = rec.m_odd
 
     return SparseForm(

@@ -464,6 +464,38 @@ class TestArgv:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
 
+    # the number flags take the matrix entries' grammar: no "_"
+    # separators, no non-ASCII digits
+    @pytest.mark.parametrize("argv, flag", [
+        (["verify", "--seed", "1_0", "--trials", "1"], "--seed"),
+        (["verify", "--seed", "١٢", "--trials", "1"], "--seed"),
+        (["verify", "--trials", "1_0"], "--trials"),
+        (["verify", "--trials", "２"], "--trials"),
+        (["decompose", "--field", "prime-field", "--prime", "٧"], "--prime"),
+        (["decompose", "--field", "prime-field", "--prime", "1_1"],
+         "--prime"),
+        (["float-regularize", "--tol", "1_0e-3"], "--tol"),
+        (["float-regularize", "--tol", "١e-3"], "--tol"),
+    ], ids=repr)
+    def test_bad_number_flag(self, capsys, tmp_path, argv, flag):
+        p = tmp_path / "a.txt"
+        p.write_text("2 2\n0 1\n0 0\n")
+        status, out, err = run_cli(capsys, [*argv, str(p)])
+        assert (status, out) == (1, "")
+        assert f"error: argument {flag}: invalid " in err
+
+    @pytest.mark.parametrize("env", ["1_0", "١٢", " 12", "1.0"])
+    def test_bad_env_seed_token(self, capsys, monkeypatch, env):
+        monkeypatch.setenv("CONGRU_SEED", env)
+        status, out, err = run_cli(capsys, ["verify", "--trials", "1"])
+        assert (status, out) == (1, "")
+        assert err == f"error: CONGRU_SEED must be an integer, got {env!r}\n"
+
+    def test_signed_number_flags(self, capsys, monkeypatch):
+        monkeypatch.setenv("CONGRU_SEED", "-5")
+        _, out, _ = run_cli(capsys, ["verify", "--trials", "+1"])
+        assert out.splitlines()[0] == "suite=roundtrip seed=-5 trials=1"
+
 
 class TestHostileInput:
     """Malformed or hostile input exits 1 with an error line, never 2."""

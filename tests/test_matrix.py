@@ -48,12 +48,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match="cols"):
             Matrix.from_rows(RATIONALS, [])
         assert Matrix.from_rows(RATIONALS, [], cols=3).shape == (0, 3)
+        with pytest.raises(ValueError, match="cols does not match"):
+            Matrix.from_rows(RATIONALS, [[1, 2]], cols=3)
 
     def test_from_blocks_dimension_check(self):
         a = Matrix.identity(RATIONALS, 2)
         b = Matrix.zeros(RATIONALS, 1, 1)
         with pytest.raises(ValueError, match="inconsistent block"):
             Matrix.from_blocks(RATIONALS, [[a, b]])
+        with pytest.raises(ValueError, match="ragged block grid"):
+            Matrix.from_blocks(RATIONALS, [[a, a], [a]])
 
     def test_zero_dimension_conventions(self):
         assert Matrix.zeros(RATIONALS, 0, 0).is_nonsingular()
@@ -246,6 +250,29 @@ class TestTake:
             self.a.take(rows, cols)
 
 
+class TestArithmetic:
+    @pytest.mark.parametrize("field", ALL_FIELDS, ids=str)
+    def test_subtraction(self, field):
+        a = _mat(field, [[1, 2, 0], [3, 4, 5]])
+        b = _mat(field, [[6, 0, 1], [2, 2, 2]])
+        assert (a - a).is_zero()
+        assert a - b == a + (-b)
+        assert b - a == -(a - b)
+
+    def test_shape_checks(self):
+        a, b = Matrix.identity(RATIONALS, 2), Matrix.zeros(RATIONALS, 2, 3)
+        for op, what in ((lambda x, y: x + y, "addition"),
+                         (lambda x, y: x - y, "subtraction")):
+            with pytest.raises(ValueError,
+                               match=f"dimension mismatch in {what}"):
+                op(a, b)
+        with pytest.raises(ValueError, match="dimension mismatch in product"):
+            b * a
+        for r0, r1, c0, c1 in ((0, 3, 0, 1), (1, 0, 0, 1), (0, 1, -1, 1)):
+            with pytest.raises(ValueError, match="block out of range"):
+                b.block(r0, r1, c0, c1)
+
+
 class TestElimination:
     def test_row_echelon_bottom(self):
         a = _mat(RATIONALS, [[0, 0], [1, 2]])
@@ -411,6 +438,11 @@ class TestBuilders:
         assert f_block(RATIONALS, 3).to_text() == "2 3\n1 0 0\n0 1 0\n"
         assert g_block(RATIONALS, 3).to_text() == "2 3\n0 1 0\n0 0 1\n"
         assert f_block(RATIONALS, 1).shape == (0, 1)
+
+    @pytest.mark.parametrize("builder", [jordan_block, f_block, g_block])
+    def test_block_builders_need_a_positive_size(self, builder):
+        with pytest.raises(ValueError, match="requires n >= 1"):
+            builder(RATIONALS, 0)
 
     def test_permutation_matrix_moves_rows(self):
         p = permutation_matrix(RATIONALS, [1, 2, 0])
@@ -773,8 +805,10 @@ def test_slot_bound_eliminations(p, shape, small):
         ref, [c for _, c in ref_pivots])
     rows, pivots, decode = _eliminate(a, ident._r, True)
     ref, ref_pivots = _reference_rref(field, start, n)
-    assert (list(map(list, decode(rows))), [c for c, _ in pivots]) == (
-        ref, ref_pivots)
+    # a reduced pivot row is its pivot times its reduced echelon row
+    rows = [[x * pow(row[c], -1, p) % p for x in row]
+            for row, (c, _) in zip(decode(rows), pivots)]
+    assert (rows, [c for c, _ in pivots]) == (ref, ref_pivots)
     assert rank(a) == m
     basis = nullspace(a)
     assert basis.shape == (n, n - m) and (a * basis).is_zero()

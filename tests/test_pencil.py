@@ -14,7 +14,7 @@ from congru import (
 )
 from congru.pencil import lemma6_permutation, permuted_jordan_target, replace_block
 
-from conftest import GAUSSIAN_CONJ, scrambled_sum
+from conftest import GAUSSIAN_CONJ, RATIONALS, scrambled_sum
 
 CONJ = GAUSSIAN_CONJ
 
@@ -41,6 +41,12 @@ class TestPermutation:
 
 
 class TestTarget:
+    @pytest.mark.parametrize("build", [permuted_jordan_target,
+                                       replace_block])
+    def test_size_zero_rejected(self, build):
+        with pytest.raises(ValueError, match="block size must be positive"):
+            build(RATIONALS, 0)
+
     def test_size_one(self):
         t = permuted_jordan_target(CONJ, 1)
         assert t.to_text() == "1 1\n0\n"

@@ -288,6 +288,13 @@ class TestFieldSpec:
     def test_coerce_fraction_into_prime_field(self):
         # 1/2 = 2^-1 = 4 in GF(7)
         assert GF7.coerce(Fraction(1, 2)) == 4
+        with pytest.raises(ValueError, match="divisible by the modulus"):
+            GF7.coerce(Fraction(3, 14))
+
+    @pytest.mark.parametrize("field", [RATIONALS, GF7], ids=str)
+    def test_imaginary_unit_only_in_gaussian(self, field):
+        with pytest.raises(ValueError, match="only in the Gaussian"):
+            field.imaginary_unit()
 
     def test_coerce_string(self):
         assert RATIONALS.coerce("-3/4") == Fraction(-3, 4)

@@ -179,6 +179,11 @@ def test_canonical_sparse_form_properties(data):
     assert rep.ok, rep.reason
 
 
+def test_canonical_sparse_form_requires_square():
+    with pytest.raises(ValueError, match="requires a square matrix"):
+        canonical_sparse_form(Matrix.zeros(RATIONALS, 1, 2))
+
+
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_full_decomposition_properties(data):
@@ -223,16 +228,17 @@ def test_scrambled_sums_recovered_exactly():
 
 
 def test_every_level_meets_its_contract(monkeypatch):
-    # the pipeline computes only each level's transform F; the level
-    # before the merge, P = [[g, xg*b, 0], [0, 0, [I 0]], [0, 0, 0]],
-    # is built here as the oracle, and F * P * F.star must be the
-    # canonical block that the parameter sequence fixes
+    # the pipeline computes only each level's transform F; the stage's
+    # own form P = [[a_next, b, 0], [0, 0, [I 0]], [0, 0, 0]], whose
+    # a_next the inner transform xg carries to g, is built here as the
+    # oracle, and F * P * F.star must be the canonical block that the
+    # parameter sequence fixes
     merge = sparse_form_module._merge_level
     levels = []
 
     def recording(g, xg, bottom_zero, rec):
         f = merge(g, xg, bottom_zero, rec)
-        levels.append((g, xg, bottom_zero, rec, f))
+        levels.append((g, bottom_zero, rec, f))
         return f
 
     monkeypatch.setattr(sparse_form_module, "_merge_level", recording)
@@ -251,7 +257,7 @@ def test_every_level_meets_its_contract(monkeypatch):
             sf = canonical_sparse_form(a)
             m, regular = sf.m, sf.regular_part
             assert len(levels) == len(m) // 2
-            for k, (g, xg, bottom_zero, rec, f) in zip(
+            for k, (g, bottom_zero, rec, f) in zip(
                     reversed(range(len(m) // 2)), levels):
                 assert g == direct_sum(field, [
                     regular, sparse_nilpotent(field, m[2 * k + 2:])])
@@ -260,7 +266,7 @@ def test_every_level_meets_its_contract(monkeypatch):
                     Matrix.identity(field, m_even),
                     zeros(m_even, m_odd - m_even)]])
                 p = Matrix.from_blocks(field, [
-                    [g, xg * rec.b, zeros(h, m_odd)],
+                    [rec.a_next, rec.b, zeros(h, m_odd)],
                     [zeros(m_even, h), zeros(m_even, m_even), unit],
                     [zeros(m_odd, h), zeros(m_odd, m_even),
                      zeros(m_odd, m_odd)],

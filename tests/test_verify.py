@@ -1,7 +1,11 @@
 """Randomized witnesses, transform checking, verification suites."""
 
+import dataclasses
+import re
+
 import pytest
 
+import congru.verify as verify_module
 from congru import (
     FieldSpec,
     Matrix,
@@ -12,6 +16,8 @@ from congru import (
     rank,
     roundtrip_suite,
 )
+from congru.cli import main
+from congru.regularize import BlockSum
 from congru.verify import (RandomSpec, nilpotent_jordan_oracle, random_matrix,
                            random_nonsingular)
 
@@ -59,6 +65,8 @@ class TestRandomMatrices:
     def test_empty_size(self):
         spec = RandomSpec(seed=0, size=0, field=RATIONALS)
         assert random_nonsingular(spec).shape == (0, 0)
+        with pytest.raises(ValueError, match="size must be nonnegative"):
+            RandomSpec(seed=0, size=-1, field=RATIONALS)
 
 
 class TestCheckTransform:
@@ -115,3 +123,59 @@ class TestSuites:
     def test_suite_report_ok_semantics(self):
         bad = roundtrip_suite(0, seed=0)
         assert bad.total == 0 and bad.ok
+
+
+# full_decomposition with one fault each; the suites must name it
+def _extra_block(bs, x):
+    mult = dict(bs.jordan_multiplicities)
+    mult[1] = mult.get(1, 0) + 1
+    return BlockSum(bs.regular_part, mult), x
+
+
+def _larger_regular(bs, x):
+    field = bs.regular_part.field
+    return BlockSum(direct_sum(field, [bs.regular_part,
+                                       Matrix.identity(field, 1)]),
+                    bs.jordan_multiplicities), x
+
+
+def _doubled_transform(bs, x):
+    return bs, x.scale(2)
+
+
+@pytest.mark.parametrize("fault, reason", [
+    (_extra_block, r"block multiset \{.*\} != \{.*\}"),
+    (_larger_regular, r"regular size \d+ != \d+"),
+    (_doubled_transform, r"mismatch at \(\d+, \d+\): .+ != .+"),
+], ids=lambda v: getattr(v, "__name__", ""))
+def test_roundtrip_suite_reports_failures(capsys, monkeypatch, fault, reason):
+    real = verify_module.full_decomposition
+    monkeypatch.setattr(verify_module, "full_decomposition",
+                        lambda a: fault(*real(a)))
+    report = roundtrip_suite(3, seed=0)
+    assert not report.ok and report.total == 3
+    # X scaled by 2 still passes where the assembled matrix is zero
+    assert report.passed == (1 if fault is _doubled_transform else 0)
+    for i, failure in enumerate(report.failures):
+        assert re.fullmatch(rf"trial {i}: {reason}", failure), failure
+    assert main(["verify", "--trials", "2"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["suite=roundtrip seed=0 trials=2", "passed 0/2"]
+    assert [line[:14] for line in lines[2:]] == [
+        "fail: trial 0:", "fail: trial 1:"]
+
+
+def test_invariance_suite_reports_moved_invariants(monkeypatch):
+    a = jordan_block(RATIONALS, 2)
+    real = verify_module.regularize
+
+    def longer_m_for_copies(b):
+        res = real(b)
+        return res if b is a else dataclasses.replace(res, m=res.m + (0, 0))
+
+    monkeypatch.setattr(verify_module, "regularize", longer_m_for_copies)
+    report = invariance_suite(a, 2, seed=0)
+    assert (report.total, report.passed) == (2, 0)
+    for i, failure in enumerate(report.failures):
+        assert failure.startswith(
+            f"trial {i}: congruence moved invariants from ")
