@@ -28,6 +28,11 @@ calls `congru.cli.main`:
   the exact-prime inputs, n up to 64 where the benchmark stops at 36:
   larger GF(p) eliminations and products, whose packed rows have more
   slots and take more clears;
+- `decompose --json --emit-transform` with `--involution conjugate`
+  and with `--involution identity` on the direct sums of the
+  exact-gaussian inputs, formed the same way, n up to 28 where the
+  benchmark stops at 14: Q(i) integer rows that take more clears and
+  grow more content;
 - `verify --json --seed 1`: the round-trip suite with 20 trials, and
   the invariance suite with 3 trials on the first input of each exact
   workload;
@@ -74,6 +79,13 @@ OTHER_FIELD = {
                        "--involution", "identity"],
     "exact-prime": ["--field", "prime-field", "--involution", "identity",
                     "--prime", "3"],
+}
+# the direct sums A_0 (+) A_1, A_2 (+) A_3, ... of these workloads'
+# inputs are decomposed once with each of these flags
+DIRECT_SUM = {
+    "exact-gaussian": [["--involution", "conjugate"],
+                       ["--involution", "identity"]],
+    "exact-prime": [["--prime", str(PRIME)], ["--prime", "2"]],
 }
 
 # runs each argv through congru.cli.main and writes
@@ -224,14 +236,14 @@ def build_runs(directory: str) -> list[list[str]]:
                     runs.append(["decompose", *flags, "--json",
                                  "--emit-transform",
                                  _write_fractional_copy(path)])
-        if workload.field == "prime-field":
+        if name in DIRECT_SUM:
             paths = [req["path"] for req in manifest["requests"]]
             for first, second in zip(paths[::2], paths[1::2]):
                 path = _write_direct_sum(first, second)
-                for prime in (PRIME, 2):
-                    runs.append(["decompose", "--field", "prime-field",
-                                 "--prime", str(prime), "--json",
-                                 "--emit-transform", path])
+                for extra in DIRECT_SUM[name]:
+                    runs.append(["decompose", "--field", workload.field,
+                                 *extra, "--json", "--emit-transform",
+                                 path])
     return runs
 
 

@@ -17,12 +17,16 @@ rank none, an echelon transform only its null rows, and _basis_rows,
 the one reader of reduced rows, all of them.  No elimination scales a
 row: a reduced pivot row is its pivot times its reduced echelon row,
 and _basis_rows divides the entries it reads by that pivot.  Over Q
-both loops work on integer rows, lists of ints over one row
-denominator: their inner loops add int products, and an elimination
-clears a column by the fraction-free pv*row_k - q*row_r and divides
-the row's content out.  Entries still enter and leave every Matrix as
-Fraction, with the values plain Fraction arithmetic gives.  Over Q(i)
-a row is a list of entries.  Over GF(p) a row is one int that packs
+and Q(i) both loops work on integer rows, lists of ints over one row
+denominator d, which is appended: over Q one int per entry, over Q(i)
+the real parts of the n entries and then their imaginary parts,
+[re_0 ... re_{n-1}, im_0 ... im_{n-1}, d].  Their inner loops add int
+products.  An elimination clears a column fraction-free and divides
+the row's content out: by pv*row_k - q*row_r over Q, and over Q(i),
+with P and Q the Gaussian integers at the pivot and at the entry
+cleared, by N(P)*row_k - (conj(P)*Q)*row_r.  Entries still enter and
+leave every Matrix as Fraction or GaussianRational, with the values
+plain field arithmetic gives.  Over GF(p) a row is one int that packs
 its entries into fixed-width slots, wide enough that no slot carries
 into the next, so that a row operation is one big-int multiply-add;
 rows are unpacked and reduced mod p only when they are decoded.
@@ -40,7 +44,9 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
-from .scalar import _INTEGER_RE, FieldKind, FieldSpec, Involution, Scalar
+from .scalar import (_INTEGER_RE, FieldKind, FieldSpec, GaussianRational,
+                     Involution, Scalar)
+from .scalar import _reduced as _gaussian
 
 
 class MatrixParseError(ValueError):
@@ -364,11 +370,13 @@ def _write_json(rows: int, cols: int, grid: Iterable, render: Callable,
 # on the rows [a | aug], aug holding the columns a caller mirrors the
 # row operations onto: b for solve, I for inverse and for a transform,
 # nothing for rank and nullspace.  Only the work row's format depends
-# on the field: over Q a list of ints with the row denominator
-# appended, over Q(i) a list of entries, over GF(p) one packed int (see
-# _Packing).  `pivot` gives a pivot row and the factor its clears
-# share: the pivot entry, or -1/pivot mod p over GF(p).  A clear reads
-# the entry it clears and returns a row whose entry is 0 unchanged.
+# on the field: over Q and Q(i) a list of ints with the row denominator
+# appended, the Q(i) row holding its real parts and then its imaginary
+# parts, over GF(p) one packed int (see _Packing).  `pivot` gives a
+# pivot row and the factor its clears share: the pivot entry's
+# numerator, a pair of ints over Q(i), or -1/pivot mod p over GF(p).
+# A clear reads the entry it clears and returns a row whose entry is 0
+# unchanged.
 
 
 def _reduced(field: FieldSpec, values: list) -> tuple:
@@ -396,9 +404,9 @@ def _eliminate(a: Matrix, aug: tuple, reduce: bool,
         entry, pivot, clear = operator.getitem, _own_pivot, _q_update
         decode = _q_decode
     elif field.p is None:
-        rows = list(map(list, joined))
-        entry, pivot, clear = operator.getitem, _own_pivot, _entry_clear
-        decode = _entry_decode
+        rows = list(map(_qi_row, joined))
+        entry, pivot, clear = _qi_entry, _qi_pivot, _qi_update
+        decode = _qi_decode
     else:
         g = _packing(field.p, len(joined[0]) if joined else 0, 2 * m + 1)
         rows = list(map(g.pack, joined))
@@ -432,23 +440,6 @@ def _eliminate(a: Matrix, aug: tuple, reduce: bool,
 
 def _own_pivot(rr: list, c: int) -> tuple:
     return rr, rr[c]
-
-
-def _entry_clear(rk: list, rr: list, c: int, pv) -> list:
-    """Clear column c of row k in place with pivot row r, which has pv
-    at column c and zeros before it."""
-    if not rk[c]:
-        return rk
-    f = rk[c] / pv
-    for j in range(c, len(rr)):
-        if rr[j]:
-            rk[j] = rk[j] - f * rr[j]
-    return rk
-
-
-def _entry_decode(rows: list) -> list:
-    """Rows of entries as tuples."""
-    return list(map(tuple, rows))
 
 
 # -- GF(p) kernels on packed rows ------------------------------------------------
@@ -555,24 +546,45 @@ def _product(field: FieldSpec, arows: tuple, brows: tuple, bcols: int,
              ) -> tuple:
     """Rows of A*B.  Each row of B is written once, and only if A uses
     it, as its nonzero (column, value) pairs over a row denominator
-    d_k; row i of A folds its a_ik / d_k into one denominator L_i, and
-    the loop sums f * v with f = a_ik * L_i / d_k.  Only over Q are
-    the values ints over d_k and L_i other than 1.  Over GF(p) a row
-    of B is the single pair (0, the row packed), so the loop does one
-    big-int multiply-add per nonzero a_ik, and the sums are unpacked
-    together at the end."""
-    fold = lambda a, d: (a, d)  # noqa: E731
-    finish, decode = (lambda acc, den: acc), _entry_decode
+    d_k.  Each nonzero a_ik adds terms (f, e, pairs), worth f/e times
+    the pairs; row i of A folds the e of its terms into one denominator
+    L_i, and the loop sums f * (L_i / e) * v.  Over Q the values are
+    the ints of B's integer row, and a_ik = f/e' adds one term with
+    e = e' * d_k.  Over Q(i) the row is [re | im] over d_k, and
+    a_ik = (p + q*i)/e' adds up to two: p times the pairs of [re | im]
+    and q times those of [-im | re], which are the same pairs with
+    their halves swapped and one sign flipped, kept next to them in
+    bint[k].  Over GF(p) a row of B is the single pair (0, the row
+    packed), so the loop does one big-int multiply-add per nonzero
+    a_ik, and the sums are unpacked together at the end."""
+    width, swap = bcols, None
+    finish = lambda acc, den: [*acc, den]  # noqa: E731
     if field.kind is FieldKind.RATIONAL:
-        write, start, width, decode = _q_row, 0, bcols, _q_decode
-        fold = lambda a, d: (a.numerator, a.denominator * d)  # noqa: E731
-        finish = lambda acc, den: [*acc, den]  # noqa: E731
+        write, decode = _q_row, _q_decode
+
+        def fold(a, b):
+            return ((a.numerator, a.denominator * b[2], b[0]),)
     elif field.p is None:
-        write, start, width = (lambda row: [*row, 1]), field.zero(), bcols
+        write, decode, width = _qi_row, _qi_decode, 2 * bcols
+
+        def swap(nz):
+            return [(j + bcols, v) if j < bcols else (j - bcols, -v)
+                    for j, v in nz]
+
+        def fold(a, b):
+            e = a._d * b[2]
+            if not a._b:
+                return ((a._a, e, b[0]),)
+            if not a._a:
+                return ((a._b, e, b[1]),)
+            return ((a._a, e, b[0]), (a._b, e, b[1]))
     else:
         g = _packing(field.p, bcols, len(brows))
-        write, start, width = (lambda row: [g.pack(row), 1]), 0, 1
-        finish, decode = (lambda acc, den: acc[0]), g.decode
+        write, decode, width = (lambda row: [g.pack(row), 1]), g.decode, 1
+        finish = lambda acc, den: acc[0]  # noqa: E731
+
+        def fold(a, b):
+            return ((a, 1, b[0]),)
     bint: list = [None] * len(brows)
     out = []
     for arow in arows:
@@ -583,14 +595,15 @@ def _product(field: FieldSpec, arows: tuple, brows: tuple, bcols: int,
                 if b is None:
                     ints = write(brows[k])
                     d = ints.pop()
-                    b = bint[k] = ([(j, v) for j, v in enumerate(ints) if v],
-                                   d)
+                    nz = [(j, v) for j, v in enumerate(ints) if v]
+                    b = bint[k] = (nz, swap and swap(nz), d)
                 if b[0]:
-                    terms.append((*fold(a, b[1]), b[0]))
-        den = lcm(*[q for _, q, _ in terms])
-        acc = [start] * width
-        for p, q, nz in terms:
-            f = p if q == den else p * (den // q)
+                    terms += fold(a, b)
+        den = lcm(*[e for _, e, _ in terms])
+        acc = [0] * width
+        for f, e, nz in terms:
+            if e != den:
+                f *= den // e
             for j, v in nz:
                 acc[j] += f * v
         out.append(finish(acc, den))
@@ -615,13 +628,94 @@ def _q_update(rk: list, rr: list, c: int, pv: int) -> list:
     else:
         head = [pv * x for x in rk[:c]]
         dk *= pv
-    new = head + [pv * x - q * y for x, y in zip(rk[c:-1], rr[c:-1])]
-    g = gcd(dk, *new)
+    return _content_out(
+        head + [pv * x - q * y for x, y in zip(rk[c:-1], rr[c:-1])], dk)
+
+
+def _content_out(new: list, d: int) -> list:
+    """The integer row new over d, with d appended, both divided by
+    their gcd."""
+    g = gcd(d, *new)
     if g != 1:
         new = [x // g for x in new]
-        dk //= g
-    new.append(dk)
+        d //= g
+    new.append(d)
     return new
+
+
+# -- Q(i) kernels on integer rows ------------------------------------------------
+# A row of n entries (re_j + im_j*i)/d is the 2n + 1 ints [re | im | d]:
+# the real numerators, then the imaginary ones, then d > 0.
+
+_QI_ZERO = GaussianRational()
+
+
+def _qi_row(row) -> list:
+    """A row of GaussianRationals as [re | im | d], d the lcm of their
+    denominators."""
+    d = lcm(*[x._d for x in row])
+    if d == 1:
+        ints = [x._a for x in row] + [x._b for x in row]
+    else:
+        scale = [d // x._d for x in row]
+        ints = ([x._a * s for x, s in zip(row, scale)]
+                + [x._b * s for x, s in zip(row, scale)])
+    ints.append(d)
+    return ints
+
+
+def _qi_decode(rows: list) -> list:
+    """Rows [re | im | d] as tuples of GaussianRationals, one gcd per
+    nonzero entry."""
+    out = []
+    for row in rows:
+        n, d = len(row) >> 1, row[-1]
+        out.append(tuple([_gaussian(x, y, d) if x or y else _QI_ZERO
+                          for x, y in zip(row[:n], row[n:-1])]))
+    return out
+
+
+def _qi_entry(row: list, c: int) -> int:
+    """Nonzero exactly when the entry at column c is."""
+    return row[c] or row[c + (len(row) >> 1)]
+
+
+def _qi_pivot(rr: list, c: int) -> tuple:
+    return rr, (rr[c], rr[c + (len(rr) >> 1)])
+
+
+def _qi_update(rk: list, rr: list, c: int, pv: tuple) -> list:
+    """Clear column c of row k with pivot row r, both [re | im | d],
+    with pv the pivot's numerator P = rr[c] + rr[n + c]*i and zeros
+    before column c in rr.  With Q the numerator of rk at column c, the
+    result (N(P) * rk - (conj(P) * Q) * rr) / (dk * N(P)), with the
+    integer gcd of N(P) and conj(P) * Q cancelled first, comes back in
+    the same format with the content of the row divided out; rk itself
+    when Q = 0."""
+    n = len(rk) >> 1
+    qr, qi = rk[c], rk[n + c]
+    if not (qr or qi):
+        return rk
+    pr, pi = pv
+    fr, fi, nm = pr * qr + pi * qi, pr * qi - pi * qr, pr * pr + pi * pi
+    g = gcd(nm, fr, fi)
+    if g != 1:
+        fr //= g
+        fi //= g
+        nm //= g
+    dk = rk[-1]
+    if nm == 1:
+        head_re, head_im = rk[:c], rk[n:n + c]
+    else:
+        head_re = [nm * x for x in rk[:c]]
+        head_im = [nm * x for x in rk[n:n + c]]
+        dk *= nm
+    re_r, im_r = rr[c:n], rr[n + c:-1]
+    return _content_out(
+        head_re + [nm * x - fr * y + fi * z
+                   for x, y, z in zip(rk[c:n], re_r, im_r)]
+        + head_im + [nm * x - fr * z - fi * y
+                     for x, y, z in zip(rk[n + c:-1], re_r, im_r)], dk)
 
 
 # -- the eliminations callers ask for -------------------------------------------

@@ -12,6 +12,7 @@ import congru
 from congru import (
     FieldKind,
     FieldSpec,
+    GaussianRational,
     Invariants,
     Matrix,
     MatrixParseError,
@@ -481,8 +482,8 @@ class TestBuilders:
 
 # -- the eliminations against their definitions -------------------------------
 # Every elimination runs through one loop, whose row format depends
-# on the field: over Q integer rows with one denominator per row, over
-# Q(i) lists of entries and over GF(p) packed ints.  These properties
+# on the field: over Q and Q(i) integer rows with one denominator per
+# row, and over GF(p) packed ints.  These properties
 # check products and eliminations against a plain Gauss-Jordan
 # elimination in the field's own arithmetic, on entries up to 2**70 in
 # size over Q and Q(i) and on all of GF(2**31 - 1), with zero rows,
@@ -859,6 +860,143 @@ def test_every_slot_width_unpacks_mod_p(w):
         assert g.unpack([packed]) == [v % p for v in slots]
 
 
+# -- Q(i) integer rows against plain GaussianRational arithmetic ----------------
+# A Q(i) work row is [re | im | d]: a product adds up to two real terms
+# per a_ik, and a clear is N(P)*row_k - (conj(P)*Q)*row_r over the
+# row's integer content.  These cases aim at what that format can get
+# wrong: denominators, a_ik with no real or no imaginary part, pivots
+# whose norm is not 1, rows whose entries share a Gaussian but no
+# integer factor, and empty shapes, under both involutions.
+
+_GAUSSIAN_FIELDS = pytest.mark.parametrize(
+    "field", [GAUSSIAN_CONJ, GAUSSIAN_IDENT], ids=str)
+
+# L*U with L unit lower triangular: first-nonzero elimination meets the
+# pivots 1+i, 2i and 3-4i on U's diagonal
+_QI_L = [["1", "0", "0"], ["1/2-i", "1", "0"], ["2+i", "-i", "1"]]
+_QI_U = [["1+i", "2", "1/3*i", "1"], ["0", "2*i", "1-i", "1/2"],
+         ["0", "0", "3-4*i", "i"]]
+# rows 0 and 1 are (1+i) and 2i times [1, 2+i, 3i], row 2 is (2+i) times
+# [1, 2-i, 2+i]; no row has an integer factor
+_QI_SHARED = [["1+i", "1+3*i", "-3+3*i"], ["2*i", "-2+4*i", "-6"],
+              ["2+i", "5", "3+4*i"], ["0", "1/2", "i"]]
+# entries purely real, purely imaginary and both, with denominators,
+# and a zero row
+_QI_MIXED = [["1/2", "i", "2-1/3*i", "0"], ["-3*i", "0", "5/7", "1+i"],
+             ["0", "0", "0", "0"], ["7", "-1/2*i", "-2/5+3/5*i", "3"]]
+
+
+def _qi(field, rows) -> Matrix:
+    """A matrix from rows of entries in the input grammar."""
+    return Matrix.from_rows(field, [list(map(field.parse_scalar, row))
+                                    for row in rows])
+
+
+def _qi_cases(field) -> list:
+    return [_check_product(_qi(field, _QI_L), _qi(field, _QI_U)),
+            _qi(field, _QI_SHARED), _qi(field, _QI_MIXED),
+            _qi(field, _QI_MIXED).star]
+
+
+def _naive_eliminate(rows: list, ncols: int, reduce: bool) -> tuple:
+    """_eliminate's loop in plain field arithmetic: first-nonzero
+    pivots, each clear row_k - (q/pv)*row_r, no row scaled."""
+    rows = [list(r) for r in rows]
+    pivots: list = []
+
+    def sweep(r, c, others):
+        for k in others:
+            if rows[k][c]:
+                f = rows[k][c] / rows[r][c]
+                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
+
+    for c in range(ncols):
+        r = len(pivots)
+        k = next((k for k in range(r, len(rows)) if rows[k][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        sweep(r, c, range(r + 1, len(rows)))
+        pivots.append(c)
+    if reduce:
+        for r, c in reversed([*enumerate(pivots)]):
+            sweep(r, c, range(r))
+    return rows, pivots
+
+
+@_GAUSSIAN_FIELDS
+def test_gaussian_products(field):
+    a, b = _qi(field, _QI_MIXED), _qi(field, _QI_U)
+    for x, y in [(a, a), (a, a.star), (a.star, a), (b, b.star),
+                 (b.star, b), (_qi(field, _QI_SHARED), b)]:
+        _check_product(x, y)
+    for rows, inner, cols in [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0)]:
+        assert (Matrix.zeros(field, rows, inner)
+                * Matrix.zeros(field, inner, cols)) \
+            == Matrix.zeros(field, rows, cols)
+
+
+@_GAUSSIAN_FIELDS
+@pytest.mark.parametrize("reduce", [False, True])
+def test_gaussian_eliminations(field, reduce):
+    for a in _qi_cases(field):
+        ident = Matrix.identity(field, a.rows)
+        rows, pivots, decode = _eliminate(a, ident._r, reduce)
+        ref, ref_pivots = _naive_eliminate(
+            [a.row(i) + ident.row(i) for i in range(a.rows)], a.cols,
+            reduce)
+        assert (list(map(list, decode(rows))), [c for c, _ in pivots]) \
+            == (ref, ref_pivots)
+    lu = _qi_cases(field)[0]
+    rows, pivots, decode = _eliminate(lu, ((),) * 3, False)
+    assert [row[c] for row, (c, _) in zip(decode(rows), pivots)] == [
+        field.parse_scalar(x) for x in ("1+i", "2*i", "3-4*i")]
+
+
+@_GAUSSIAN_FIELDS
+def test_gaussian_solvers(field):
+    for a in _qi_cases(field):
+        _check_rank_and_row_echelon_transform(a)
+        _check_nullspace(a)
+        _check_solve(a, _qi(field, _QI_MIXED).take(range(a.rows)))
+        _check_solve(a, a * _qi(field, _QI_SHARED).take(range(a.cols)))
+        if a.is_square():
+            _check_inverse(a, None)
+            _check_inverse(a, field.parse_scalar("3-4*i"))
+        p, _ = row_echelon_transform(a)
+        e, r = a.take(p), len(p)
+        v, v_inv = unit_completion(e)
+        assert e * v == Matrix.zero_one(field, r, a.cols,
+                                        [(i, i) for i in range(r)])
+        assert v_inv * v == Matrix.identity(field, a.cols)
+        assert v == Matrix.from_blocks(field, [
+            [solve(e, Matrix.identity(field, r)), nullspace(e)]])
+    for rows, cols in [(0, 3), (3, 0), (0, 0)]:
+        a = Matrix.zeros(field, rows, cols)
+        assert rank(a) == 0
+        assert nullspace(a) == Matrix.identity(field, cols)
+        assert solve(a, Matrix.zeros(field, rows, 1)) \
+            == Matrix.zeros(field, cols, 1)
+        assert row_echelon_transform(a) == (
+            [], Matrix.identity(field, rows))
+
+
+def test_gaussian_kernels_do_no_entry_arithmetic(monkeypatch):
+    # Q(i) products, ranks and echelon transforms run on integer rows;
+    # no GaussianRational operator is called
+    a = _qi(GAUSSIAN_CONJ, _QI_MIXED)
+    b = _qi(GAUSSIAN_CONJ, _QI_SHARED).take(range(4))
+    want = (a * b, rank(a), row_echelon_transform(a))
+
+    def no_arithmetic(*args):
+        raise AssertionError("a Q(i) kernel did entry arithmetic")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__",
+                 "__rsub__", "__truediv__", "__rtruediv__", "__neg__"):
+        monkeypatch.setattr(GaussianRational, name, no_arithmetic)
+    assert (a * b, rank(a), row_echelon_transform(a)) == want
+
+
 def test_unit_completion_rejects_dependent_rows():
     with pytest.raises(ValueError, match="independent rows"):
         unit_completion(_mat(RATIONALS, [[1, 2, 3], [2, 4, 6]]))
@@ -890,7 +1028,7 @@ def test_row_echelon_transform_decodes_only_null_rows(field, monkeypatch):
                             lambda g, xs: decoded.extend(xs) or real(g, xs))
     else:
         name = ("_q_decode" if field.kind is FieldKind.RATIONAL
-                else "_entry_decode")
+                else "_qi_decode")
         real = getattr(congru.matrix, name)
         monkeypatch.setattr(congru.matrix, name,
                             lambda rows: decoded.extend(rows) or real(rows))
