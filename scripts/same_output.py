@@ -38,17 +38,19 @@ calls `congru.cli.main`:
   workload;
 - `float-regularize` in text and JSON on the 25 float-complex inputs.
 
-A run's stdout, stderr and exit code must match byte for byte.  The
-script prints the number of differing runs, then the number that
+A run's stdout, stderr and exit code must match byte for byte.  For each
+`float-regularize` run that differs and exits 0 in both trees, the
+script prints whether its `m`, its warnings and its stderr match, and
+the largest absolute difference between the entries of the two regular
+blocks.  It prints the number of differing runs, then the number that
 still differ once the entries of every transform, replaced transform,
-regular part and pencil coefficient matrix are masked (their
-dimensions kept; float-regularize runs are never masked), then how
-many of the change tree's `decompose --json --emit-transform`
-transforms X pass `check_transform(A, X, assemble(answer))` against
-that run's own answer, and last the line count of each tree's
-`congru/*.py`, all lines and code lines (not blank, not a comment,
-not a docstring).  It exits 1 on any byte difference and on any failed
-check.
+regular part and pencil coefficient matrix are masked (their dimensions
+kept; float-regularize runs are never masked), then how many of the
+change tree's `decompose --json --emit-transform` transforms X pass
+`check_transform(A, X, assemble(answer))` against that run's own answer,
+and last the line count of each tree's `congru/*.py`, all lines and code
+lines (not blank, not a comment, not a docstring).  It exits 1 on any
+byte difference and on any failed check.
 """
 
 from __future__ import annotations
@@ -292,6 +294,35 @@ def _structure(argv: list, result: list) -> list:
     return [status, _masked_text(out), err]
 
 
+def _float_parts(argv: list, out: str) -> tuple:
+    """m, warnings and regular-block entries of a float-regularize
+    stdout; the text form prints its warnings on stderr only."""
+    if "--json" in argv:
+        obj = json.loads(out)
+        return obj["m"], obj["warnings"], obj["regular"]["entries"]
+    lines = out.split("\n")
+    k = lines.index("regular:")
+    rows = int(lines[k + 1].split()[0])
+    return lines[0], None, " ".join(lines[k + 2:k + 2 + rows]).split()
+
+
+def _float_diagnostic(argv: list, old: list, new: list) -> str:
+    (m0, w0, e0), (m1, w1, e1) = (_float_parts(argv, r[1])
+                                  for r in (old, new))
+    same = {"m": m0 == m1, "warnings": w0 == w1, "stderr": old[2] == new[2]}
+    parts = [f"{k} {'same' if v else 'differs'}" for k, v in same.items()]
+    def value(tok: str) -> complex:
+        return complex(tok.replace("*i", "j"))
+
+    if len(e0) == len(e1):
+        diff = max((abs(value(a) - value(b)) for a, b in zip(e0, e1)),
+                   default=0.0)
+        parts.append(f"regular entries differ by at most {diff:.3g}")
+    else:
+        parts.append("regular blocks differ in size")
+    return ", ".join(parts)
+
+
 def _is_checked(argv: list, result: list) -> bool:
     return (argv[0] == "decompose" and "--json" in argv
             and "--emit-transform" in argv and result[0] == 0)
@@ -333,6 +364,9 @@ def main(argv: list[str]) -> int:
                                                 "stderr"), old, new)
                           if a != b]
                 print(f"differs in {', '.join(fields)}: {shown(run)}")
+            if run[0] == "float-regularize" and old[0] == new[0] == 0:
+                print(f"float run: {_float_diagnostic(run, old, new)}: "
+                      f"{shown(run)}")
         if _structure(run, old) != _structure(run, new):
             structural += 1
             if structural <= 5:

@@ -99,6 +99,7 @@ class FloatStageRecord:
     form: np.ndarray
     a_next: np.ndarray
     warnings: tuple[str, ...]
+    scale: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,13 +140,6 @@ def _coerce(a, mode: FloatMode) -> np.ndarray:
     return a
 
 
-def _embed(t: np.ndarray, n: int, dtype) -> np.ndarray:
-    k = t.shape[0]
-    out = np.eye(n, dtype=dtype)
-    out[:k, :k] = t
-    return out
-
-
 def float_stage(a, mode: FloatMode, scale: float | None = None,
                 ) -> FloatStageRecord:
     """One unitary or orthogonal reduction stage.
@@ -158,8 +152,10 @@ def float_stage(a, mode: FloatMode, scale: float | None = None,
     takes the same path, through empty SVDs.
 
     scale overrides the reference magnitude for the relative rank
-    rule; float_regularize passes the original matrix norm so later,
-    smaller stages do not re-zoom into rounding noise.
+    rule, which is otherwise the largest singular value of a; the
+    record keeps the one used.  float_regularize passes the first
+    stage's scale, the input's norm, so later, smaller stages do not
+    re-zoom into rounding noise.
     """
     a = _coerce(a, mode)
     n = a.shape[0]
@@ -175,12 +171,14 @@ def float_stage(a, mode: FloatMode, scale: float | None = None,
     m_even, w2 = _decide_rank(s2, n_block.shape, mode, scale)
     warnings += w2
     step2 = u2.conj().T[::-1]  # reversal on top pushes the rank down
-    t = _embed(step2, n, mode.dtype) @ step1
+    t = np.eye(n, dtype=mode.dtype)
+    t[:r, :r] = step2
+    t = t @ step1
     form = t @ a @ mode.adjoint(t)
     rho = r - m_even
     return FloatStageRecord(
         m_odd=m_odd, m_even=m_even, transform=t, form=form,
-        a_next=form[:rho, :rho], warnings=tuple(warnings))
+        a_next=form[:rho, :rho], warnings=tuple(warnings), scale=scale)
 
 
 def float_regularize(a, mode: FloatMode) -> ReducedForm:
@@ -189,12 +187,14 @@ def float_regularize(a, mode: FloatMode) -> ReducedForm:
     block pattern with the parameter sequence."""
     a = _coerce(a, mode)
     n = a.shape[0]
-    scale = float(np.linalg.norm(a, 2)) if n else 0.0
-    stages, last = run_stages(a, lambda w: float_stage(w, mode, scale))
+    first = float_stage(a, mode)
+    stages, last, m = run_stages(
+        first, lambda w: float_stage(w, mode, first.scale))
     t_total = np.eye(n, dtype=mode.dtype)
     for rec in stages:
-        t_total = _embed(rec.transform, n, mode.dtype) @ t_total
-    m = tuple(v for rec in stages for v in (rec.m_odd, rec.m_even))
+        # each stage acts on the leading rows that the one before kept
+        k = rec.transform.shape[0]
+        t_total[:k] = rec.transform @ t_total[:k]
     reduced = t_total @ a @ mode.adjoint(t_total)
     rho = n - sum(m)
     return ReducedForm(

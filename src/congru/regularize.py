@@ -111,23 +111,23 @@ def stage(a: Matrix) -> StageRecord:
     )
 
 
-def run_stages(a, step):
+def run_stages(rec, step):
     """The stage loop of both reductions, exact and float, which differ
-    only in step.  Applies step to a, then to each record's a_next,
-    until a record reports a nonsingular block (m_odd == 0); returns
-    the singular records and that final record.  Raises RuntimeError
-    as soon as the parameter sequence m increases."""
+    only in step.  Starts from rec, the input's stage record, and
+    applies step to each record's a_next until a record reports a
+    nonsingular block (m_odd == 0); returns the singular records, that
+    final record and the parameter sequence m.  Raises RuntimeError as
+    soon as m increases."""
     stages = []
-    m: list[int] = []
-    rec = step(a)
+    m: tuple[int, ...] = ()
     while rec.m_odd:
         stages.append(rec)
-        m.extend((rec.m_odd, rec.m_even))
-        if m != sorted(m, reverse=True):
+        m += (rec.m_odd, rec.m_even)
+        if list(m) != sorted(m, reverse=True):
             raise RuntimeError(
-                f"stage parameters must be non-increasing, got {tuple(m)}")
+                f"stage parameters must be non-increasing, got {m}")
         rec = step(rec.a_next)
-    return stages, rec
+    return stages, rec, m
 
 
 def regularize(a: Matrix) -> RegularizationResult:
@@ -136,11 +136,10 @@ def regularize(a: Matrix) -> RegularizationResult:
     stage has T = I, so its a_next is its input, the regular part."""
     if not a.is_square():
         raise ValueError("regularize requires a square matrix")
-    stages, last = run_stages(a, stage)
-    return RegularizationResult(
-        tau=len(stages),
-        m=tuple(v for rec in stages for v in (rec.m_odd, rec.m_even)),
-        regular_part=last.a_next, stages=tuple(stages))
+    stages, last, m = run_stages(stage(a), stage)
+    return RegularizationResult(tau=len(stages), m=m,
+                                regular_part=last.a_next,
+                                stages=tuple(stages))
 
 
 def multiplicities(result: RegularizationResult) -> BlockSum:

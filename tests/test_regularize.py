@@ -157,6 +157,21 @@ class TestRegularize:
             regularize(Matrix.zeros(RATIONALS, 3, 3))
         assert next(recs, None) is not None
 
+    def test_run_stages_returns_m(self):
+        # the m that run_stages checks is the one it returns: the
+        # singular records' (m_odd, m_even), flattened in order
+        a = direct_sum(RATIONALS, [Matrix.identity(RATIONALS, 1),
+                                   jordan_block(RATIONALS, 1),
+                                   jordan_block(RATIONALS, 2),
+                                   jordan_block(RATIONALS, 3)])
+        run_stages = sys.modules["congru.regularize"].run_stages
+        stages, last, m = run_stages(stage(a), stage)
+        assert len(stages) == 2
+        assert m == tuple(v for rec in stages
+                          for v in (rec.m_odd, rec.m_even))
+        assert m == regularize(a).m == (3, 2, 1, 0)
+        assert last.m_odd == 0
+
 
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
