@@ -18,11 +18,14 @@ calls `congru.cli.main`:
   input with `--involution identity` and on every fifth exact-prime
   input with `--prime 3`, cases that no benchmark workload serves;
 - `pencil --json --emit-transform` on every fifth exact input;
-- `decompose --json --emit-transform` on every fifth exact-rational
-  and exact-gaussian input made fractional by the congruence D A D*
-  with D = diag(1 / (1 + i % 7)): no benchmark workload has Q or Q(i)
-  inputs with denominators, and these start every integer row of the
-  Q kernels with a denominator other than 1;
+- `decompose`, `sparse-form` and `pencil`, each with
+  `--json --emit-transform`, on every fifth exact-rational and
+  exact-gaussian input made fractional by the congruence D A D* with
+  D = diag(1 / (1 + i % 7)): no benchmark workload has Q or Q(i)
+  inputs with denominators, and these start every stored integer row
+  with a denominator other than 1, so that products, eliminations,
+  scales, sums, negations and block assemblies meet rows whose
+  denominators differ;
 - `decompose --json --emit-transform` with `--prime 2147483647` and
   with `--prime 2` on the direct sums A_0 (+) A_1, A_2 (+) A_3, ... of
   the exact-prime inputs, n up to 64 where the benchmark stops at 36:
@@ -235,9 +238,10 @@ def build_runs(directory: str) -> list[list[str]]:
                     runs.append(["decompose", *OTHER_FIELD[name], "--json",
                                  "--emit-transform", path])
                 if workload.field in ("rational", "gaussian-rational"):
-                    runs.append(["decompose", *flags, "--json",
-                                 "--emit-transform",
-                                 _write_fractional_copy(path)])
+                    fractional = _write_fractional_copy(path)
+                    for command in TRANSFORM_COMMANDS:
+                        runs.append([command, *flags, "--json",
+                                     "--emit-transform", fractional])
         if name in DIRECT_SUM:
             paths = [req["path"] for req in manifest["requests"]]
             for first, second in zip(paths[::2], paths[1::2]):

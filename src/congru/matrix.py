@@ -6,31 +6,38 @@ exact with first-nonzero pivoting (magnitude pivoting is meaningless
 over Q(i) or GF(p)), so identical inputs always produce identical
 transforms.
 
+Each field has one stored row format, the one its kernels work on.
+Over Q and Q(i) a row is an integer row: a list of ints over one row
+denominator d > 0, which is appended, with gcd(d, all ints) == 1, so
+that equal rows are equal lists.  Over Q that is one int per entry,
+over Q(i) the real parts of the n entries and then their imaginary
+parts, [re_0 ... re_{n-1}, im_0 ... im_{n-1}, d].  Over GF(p) a row is
+a tuple of ints in [0, p).  Entries, as Fraction, GaussianRational or
+int, are built only at the boundary: from_rows, from_text and
+from_json_dict encode them on the way in, and m[i, j], row(i), to_text
+and to_json_dict decode rows on the way out.  Everything else works on
+the stored ints; where rows with different denominators meet it takes
+their lcm, and where a result may share a factor with its denominator
+it divides the row's content out.
+
 Every rank, null space, solve, inverse and echelon transform is one
 Gauss-Jordan elimination, _eliminate, over [A | the rows the caller
 mirrors], and every product, over every field, is one loop, _product.
-Only the work row's format depends on the field, and each field has
-one decoder from work rows to entries, which both loops use.  An
-elimination hands back its rows undecoded, with the row of A each
-pivot row started as, so a caller decodes only the rows it reads: a
-rank none, an echelon transform only its null rows, and _basis_rows,
-the one reader of reduced rows, all of them.  No elimination scales a
-row: a reduced pivot row is its pivot times its reduced echelon row,
-and _basis_rows divides the entries it reads by that pivot.  Over Q
-and Q(i) both loops work on integer rows, lists of ints over one row
-denominator d, which is appended: over Q one int per entry, over Q(i)
-the real parts of the n entries and then their imaginary parts,
-[re_0 ... re_{n-1}, im_0 ... im_{n-1}, d].  Their inner loops add int
-products.  An elimination clears a column fraction-free and divides
-the row's content out: by pv*row_k - q*row_r over Q, and over Q(i),
-with P and Q the Gaussian integers at the pivot and at the entry
-cleared, by N(P)*row_k - (conj(P)*Q)*row_r.  Entries still enter and
-leave every Matrix as Fraction or GaussianRational, with the values
-plain field arithmetic gives.  Over GF(p) a row is one int that packs
-its entries into fixed-width slots, wide enough that no slot carries
-into the next, so that a row operation is one big-int multiply-add;
-rows are unpacked and reduced mod p only when they are decoded.
-Every Matrix over GF(p) still stores its entries as ints in [0, p).
+An elimination hands back its rows with the row of A each pivot row
+started as: a rank reads only the pivots, and an echelon transform and
+_basis_rows cut the columns they read out of the rows, still as
+integer rows.  No elimination scales a row: a reduced pivot row is its
+pivot times its reduced echelon row, and _basis_rows divides the ints
+it reads by that pivot.  Over Q and Q(i) an elimination clears a
+column fraction-free and divides the row's content out: by
+pv*row_k - q*row_r over Q, and over Q(i), with P and Q the Gaussian
+integers at the pivot and at the entry cleared, by
+N(P)*row_k - (conj(P)*Q)*row_r.  The values and pivot choices are
+those of plain field arithmetic.  Over GF(p) both loops work on one
+int per row that packs its entries into fixed-width slots, wide
+enough that no slot carries into the next, so that a row operation is
+one big-int multiply-add; the rows are unpacked and reduced mod p when
+the loop ends.
 """
 
 from __future__ import annotations
@@ -62,21 +69,21 @@ class Matrix:
     __slots__ = ("field", "rows", "cols", "_r")
 
     def __init__(self, field: FieldSpec, rows: int, cols: int,
-                 row_tuples: tuple):
-        # row_tuples must already hold field elements, a GF(p) entry
-        # as an int in [0, p); use the classmethods for anything that
-        # needs coercion
+                 stored: tuple):
+        # stored: a tuple of rows already in the field's stored format
+        # (see the module docstring), never mutated once stored; the
+        # classmethods build it from entries
         self.field = field
         self.rows = rows
         self.cols = cols
-        self._r = row_tuples
+        self._r = stored
 
     # -- construction ----------------------------------------------------------
 
     @classmethod
     def from_rows(cls, field: FieldSpec, rows: Iterable[Iterable],
                   cols: int | None = None) -> "Matrix":
-        data = tuple(tuple(field.coerce(x) for x in row) for row in rows)
+        data = [[field.coerce(x) for x in row] for row in rows]
         if data:
             width = len(data[0])
             if any(len(r) != width for r in data):
@@ -86,7 +93,8 @@ class Matrix:
             cols = width
         elif cols is None:
             raise ValueError("cols is required for a matrix with no rows")
-        return cls(field, len(data), cols, data)
+        return cls(field, len(data), cols,
+                   tuple(map(_codec(field)[0], data)))
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "Matrix":
@@ -97,11 +105,13 @@ class Matrix:
                  ones: Iterable[tuple[int, int]]) -> "Matrix":
         """The rows x cols matrix with a 1 at each (i, j) of ones and
         zeros elsewhere: every identity, shift and permutation."""
-        z, o = field.zero(), field.one()
-        out = [[z] * cols for _ in range(rows)]
+        h = _halves(field)
+        tail = [] if h is None else [1]
+        out = [[0] * ((h or 1) * cols) + tail for _ in range(rows)]
         for i, j in ones:
-            out[i][j] = o
-        return cls(field, rows, cols, tuple(map(tuple, out)))
+            out[i][j] = 1
+        return cls(field, rows, cols,
+                   tuple(out) if h else tuple(map(tuple, out)))
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
@@ -122,13 +132,12 @@ class Matrix:
                     raise ValueError("mixed fields in block grid")
                 if b.rows != heights[bi] or b.cols != widths[bj]:
                     raise ValueError("inconsistent block dimensions")
+        h = _halves(field)
         out = []
         for bi, row in enumerate(grid):
             for i in range(heights[bi]):
-                acc: list = []
-                for b in row:
-                    acc.extend(b._r[i])
-                out.append(tuple(acc))
+                parts = [b._r[i] for b in row]
+                out.append(_join(parts, h) if h else sum(parts, ()))
         return cls(field, sum(heights), sum(widths), tuple(out))
 
     # -- basic queries ---------------------------------------------------------
@@ -141,18 +150,23 @@ class Matrix:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(not x for row in self._r for x in row)
+        cut = None if self.field.p else -1
+        return not any(any(row[:cut]) for row in self._r)
 
     def __getitem__(self, key) -> Scalar:
         i, j = key
-        return self._r[i][j]
+        # indexed as a tuple of entries would be: IndexError out of
+        # range, and a negative index counts from the end
+        return self.take([range(self.rows)[i]],
+                         [range(self.cols)[j]]).row(0)[0]
 
     def row(self, i: int) -> tuple:
-        return self._r[i]
+        return _codec(self.field)[1]([self._r[i]])[0]
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
+        # stored rows are canonical, so equal matrices have equal rows
         return (self.field == other.field and self.rows == other.rows
                 and self.cols == other.cols and self._r == other._r)
 
@@ -167,27 +181,36 @@ class Matrix:
         if self.field != other.field:
             raise ValueError("mixed fields")
 
-    def _entrywise(self, other: "Matrix", op, what: str) -> "Matrix":
+    def _entrywise(self, other: "Matrix", sign: int, what: str) -> "Matrix":
         self._check_same_field(other)
         if self.shape != other.shape:
             raise ValueError(f"dimension mismatch in {what}")
-        return Matrix(self.field, self.rows, self.cols, tuple(
-            _reduced(self.field, list(map(op, ra, rb)))
-            for ra, rb in zip(self._r, other._r)))
+        if self.field.p is None:
+            rows = [_row_sum(x, y, sign) for x, y in zip(self._r, other._r)]
+        else:
+            rows = [_reduced(self.field, [a + sign * b for a, b in zip(x, y)])
+                    for x, y in zip(self._r, other._r)]
+        return Matrix(self.field, self.rows, self.cols, tuple(rows))
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return self._entrywise(other, operator.add, "addition")
+        return self._entrywise(other, 1, "addition")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._entrywise(other, operator.sub, "subtraction")
+        return self._entrywise(other, -1, "subtraction")
 
     def __neg__(self) -> "Matrix":
         return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
-        c = self.field.coerce(c)
-        return Matrix(self.field, self.rows, self.cols, tuple(
-            _reduced(self.field, [c * a for a in row]) for row in self._r))
+        c, h = self.field.coerce(c), _halves(self.field)
+        if h is None:
+            rows = [_reduced(self.field, [c * a for a in row])
+                    for row in self._r]
+        else:
+            abe = ((c.numerator, 0, c.denominator) if h == 1
+                   else (c._a, c._b, c._d))
+            rows = [_row_times(row, *abe) for row in self._r]
+        return Matrix(self.field, self.rows, self.cols, tuple(rows))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -200,25 +223,24 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, self.cols, self.rows,
-                      tuple(zip(*self._r)) or ((),) * self.cols)
+                      _transposed(self, False))
 
     @property
     def star(self) -> "Matrix":
         """Conjugate transpose under the active involution; the plain
         transpose when the involution is the identity."""
-        t = self.transpose()
-        if self.field.involution is Involution.IDENTITY:
-            return t
-        return Matrix(t.field, t.rows, t.cols, tuple(
-            tuple([x.conjugate() for x in row]) for row in t._r))
+        return Matrix(self.field, self.cols, self.rows, _transposed(
+            self, self.field.involution is Involution.CONJUGATION))
 
     # -- slicing ---------------------------------------------------------------
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
         if not (0 <= r0 <= r1 <= self.rows and 0 <= c0 <= c1 <= self.cols):
             raise ValueError("block out of range")
-        return Matrix(self.field, r1 - r0, c1 - c0, tuple(
-            row[c0:c1] for row in self._r[r0:r1]))
+        rows = self._r[r0:r1]
+        if c1 - c0 != self.cols:
+            rows = _columns(self.field, rows, self.cols, range(c0, c1))
+        return Matrix(self.field, r1 - r0, c1 - c0, rows)
 
     def take(self, rows: Sequence[int],
              cols: Sequence[int | None] | None = None) -> "Matrix":
@@ -230,10 +252,8 @@ class Matrix:
             raise ValueError("take out of range")
         if cols is None:
             return Matrix(self.field, len(picked), self.cols, tuple(picked))
-        zero = self.field.zero()
-        return Matrix(self.field, len(picked), len(cols), tuple(
-            tuple([zero if c is None else row[c] for c in cols])
-            for row in picked))
+        return Matrix(self.field, len(picked), len(cols),
+                      _columns(self.field, picked, self.cols, cols))
 
     # -- rank and singularity ----------------------------------------------------
 
@@ -244,7 +264,8 @@ class Matrix:
     # -- text and JSON formats ---------------------------------------------------
 
     def to_text(self) -> str:
-        return _write_text(self.rows, self.cols, self._r,
+        return _write_text(self.rows, self.cols,
+                           _codec(self.field)[1](self._r),
                            self.field.render_scalar)
 
     @classmethod
@@ -256,7 +277,8 @@ class Matrix:
             field, *_read_text(text, field.parse_scalar, square))
 
     def to_json_dict(self) -> dict:
-        return _write_json(self.rows, self.cols, self._r,
+        return _write_json(self.rows, self.cols,
+                           _codec(self.field)[1](self._r),
                            self.field.render_scalar)
 
     @classmethod
@@ -270,8 +292,9 @@ class Matrix:
     @classmethod
     def _from_grid(cls, field: FieldSpec, rows: int, cols: int,
                    entries: list) -> "Matrix":
+        encode = _codec(field)[0]
         return cls(field, rows, cols, tuple(
-            tuple(entries[i * cols:(i + 1) * cols]) for i in range(rows)))
+            encode(entries[i * cols:(i + 1) * cols]) for i in range(rows)))
 
 
 # -- the grid format -------------------------------------------------------------
@@ -370,47 +393,46 @@ def _write_json(rows: int, cols: int, grid: Iterable, render: Callable,
 # on the rows [a | aug], aug holding the columns a caller mirrors the
 # row operations onto: b for solve, I for inverse and for a transform,
 # nothing for rank and nullspace.  Only the work row's format depends
-# on the field: over Q and Q(i) a list of ints with the row denominator
-# appended, the Q(i) row holding its real parts and then its imaginary
-# parts, over GF(p) one packed int (see _Packing).  `pivot` gives a
-# pivot row and the factor its clears share: the pivot entry's
-# numerator, a pair of ints over Q(i), or -1/pivot mod p over GF(p).
-# A clear reads the entry it clears and returns a row whose entry is 0
-# unchanged.
+# on the field: over Q and Q(i) the stored integer row, over GF(p) one
+# packed int (see _Packing).  `pivot` gives a pivot row and the factor
+# its clears share: the pivot entry's numerator, a pair of ints over
+# Q(i), or -1/pivot mod p over GF(p).  A clear reads the entry it
+# clears and returns a row whose entry is 0 unchanged.
 
 
 def _reduced(field: FieldSpec, values: list) -> tuple:
-    """values as stored entries: reduced into [0, p) over GF(p)."""
+    """GF(p) values as a stored row, reduced into [0, p)."""
     p = field.p
-    return tuple(values) if p is None else tuple(x % p for x in values)
+    return tuple(x % p for x in values)
 
 
 def _eliminate(a: Matrix, aug: tuple, reduce: bool,
                ) -> tuple[list, list, Callable]:
     """Forward elimination on the rows [a | aug], aug a tuple of
-    a.rows row tuples, with the first nonzero entry of each column of
+    a.rows stored rows, with the first nonzero entry of each column of
     a as its pivot; with `reduce`, each pivot column is also cleared
     above its pivot, last pivot first, so that pivot row i is its
     pivot times row i of the reduced echelon form of a.  Returns the
-    eliminated rows, still in the field's work format, one (column,
-    source) pair per pivot row, pivot row i being row i and source the
-    row of a it was swapped in from, and the field's decoder, which
-    turns a list of work rows into tuples of entries."""
-    field = a.field
-    joined = [x + y for x, y in zip(a._r, aug)]
-    m = len(joined)
-    if field.kind is FieldKind.RATIONAL:
-        rows = list(map(_q_row, joined))
-        entry, pivot, clear = operator.getitem, _own_pivot, _q_update
-        decode = _q_decode
-    elif field.p is None:
-        rows = list(map(_qi_row, joined))
-        entry, pivot, clear = _qi_entry, _qi_pivot, _qi_update
-        decode = _qi_decode
-    else:
+    eliminated rows, in the field's work format, one (column, source)
+    pair per pivot row, pivot row i being row i and source the row of
+    a it was swapped in from, and the field's decoder, which turns a
+    list of work rows into tuples of entries."""
+    field, m, h = a.field, a.rows, _halves(a.field)
+    if h is None:
+        joined = [x + y for x, y in zip(a._r, aug)]
         g = _packing(field.p, len(joined[0]) if joined else 0, 2 * m + 1)
         rows = list(map(g.pack, joined))
         entry, pivot, clear, decode = g.entry, g.pivot, g.clear, g.decode
+    else:
+        # an aug row without entries adds nothing
+        rows = [x if len(y) < 2 else _join((x, y), h)
+                for x, y in zip(a._r, aug)]
+        if h == 1:
+            entry, pivot, clear = operator.getitem, _own_pivot, _q_update
+            decode = _q_decode
+        else:
+            entry, pivot, clear = _qi_entry, _qi_pivot, _qi_update
+            decode = _qi_decode
 
     def sweep(r: int, c: int, others: Iterable[int]) -> None:
         # clear column c of the rows `others` with pivot row r
@@ -510,9 +532,185 @@ def _packing(p: int, n: int, t: int) -> _Packing:
     return _packing_of_width(p, n, min(x for x in _SLOTS if x >= w))
 
 
-# -- Q kernels on integer rows ---------------------------------------------------
+# -- stored rows -----------------------------------------------------------------
 # The values and the pivot choices must stay those of plain Fraction
-# arithmetic: transforms are byte-identical whichever way Q is computed.
+# and GaussianRational arithmetic: transforms are byte-identical
+# whichever way Q and Q(i) are computed.  The helpers below serve
+# both, an integer row of n entries holding h halves of n ints and
+# its denominator, and most take GF(p)'s tuples of residues too.
+
+
+def _halves(field: FieldSpec) -> int | None:
+    """The halves of an integer row: 1 over Q, 2 over Q(i); None over
+    GF(p), whose rows are tuples of residues."""
+    if field.p is not None:
+        return None
+    return 1 if field.kind is FieldKind.RATIONAL else 2
+
+
+def _codec(field: FieldSpec) -> tuple[Callable, Callable]:
+    """(encode, decode): a row of entries to a stored row, and a list
+    of stored rows to tuples of entries."""
+    h = _halves(field)
+    if h is None:
+        return tuple, list
+    return (_q_row, _q_decode) if h == 1 else (_qi_row, _qi_decode)
+
+
+def _content_out(new: list, d: int) -> list:
+    """The integer row new over d > 0, with d appended, both divided by
+    their gcd: the canonical row of those values."""
+    g = gcd(d, *new)
+    if g != 1:
+        new = [x // g for x in new]
+        d //= g
+    new.append(d)
+    return new
+
+
+def _join(parts: Sequence[list], h: int) -> list:
+    """Integer rows side by side, as one row over the lcm of their
+    denominators.  Canonical when the parts are: each prime power of
+    the lcm divides some part's denominator, whose part is scaled by a
+    factor prime to it and keeps an int that the prime does not
+    divide."""
+    if len(parts) == 1:
+        return parts[0]
+    d = lcm(*[p[-1] for p in parts])
+    out: list = []
+    for k in range(h):
+        for p in parts:
+            n, s = (len(p) - 1) // h, d // p[-1]
+            seg = p[k * n:(k + 1) * n]
+            out += seg if s == 1 else [s * x for x in seg]
+    out.append(d)
+    return out
+
+
+def _columns(field: FieldSpec, rows: Sequence, n: int,
+             cols: Sequence[int | None]) -> tuple:
+    """Stored rows of n columns cut down to the columns cols, in that
+    order, with a zero column for each None."""
+    h = _halves(field)
+    if h is None:
+        return tuple(tuple([0 if c is None else row[c] for c in cols])
+                     for row in rows)
+    return tuple(_content_out([0 if c is None else row[k * n + c]
+                               for k in range(h) for c in cols], row[-1])
+                 for row in rows)
+
+
+def _transposed(a: Matrix, conj: bool) -> tuple:
+    """The stored rows of a's transpose, conjugated with conj: column
+    j of each row over the lcm of the row denominators, with the
+    content divided out."""
+    h, n = _halves(a.field), a.cols
+    if h is None:
+        return tuple(zip(*a._r)) or ((),) * n
+    if not a.rows:
+        return tuple([1] for _ in range(n))
+    d = lcm(*[r[-1] for r in a._r])
+    cols = list(zip(*[r[:-1] if r[-1] == d else
+                      [x * (d // r[-1]) for x in r[:-1]] for r in a._r]))
+    if h == 1:
+        return tuple(_content_out(list(c), d) for c in cols)
+    im = [[-x for x in c] for c in cols[n:]] if conj else cols[n:]
+    return tuple(_content_out([*re, *i], d) for re, i in zip(cols, im))
+
+
+def _row_sum(x: list, y: list, sign: int) -> list:
+    """x + sign*y for integer rows of one width."""
+    d = lcm(x[-1], y[-1])
+    sx, sy = d // x[-1], sign * (d // y[-1])
+    return _content_out([sx * a + sy * b for a, b in zip(x[:-1], y[:-1])],
+                        d)
+
+
+def _row_times(row: list, a: int, b: int, e: int) -> list:
+    """An integer row times (a + b*i)/e, e > 0; b = 0 over Q."""
+    if not b:
+        return _content_out([a * x for x in row[:-1]], e * row[-1])
+    n = len(row) >> 1
+    re, im = row[:n], row[n:-1]
+    return _content_out([a * x - b * y for x, y in zip(re, im)]
+                        + [a * y + b * x for x, y in zip(re, im)],
+                        e * row[-1])
+
+
+def _over_pivot(field: FieldSpec, row, c: int, n: int, free: list):
+    """The stored row of [X | N] that _basis_rows reads off a reduced
+    pivot row with pivot column c: its entries past column n and its
+    negated entries at the free columns, divided by the pivot.  An
+    integer row's denominator cancels, so the divisor is the pivot's
+    numerator P, and 1/P is conj(P)/N(P), or sign(P)/|P| when P is
+    real.  A GF(p) row comes unpacked into residues."""
+    h = _halves(field)
+    if h is None:
+        inv = field.inverse(row[c])
+        return _reduced(field, [x * inv for x in row[n:]]
+                        + [-row[fc] * inv for fc in free])
+    nn = (len(row) - 1) // h
+    ints = [x for k in range(h) for x in row[k * nn + n:(k + 1) * nn]
+            + [-row[k * nn + fc] for fc in free]]
+    ints.append(1)
+    pr, pi = row[c], row[nn + c] if h == 2 else 0
+    if pi:
+        return _row_times(ints, pr, -pi, pr * pr + pi * pi)
+    return _row_times(ints, 1 if pr > 0 else -1, 0, abs(pr))
+
+
+def _product(field: FieldSpec, arows: tuple, brows: tuple, bcols: int,
+             ) -> tuple:
+    """Stored rows of A*B.  Each row k of B is written once, and only
+    if A uses it, as its nonzero (column, value) pairs over its
+    denominator d_k.  Row i of A is ints over D_i; each nonzero int f
+    in it adds the term (f, d_k, pairs), and the row folds the d_k of
+    its terms into one denominator L_i, sums f * (L_i / d_k) * v, and
+    divides the content out of the sums over L_i * D_i.  Over Q the
+    pairs are those of B's integer row.  Over Q(i) the ints of A's row
+    are [re | im]: a real part f at column k adds f times the pairs of
+    row k of B, [re | im], and an imaginary part adds f times those of
+    [-im | re], which are the same pairs with their halves swapped and
+    one sign flipped, kept next to them in bint[k].  Over GF(p) a row
+    of B is the single pair (0, the row packed), with d_k = D_i = 1, so
+    the loop does one big-int multiply-add per nonzero a_ik, and the
+    sums are unpacked together at the end."""
+    n, h, swap = len(brows), _halves(field), None
+    if h is None:
+        g = _packing(field.p, bcols, n)
+        write, width, cut = (lambda row: ([g.pack(row)], 1)), 1, n
+    else:
+        write, width, cut = (lambda row: (row[:-1], row[-1])), h * bcols, h * n
+    if h == 2:
+        def swap(nz):
+            return [(j + bcols, v) if j < bcols else (j - bcols, -v)
+                    for j, v in nz]
+    bint: list = [None] * n
+    out = []
+    for arow in arows:
+        terms = []
+        for k, f in enumerate(arow[:cut]):
+            if f:
+                half, k = divmod(k, n)
+                b = bint[k]
+                if b is None:
+                    ints, d = write(brows[k])
+                    nz = [(j, v) for j, v in enumerate(ints) if v]
+                    b = bint[k] = (d, nz, swap and swap(nz))
+                if b[1]:
+                    terms.append((f, b[0], b[1 + half]))
+        den = lcm(*[e for _, e, _ in terms])
+        acc = [0] * width
+        for f, e, nz in terms:
+            if e != den:
+                f *= den // e
+            for j, v in nz:
+                acc[j] += f * v
+        out.append(acc[0] if h is None else _content_out(acc, den * arow[-1]))
+    return tuple(out) if h else tuple(g.decode(out))
+
+
+# -- Q kernels on integer rows ---------------------------------------------------
 
 _ZERO = Fraction(0)
 
@@ -524,8 +722,8 @@ def _q_fraction(x: int, d: int) -> Fraction:
 
 
 def _q_row(row) -> list:
-    """A row of Fractions as integer numerators over their lcm
-    denominator, which is appended."""
+    """A row of Fractions as its canonical integer row: numerators
+    over the lcm of their denominators, which is appended."""
     d = lcm(*[x.denominator for x in row])
     if d == 1:
         ints = [x.numerator for x in row]
@@ -542,84 +740,17 @@ def _q_decode(rows: list) -> list:
             for row in rows]
 
 
-def _product(field: FieldSpec, arows: tuple, brows: tuple, bcols: int,
-             ) -> tuple:
-    """Rows of A*B.  Each row of B is written once, and only if A uses
-    it, as its nonzero (column, value) pairs over a row denominator
-    d_k.  Each nonzero a_ik adds terms (f, e, pairs), worth f/e times
-    the pairs; row i of A folds the e of its terms into one denominator
-    L_i, and the loop sums f * (L_i / e) * v.  Over Q the values are
-    the ints of B's integer row, and a_ik = f/e' adds one term with
-    e = e' * d_k.  Over Q(i) the row is [re | im] over d_k, and
-    a_ik = (p + q*i)/e' adds up to two: p times the pairs of [re | im]
-    and q times those of [-im | re], which are the same pairs with
-    their halves swapped and one sign flipped, kept next to them in
-    bint[k].  Over GF(p) a row of B is the single pair (0, the row
-    packed), so the loop does one big-int multiply-add per nonzero
-    a_ik, and the sums are unpacked together at the end."""
-    width, swap = bcols, None
-    finish = lambda acc, den: [*acc, den]  # noqa: E731
-    if field.kind is FieldKind.RATIONAL:
-        write, decode = _q_row, _q_decode
-
-        def fold(a, b):
-            return ((a.numerator, a.denominator * b[2], b[0]),)
-    elif field.p is None:
-        write, decode, width = _qi_row, _qi_decode, 2 * bcols
-
-        def swap(nz):
-            return [(j + bcols, v) if j < bcols else (j - bcols, -v)
-                    for j, v in nz]
-
-        def fold(a, b):
-            e = a._d * b[2]
-            if not a._b:
-                return ((a._a, e, b[0]),)
-            if not a._a:
-                return ((a._b, e, b[1]),)
-            return ((a._a, e, b[0]), (a._b, e, b[1]))
-    else:
-        g = _packing(field.p, bcols, len(brows))
-        write, decode, width = (lambda row: [g.pack(row), 1]), g.decode, 1
-        finish = lambda acc, den: acc[0]  # noqa: E731
-
-        def fold(a, b):
-            return ((a, 1, b[0]),)
-    bint: list = [None] * len(brows)
-    out = []
-    for arow in arows:
-        terms = []
-        for k, a in enumerate(arow):
-            if a:
-                b = bint[k]
-                if b is None:
-                    ints = write(brows[k])
-                    d = ints.pop()
-                    nz = [(j, v) for j, v in enumerate(ints) if v]
-                    b = bint[k] = (nz, swap and swap(nz), d)
-                if b[0]:
-                    terms += fold(a, b)
-        den = lcm(*[e for _, e, _ in terms])
-        acc = [0] * width
-        for f, e, nz in terms:
-            if e != den:
-                f *= den // e
-            for j, v in nz:
-                acc[j] += f * v
-        out.append(finish(acc, den))
-    return tuple(decode(out))
-
-
 def _q_update(rk: list, rr: list, c: int, pv: int) -> list:
     """Clear column c of row k with pivot row r, both ints with their
     denominator last, with pivot pv = rr[c] and zeros before column c
-    in rr.  The result (pv * rk - q * rr) / (dk * pv), with q = rk[c]
-    and gcd(pv, q) cancelled first, comes back in the same format with
-    the content of the row divided out; rk itself when q = 0."""
+    in rr.  The result (pv * rk - q * rr) / (dk * pv), with q = rk[c],
+    gcd(pv, q) cancelled first and the sign put on q, comes back in
+    the same format with the content of the row divided out; rk itself
+    when q = 0."""
     q = rk[c]
     if not q:
         return rk
-    g = gcd(pv, q)
+    g = gcd(pv, q) if pv > 0 else -gcd(pv, q)
     pv //= g
     q //= g
     dk = rk[-1]
@@ -632,17 +763,6 @@ def _q_update(rk: list, rr: list, c: int, pv: int) -> list:
         head + [pv * x - q * y for x, y in zip(rk[c:-1], rr[c:-1])], dk)
 
 
-def _content_out(new: list, d: int) -> list:
-    """The integer row new over d, with d appended, both divided by
-    their gcd."""
-    g = gcd(d, *new)
-    if g != 1:
-        new = [x // g for x in new]
-        d //= g
-    new.append(d)
-    return new
-
-
 # -- Q(i) kernels on integer rows ------------------------------------------------
 # A row of n entries (re_j + im_j*i)/d is the 2n + 1 ints [re | im | d]:
 # the real numerators, then the imaginary ones, then d > 0.
@@ -651,8 +771,8 @@ _QI_ZERO = GaussianRational()
 
 
 def _qi_row(row) -> list:
-    """A row of GaussianRationals as [re | im | d], d the lcm of their
-    denominators."""
+    """A row of GaussianRationals as its canonical [re | im | d], d the
+    lcm of their denominators."""
     d = lcm(*[x._d for x in row])
     if d == 1:
         ints = [x._a for x in row] + [x._b for x in row]
@@ -722,41 +842,45 @@ def _qi_update(rk: list, rr: list, c: int, pv: tuple) -> list:
 
 
 def _basis_rows(a: Matrix, aug: Matrix) -> tuple[tuple, list, list]:
-    """The rows of [X | N] read off the reduced echelon form of
+    """The stored rows of [X | N] read off the reduced echelon form of
     [a | aug]: X solves a*X = aug with every free variable zero, and N
     holds one null-space column per free column of a, free columns in
     increasing order, with its 1 in that column's row.  Returns (rows,
-    free columns, the aug parts of the rows that reduced to zero in
-    a); a*X = aug has a solution only if those are all zero."""
-    field, n = a.field, a.cols
+    free columns, for each row that reduced to zero in a whether its
+    aug part is nonzero); a*X = aug has a solution only if none is."""
+    field, n, w = a.field, a.cols, aug.cols
+    h = _halves(field)
     rows, pivots, decode = _eliminate(a, aug._r, True)
-    rows = decode(rows)
+    if h is None:
+        rows = decode(rows)
     pivot_cols = {c for c, _ in pivots}
     free = [c for c in range(n) if c not in pivot_cols]
-    zeros = (field.zero(),) * aug.cols
-    unit = Matrix.identity(field, len(free))._r
+    unit = Matrix.zero_one(field, len(free), w + len(free),
+                           [(k, w + k) for k in range(len(free))])._r
     out: list = [None] * n
     for k, fc in enumerate(free):
-        out[fc] = zeros + unit[k]
+        out[fc] = unit[k]
     for row, (c, _) in zip(rows, pivots):
         # the pivot row is its reduced echelon row times its pivot
-        inv = field.inverse(row[c])
-        out[c] = _reduced(field, [x * inv for x in row[n:]]
-                          + [-row[fc] * inv for fc in free])
-    return tuple(out), free, [row[n:] for row in rows[len(pivots):]]
+        out[c] = _over_pivot(field, row, c, n, free)
+    nn = n + w
+    return tuple(out), free, [
+        any(any(row[k * nn + n:(k + 1) * nn]) for k in range(h or 1))
+        for row in rows[len(pivots):]]
 
 
 def row_echelon_transform(a: Matrix) -> tuple[list[int], Matrix]:
     """(P, L) from one forward elimination of [a | I]: P the rank(a)
     rows of a that became pivots, in increasing order, and L the
-    eliminated left null basis, L*a = 0, the only rows decoded.
-    T = [unit rows at P; L] is nonsingular with T*a = [a[P, :]; 0],
-    and a nonsingular a has every row in P."""
+    eliminated left null basis, L*a = 0, the only rows cut out of the
+    elimination.  T = [unit rows at P; L] is nonsingular with
+    T*a = [a[P, :]; 0], and a nonsingular a has every row in P."""
     field, m, n = a.field, a.rows, a.cols
     rows, pivots, decode = _eliminate(a, Matrix.identity(field, m)._r, False)
     r = len(pivots)
-    return sorted(s for _, s in pivots), Matrix(field, m - r, m, tuple(
-        row[n:] for row in decode(rows[r:])))
+    null = rows[r:] if field.p is None else decode(rows[r:])
+    return sorted(s for _, s in pivots), Matrix(
+        field, m - r, m, _columns(field, null, n + m, range(n, n + m)))
 
 
 def rank(a: Matrix) -> int:
@@ -784,11 +908,12 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
     if b.cols == 0:
         # no right-hand side is always consistent; nothing to eliminate
         return Matrix.zeros(a.field, a.cols, 0)
-    basis, _, null_aug = _basis_rows(a, b)
-    if any(map(any, null_aug)):
+    basis, free, null_aug = _basis_rows(a, b)
+    if any(null_aug):
         raise ValueError("inconsistent system")
-    return Matrix(a.field, a.cols, b.cols,
-                  tuple(row[:b.cols] for row in basis))
+    if free:
+        basis = _columns(a.field, basis, b.cols + len(free), range(b.cols))
+    return Matrix(a.field, a.cols, b.cols, basis)
 
 
 def inverse(a: Matrix) -> Matrix:
@@ -876,7 +1001,9 @@ def g_block(field: FieldSpec, n: int) -> Matrix:
 def unit_columns(a: Matrix) -> list[int]:
     """The column of the first nonzero entry of each row of a; for
     unit rows, such as a permutation's, the column of each row's 1."""
-    return [next(j for j, x in enumerate(row) if x) for row in a._r]
+    n, h = a.cols, _halves(a.field) or 1
+    return [next(j for j in range(n) if row[j] or row[(h - 1) * n + j])
+            for row in a._r]
 
 
 def permutation_matrix(field: FieldSpec, images: Sequence[int]) -> Matrix:

@@ -1,6 +1,7 @@
 """Exact matrix layer: formats, elimination, invariants, builders."""
 
 import ast
+import math
 import os
 import random
 from fractions import Fraction
@@ -16,7 +17,10 @@ from congru import (
     Invariants,
     Matrix,
     MatrixParseError,
+    assemble,
+    check_transform,
     direct_sum,
+    full_decomposition,
     invariants,
     inverse,
     jordan_block,
@@ -1002,16 +1006,21 @@ def test_unit_completion_rejects_dependent_rows():
         unit_completion(_mat(RATIONALS, [[1, 2, 3], [2, 4, 6]]))
 
 
+def _no_entries(monkeypatch):
+    """Make every builder of Q and Q(i) entries from stored rows raise."""
+    def no_entries(*args):
+        raise AssertionError("an entry was built from a stored row")
+
+    for name in ("_q_decode", "_q_fraction", "_qi_decode", "_gaussian"):
+        monkeypatch.setattr(congru.matrix, name, no_entries)
+
+
 def test_rank_reads_only_the_pivots(monkeypatch):
     # rank, and through it nullity, invariants and is_nonsingular,
-    # count pivots without decoding the eliminated rows
+    # count pivots on the stored rows and build no entry
     h = Fraction(1, 2)
     a = _mat(RATIONALS, [[h, 1, 0], [1, 2, 0], [0, h, Fraction(3, 4)]])
-
-    def no_decode(row):
-        raise AssertionError("a rank decoded its rows")
-
-    monkeypatch.setattr("congru.matrix._q_decode", no_decode)
+    _no_entries(monkeypatch)
     assert rank(a) == 2 and nullity(a) == 1
     assert invariants(a) == Invariants(nu=1, zeta=0, kappa=1, rho=1)
     assert not a.is_nonsingular()
@@ -1020,24 +1029,22 @@ def test_rank_reads_only_the_pivots(monkeypatch):
 
 @pytest.mark.parametrize("field", [RATIONALS, GAUSSIAN_CONJ, GF_BIG], ids=str)
 def test_row_echelon_transform_decodes_only_null_rows(field, monkeypatch):
-    # P comes from the pivots' source rows, so only L's rows are decoded
+    # P comes from the pivots' source rows, so only L's rows are read
+    # out of the elimination: over GF(p) two packed rows are unpacked,
+    # and over Q and Q(i) L stays in stored rows and no entry is built
     decoded: list = []
     if field.p is not None:
         real = _Packing.decode
         monkeypatch.setattr(_Packing, "decode",
                             lambda g, xs: decoded.extend(xs) or real(g, xs))
-    else:
-        name = ("_q_decode" if field.kind is FieldKind.RATIONAL
-                else "_qi_decode")
-        real = getattr(congru.matrix, name)
-        monkeypatch.setattr(congru.matrix, name,
-                            lambda rows: decoded.extend(rows) or real(rows))
     nonsingular = _mat(field, [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    a = _mat(field, [[0, 1, 1], [1, 0, 1], [1, 1, 2], [2, 1, 3]])
+    if field.p is None:
+        _no_entries(monkeypatch)
     assert row_echelon_transform(nonsingular)[0] == [0, 1, 2]
     assert decoded == []
-    a = _mat(field, [[0, 1, 1], [1, 0, 1], [1, 1, 2], [2, 1, 3]])
     p, left = row_echelon_transform(a)
-    assert p == [0, 1] and len(decoded) == 2
+    assert p == [0, 1] and len(decoded) == (2 if field.p else 0)
     assert (left * a).is_zero() and left.shape == (2, 4)
 
 
@@ -1096,3 +1103,182 @@ def test_rows_are_read_and_written_only_in_matrix():
             if isinstance(node, ast.Attribute):
                 assert node.attr not in ("row", "_r"), \
                     f"{name}:{node.lineno} reads .{node.attr}"
+
+
+# -- stored rows over Q and Q(i) -------------------------------------------------
+# A Q or Q(i) matrix stores canonical integer rows: ints over one
+# denominator d > 0 with gcd(d, all ints) == 1, as a list, [re | im | d]
+# over Q(i).  Every operation must return such rows, so that == stays
+# a row comparison, and they must decode to what plain Fraction and
+# GaussianRational arithmetic gives.  Small denominators make rows
+# share factors with their denominator; 0-row and 0-column shapes are
+# drawn too.
+
+_QI_FIELDS = (GAUSSIAN_CONJ, GAUSSIAN_IDENT)
+_frac = st.one_of(_q_entry, st.builds(Fraction, st.integers(-6, 6),
+                                      st.integers(1, 6)))
+
+
+def _frac_entry(field):
+    if field.kind is FieldKind.RATIONAL:
+        return _frac
+    return st.builds(GaussianRational, _frac, _frac)
+
+
+@st.composite
+def _frac_matrix(draw, field, rows=None, cols=None):
+    rows = draw(st.integers(0, 3)) if rows is None else rows
+    cols = draw(st.integers(0, 3)) if cols is None else cols
+    entry = _frac_entry(field)
+    return Matrix.from_rows(
+        field, [[draw(entry) for _ in range(cols)] for _ in range(rows)],
+        cols=cols)
+
+
+def _plain(m: Matrix) -> list:
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
+def _plain_product(field, x: list, y: list, inner: int, cols: int) -> list:
+    return [[sum((r[k] * y[k][j] for k in range(inner)), field.zero())
+             for j in range(cols)] for r in x]
+
+
+def _assert_stored(m: Matrix, want: list) -> None:
+    """m's rows are canonical integer rows that decode to want, and m
+    equals the matrix from_rows builds from want."""
+    h = 1 if m.field.kind is FieldKind.RATIONAL else 2
+    assert type(m._r) is tuple and len(m._r) == m.rows == len(want)
+    for row in m._r:
+        assert type(row) is list and len(row) == h * m.cols + 1
+        assert all(type(x) is int for x in row)
+        assert row[-1] > 0 and math.gcd(*row) == 1
+    assert _plain(m) == want
+    assert m == Matrix.from_rows(m.field, want, cols=m.cols)
+
+
+def _plain_basis(field, a: list, n: int, aug: list, w: int) -> tuple:
+    """([X | N], free columns, consistent) as _basis_rows defines them,
+    read off a plain reduced echelon form of [a | aug]."""
+    ref, pivots = _reference_rref(
+        field, [r + s for r, s in zip(a, aug)], n)
+    free = [c for c in range(n) if c not in pivots]
+    out = [[field.zero()] * (w + len(free)) for _ in range(n)]
+    for k, fc in enumerate(free):
+        out[fc][w + k] = field.one()
+    for r, c in enumerate(pivots):
+        out[c] = ref[r][n:] + [-ref[r][fc] for fc in free]
+    consistent = not any(map(any, (row[n:] for row in ref[len(pivots):])))
+    return out, free, consistent
+
+
+@pytest.mark.parametrize("field", [RATIONALS, *_QI_FIELDS], ids=str)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_every_op_stores_canonical_rows(field, data):
+    a = data.draw(_frac_matrix(field))
+    m, n = a.shape
+    pa, zero = _plain(a), field.zero()
+    a2 = data.draw(_frac_matrix(field, m, n))
+    b = data.draw(_frac_matrix(field, n))
+    c = data.draw(_frac_entry(field))
+    pb = _plain(b)
+    if m and n:
+        assert (a[-1, -1], a[0, n - 1]) == (pa[-1][-1], pa[0][n - 1])
+    with pytest.raises(IndexError):
+        a[m, 0]
+    _assert_stored(a * b, _plain_product(field, pa, pb, n, b.cols))
+    flipped = [[pa[i][j] for i in range(m)] for j in range(n)]
+    _assert_stored(a.transpose(), flipped)
+    _assert_stored(a.star, [list(map(field.conjugate, r)) for r in flipped])
+    _assert_stored(a + a2, [[x + y for x, y in zip(r, s)]
+                            for r, s in zip(pa, _plain(a2))])
+    _assert_stored(a - a2, [[x - y for x, y in zip(r, s)]
+                            for r, s in zip(pa, _plain(a2))])
+    _assert_stored(-a, [[-x for x in r] for r in pa])
+    _assert_stored(a.scale(c), [[c * x for x in r] for r in pa])
+    picked = data.draw(st.lists(st.integers(0, m - 1), max_size=4)
+                       if m else st.just([]))
+    cols = data.draw(st.lists(st.one_of(st.none(), st.integers(0, n - 1))
+                              if n else st.none(), max_size=4))
+    _assert_stored(a.take(picked), [pa[i] for i in picked])
+    _assert_stored(a.take(picked, cols), [
+        [zero if j is None else pa[i][j] for j in cols] for i in picked])
+    r0, r1 = sorted(data.draw(st.lists(st.integers(0, m), min_size=2,
+                                       max_size=2)))
+    c0, c1 = sorted(data.draw(st.lists(st.integers(0, n), min_size=2,
+                                       max_size=2)))
+    _assert_stored(a.block(r0, r1, c0, c1), [r[c0:c1] for r in pa[r0:r1]])
+    # the same values by two routes: a block of a product, and from_rows
+    ab = _plain_product(field, pa, pb, n, b.cols)
+    assert (a * b).block(r0, r1, 0, b.cols) == Matrix.from_rows(
+        field, ab[r0:r1], cols=b.cols)
+    d = data.draw(_frac_matrix(field, cols=n))
+    e = data.draw(_frac_matrix(field, d.rows, b.cols))
+    pd, pe = _plain(d), _plain(e)
+    _assert_stored(Matrix.from_blocks(field, [[a, a * b], [d, e]]),
+                   [r + s for r, s in zip(pa + pd, ab + pe)])
+    _assert_stored(direct_sum(field, [a, d]),
+                   [r + [zero] * d.cols for r in pa]
+                   + [[zero] * n + r for r in pd])
+    # the eliminations
+    ident = [[field.one() if i == j else zero for j in range(m)]
+             for i in range(m)]
+    basis, free, _ = _plain_basis(field, pa, n, [[]] * m, 0)
+    _assert_stored(nullspace(a), basis)
+    rhs = data.draw(_frac_matrix(field, m))
+    basis, free, consistent = _plain_basis(field, pa, n, _plain(rhs),
+                                           rhs.cols)
+    if consistent:
+        _assert_stored(solve(a, rhs), [r[:rhs.cols] for r in basis])
+    else:
+        with pytest.raises(ValueError, match="inconsistent"):
+            solve(a, rhs)
+    basis, free, _ = _plain_basis(field, pa, n, ident, m)
+    if m == n and not free:
+        _assert_stored(inverse(a), basis)
+    p, left = row_echelon_transform(a)
+    rows, pivots = _naive_eliminate([r + s for r, s in zip(pa, ident)], n,
+                                    False)
+    _assert_stored(left, [r[n:] for r in rows[len(pivots):]])
+    top = a.take(p)
+    v, v_inv = unit_completion(top)
+    ident_r = [r[:len(p)] for r in ident[:len(p)]]
+    basis, free, _ = _plain_basis(field, _plain(top), n, ident_r, len(p))
+    _assert_stored(v, basis)
+    _assert_stored(v_inv, _plain(top) + [
+        [field.one() if j == fc else zero for j in range(n)] for fc in free])
+
+
+@pytest.mark.parametrize("field", [RATIONALS, *_QI_FIELDS], ids=str)
+def test_decomposition_does_no_entry_arithmetic(field, monkeypatch):
+    # the whole pipeline, products, eliminations, stars, blocks, scales
+    # and sums, runs on stored integer rows: no Fraction or
+    # GaussianRational operator is called between parsing and rendering
+    words = ["1/2", "-1", "2/3", "0", "3", "-1/5", "1/4", "7/3"]
+    if field.kind is FieldKind.GAUSSIAN_RATIONAL:
+        words += ["1/2+i", "-i", "3-1/2*i", "2/7*i"]
+    n = 8
+    s = Matrix.from_rows(field, [
+        [field.parse_scalar(words[(3 * i + j) % len(words)]) if j > i
+         else field.from_int(i == j) for j in range(n)] for i in range(n)])
+    b = Matrix.from_rows(field, [[Fraction(2), Fraction(1, 3)],
+                                 [Fraction(-1, 2), Fraction(5)]])
+    jordan = [jordan_block(field, k) for k in (1, 2, 3)]
+    a = s.star * direct_sum(field, [b, *jordan]) * s
+
+    def no_arithmetic(*args):
+        raise AssertionError("an entry operator was called")
+
+    for cls in (Fraction, GaussianRational):
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__",
+                     "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                     "__neg__"):
+            monkeypatch.setattr(cls, name, no_arithmetic)
+    block_sum, x = full_decomposition(a)
+    assert dict(block_sum.jordan_multiplicities) == {1: 1, 2: 1, 3: 1}
+    assert block_sum.regular_part.rows == 2
+    assert check_transform(a, x, assemble(block_sum)).ok
+    text = x.to_text()
+    monkeypatch.undo()
+    assert Matrix.from_text(field, text) == x
