@@ -11,6 +11,9 @@ calls `congru.cli.main`:
 
 - `decompose` and `sparse-form` with `--json --emit-transform` on all
   150 exact inputs;
+- `invariants --json` and `regularize --json` on all 150 exact inputs:
+  `invariants` takes its rank, its nullity and the stack [A; A*] that
+  `from_blocks` assembles, and `regularize` the stages alone;
 - the text forms of `decompose --emit-transform`,
   `sparse-form --emit-transform`, `regularize`, `invariants` and
   `pencil` on every fifth exact input;
@@ -30,7 +33,8 @@ calls `congru.cli.main`:
   with `--prime 2` on the direct sums A_0 (+) A_1, A_2 (+) A_3, ... of
   the exact-prime inputs, n up to 64 where the benchmark stops at 36:
   larger GF(p) eliminations and products, whose packed rows have more
-  slots and take more clears;
+  slots and take more clears, and `invariants --json` and
+  `regularize --json` with the same two primes on those sums;
 - `decompose --json --emit-transform` with `--involution conjugate`
   and with `--involution identity` on the direct sums of the
   exact-gaussian inputs, formed the same way, n up to 28 where the
@@ -77,6 +81,8 @@ SEED = 1
 TEXT_COMMANDS = ("decompose", "sparse-form", "regularize", "invariants",
                  "pencil")
 TRANSFORM_COMMANDS = ("decompose", "sparse-form", "pencil")
+# run with --json alone on every exact input and on the GF(p) direct sums
+SUMMARY_COMMANDS = ("invariants", "regularize")
 # every fifth input of these workloads is also decomposed over another
 # field than the workload's own
 OTHER_FIELD = {
@@ -224,6 +230,8 @@ def build_runs(directory: str) -> list[list[str]]:
             for command in ("decompose", "sparse-form"):
                 runs.append([command, *flags, "--json", "--emit-transform",
                              path])
+            for command in SUMMARY_COMMANDS:
+                runs.append([command, *flags, "--json", path])
             if k == 0:
                 runs.append(["verify", *flags, "--json", "--seed", str(SEED),
                              "--trials", "3", path])
@@ -247,9 +255,12 @@ def build_runs(directory: str) -> list[list[str]]:
             for first, second in zip(paths[::2], paths[1::2]):
                 path = _write_direct_sum(first, second)
                 for extra in DIRECT_SUM[name]:
-                    runs.append(["decompose", "--field", workload.field,
-                                 *extra, "--json", "--emit-transform",
-                                 path])
+                    field = ["--field", workload.field, *extra]
+                    runs.append(["decompose", *field, "--json",
+                                 "--emit-transform", path])
+                    if workload.field == "prime-field":
+                        for command in SUMMARY_COMMANDS:
+                            runs.append([command, *field, "--json", path])
     return runs
 
 

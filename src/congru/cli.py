@@ -28,7 +28,8 @@ from .matrix import (Matrix, MatrixParseError, _read_json, _read_text,
                      _write_json, invariants)
 from .pencil import SelfadjointPencil, pencil_regularize
 from .regularize import regularize
-from .scalar import _INTEGER_RE, FieldKind, FieldSpec, Involution
+from .scalar import (_INTEGER_RE, FieldKind, FieldSpec, Involution,
+                     _quote_token)
 from .sparse_form import canonical_sparse_form, full_decomposition
 from .verify import invariance_suite, roundtrip_suite
 
@@ -298,14 +299,14 @@ def _cmd_float_regularize(config: CliConfig) -> CliResult:
 def _cmd_verify(config: CliConfig) -> CliResult:
     seed = config.seed
     if seed is None:
-        env = os.environ.get("CONGRU_SEED")
-        if env is None:
-            seed = 0
-        elif _INTEGER_RE.fullmatch(env):
-            seed = int(env)
-        else:
-            raise CliInputError(
-                f"CONGRU_SEED must be an integer, got {env!r}")
+        env = os.environ.get("CONGRU_SEED", "0")
+        try:
+            if not _INTEGER_RE.fullmatch(env):
+                raise ValueError(env)
+            seed = int(env)  # ValueError past the int digit limit too
+        except ValueError:
+            raise CliInputError("CONGRU_SEED must be an integer, got "
+                                f"{_quote_token(env)}") from None
     if config.trials < 1:
         raise CliInputError("--trials must be positive")
     if config.input_path is not None:

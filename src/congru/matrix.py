@@ -6,38 +6,41 @@ exact with first-nonzero pivoting (magnitude pivoting is meaningless
 over Q(i) or GF(p)), so identical inputs always produce identical
 transforms.
 
-Each field has one stored row format, the one its kernels work on.
-Over Q and Q(i) a row is an integer row: a list of ints over one row
-denominator d > 0, which is appended, with gcd(d, all ints) == 1, so
-that equal rows are equal lists.  Over Q that is one int per entry,
-over Q(i) the real parts of the n entries and then their imaginary
-parts, [re_0 ... re_{n-1}, im_0 ... im_{n-1}, d].  Over GF(p) a row is
-a tuple of ints in [0, p).  Entries, as Fraction, GaussianRational or
-int, are built only at the boundary: from_rows, from_text and
-from_json_dict encode them on the way in, and m[i, j], row(i), to_text
-and to_json_dict decode rows on the way out.  Everything else works on
-the stored ints; where rows with different denominators meet it takes
-their lcm, and where a result may share a factor with its denominator
-it divides the row's content out.
+Every field has one stored row format, the integer row: a list of
+ints over one row denominator d > 0, which is appended, with
+gcd(d, all ints) == 1, so that equal rows are equal lists.  Over Q
+and GF(p) that is one int per entry, over Q(i) the real parts of the
+n entries and then their imaginary parts,
+[re_0 ... re_{n-1}, im_0 ... im_{n-1}, d].  Over GF(p) the ints are
+residues in [0, p) and d is 1.  The structural operations, blocks,
+columns, transposes and block assembly, are the same for every field;
+_canonical, which divides a row's content out, also reduces it mod p.
+Entries, as Fraction, GaussianRational or int, are built only at the
+boundary: from_rows, from_text and from_json_dict encode them on the
+way in, and m[i, j], row(i), to_text and to_json_dict decode rows on
+the way out.  Everything else works on the stored ints; where rows
+with different denominators meet it takes their lcm, and where a
+result may share a factor with its denominator it divides the row's
+content out.
 
 Every rank, null space, solve, inverse and echelon transform is one
 Gauss-Jordan elimination, _eliminate, over [A | the rows the caller
-mirrors], and every product, over every field, is one loop, _product.
-An elimination hands back its rows with the row of A each pivot row
-started as: a rank reads only the pivots, and an echelon transform and
-_basis_rows cut the columns they read out of the rows, still as
-integer rows.  No elimination scales a row: a reduced pivot row is its
-pivot times its reduced echelon row, and _basis_rows divides the ints
-it reads by that pivot.  Over Q and Q(i) an elimination clears a
-column fraction-free and divides the row's content out: by
+mirrors], and every product is _product.  An elimination hands back
+its rows with the row of A each pivot row started as: a rank reads
+only the pivots, and an echelon transform and _basis_rows cut the
+columns they read out of the rows, still as integer rows.  No
+elimination scales a row: a reduced pivot row is its pivot times its
+reduced echelon row, and _basis_rows divides the ints it reads by
+that pivot.  Over Q and Q(i) an elimination clears a column
+fraction-free and divides the row's content out: by
 pv*row_k - q*row_r over Q, and over Q(i), with P and Q the Gaussian
 integers at the pivot and at the entry cleared, by
 N(P)*row_k - (conj(P)*Q)*row_r.  The values and pivot choices are
-those of plain field arithmetic.  Over GF(p) both loops work on one
-int per row that packs its entries into fixed-width slots, wide
+those of plain field arithmetic.  Over GF(p) both kernels work on
+one int per row that packs its entries into fixed-width slots, wide
 enough that no slot carries into the next, so that a row operation is
-one big-int multiply-add; the rows are unpacked and reduced mod p when
-the loop ends.
+one big-int multiply-add; the rows are unpacked into stored rows,
+reduced mod p, when the kernel ends.
 """
 
 from __future__ import annotations
@@ -70,9 +73,9 @@ class Matrix:
 
     def __init__(self, field: FieldSpec, rows: int, cols: int,
                  stored: tuple):
-        # stored: a tuple of rows already in the field's stored format
-        # (see the module docstring), never mutated once stored; the
-        # classmethods build it from entries
+        # stored: a tuple of integer rows, the one format of every
+        # field (see the module docstring), never mutated once stored;
+        # the classmethods build it from entries
         self.field = field
         self.rows = rows
         self.cols = cols
@@ -105,13 +108,12 @@ class Matrix:
                  ones: Iterable[tuple[int, int]]) -> "Matrix":
         """The rows x cols matrix with a 1 at each (i, j) of ones and
         zeros elsewhere: every identity, shift and permutation."""
-        h = _halves(field)
-        tail = [] if h is None else [1]
-        out = [[0] * ((h or 1) * cols) + tail for _ in range(rows)]
+        # the zero rows share one list: no stored row is ever mutated
+        out = [[0] * (_halves(field) * cols) + [1]] * rows
         for i, j in ones:
+            out[i] = out[i].copy()
             out[i][j] = 1
-        return cls(field, rows, cols,
-                   tuple(out) if h else tuple(map(tuple, out)))
+        return cls(field, rows, cols, tuple(out))
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
@@ -133,11 +135,8 @@ class Matrix:
                 if b.rows != heights[bi] or b.cols != widths[bj]:
                     raise ValueError("inconsistent block dimensions")
         h = _halves(field)
-        out = []
-        for bi, row in enumerate(grid):
-            for i in range(heights[bi]):
-                parts = [b._r[i] for b in row]
-                out.append(_join(parts, h) if h else sum(parts, ()))
+        out = [_join(parts, h) for row in grid
+               for parts in zip(*[b._r for b in row])]
         return cls(field, sum(heights), sum(widths), tuple(out))
 
     # -- basic queries ---------------------------------------------------------
@@ -150,8 +149,7 @@ class Matrix:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        cut = None if self.field.p else -1
-        return not any(any(row[:cut]) for row in self._r)
+        return not any(any(row[:-1]) for row in self._r)
 
     def __getitem__(self, key) -> Scalar:
         i, j = key
@@ -185,11 +183,8 @@ class Matrix:
         self._check_same_field(other)
         if self.shape != other.shape:
             raise ValueError(f"dimension mismatch in {what}")
-        if self.field.p is None:
-            rows = [_row_sum(x, y, sign) for x, y in zip(self._r, other._r)]
-        else:
-            rows = [_reduced(self.field, [a + sign * b for a, b in zip(x, y)])
-                    for x, y in zip(self._r, other._r)]
+        p = self.field.p
+        rows = [_row_sum(x, y, sign, p) for x, y in zip(self._r, other._r)]
         return Matrix(self.field, self.rows, self.cols, tuple(rows))
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -202,14 +197,11 @@ class Matrix:
         return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
-        c, h = self.field.coerce(c), _halves(self.field)
-        if h is None:
-            rows = [_reduced(self.field, [c * a for a in row])
-                    for row in self._r]
-        else:
-            abe = ((c.numerator, 0, c.denominator) if h == 1
-                   else (c._a, c._b, c._d))
-            rows = [_row_times(row, *abe) for row in self._r]
+        c, p = self.field.coerce(c), self.field.p
+        # a GF(p) scalar is a plain int, numerator c over denominator 1
+        abe = ((c.numerator, 0, c.denominator) if _halves(self.field) == 1
+               else (c._a, c._b, c._d))
+        rows = [_row_times(row, *abe, p) for row in self._r]
         return Matrix(self.field, self.rows, self.cols, tuple(rows))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
@@ -326,7 +318,10 @@ def _read_text(text: str, parse: Callable, square: bool = False) -> tuple:
     header = lines[0].split()
     if len(header) != 2 or not all(map(_INTEGER_RE.fullmatch, header)):
         raise MatrixParseError("header must be two integers: rows cols", 1, 1)
-    rows, cols = int(header[0]), int(header[1])
+    try:
+        rows, cols = int(header[0]), int(header[1])
+    except ValueError:  # past the interpreter's int digit limit
+        raise MatrixParseError("header integer too long", 1, 1) from None
     _check_dims(rows, cols, square)
     # only the lines that exist are visited: the header is untrusted
     body = lines[1:rows + 1]
@@ -400,12 +395,6 @@ def _write_json(rows: int, cols: int, grid: Iterable, render: Callable,
 # clears and returns a row whose entry is 0 unchanged.
 
 
-def _reduced(field: FieldSpec, values: list) -> tuple:
-    """GF(p) values as a stored row, reduced into [0, p)."""
-    p = field.p
-    return tuple(x % p for x in values)
-
-
 def _eliminate(a: Matrix, aug: tuple, reduce: bool,
                ) -> tuple[list, list, Callable]:
     """Forward elimination on the rows [a | aug], aug a tuple of
@@ -415,24 +404,21 @@ def _eliminate(a: Matrix, aug: tuple, reduce: bool,
     pivot times row i of the reduced echelon form of a.  Returns the
     eliminated rows, in the field's work format, one (column, source)
     pair per pivot row, pivot row i being row i and source the row of
-    a it was swapped in from, and the field's decoder, which turns a
-    list of work rows into tuples of entries."""
+    a it was swapped in from, and the function that turns a list of
+    work rows into stored rows."""
     field, m, h = a.field, a.rows, _halves(a.field)
-    if h is None:
-        joined = [x + y for x, y in zip(a._r, aug)]
-        g = _packing(field.p, len(joined[0]) if joined else 0, 2 * m + 1)
-        rows = list(map(g.pack, joined))
-        entry, pivot, clear, decode = g.entry, g.pivot, g.clear, g.decode
+    # an aug row without entries adds nothing
+    rows = [x if len(y) < 2 else _join((x, y), h)
+            for x, y in zip(a._r, aug)]
+    if field.p:
+        g = _packing(field.p, len(rows[0]) - 1 if rows else 0, 2 * m + 1)
+        rows = [g.pack(row[:-1]) for row in rows]
+        entry, pivot, clear, stored = g.entry, g.pivot, g.clear, g.decode
+    elif h == 1:
+        entry, pivot, clear, stored = (operator.getitem, _own_pivot,
+                                       _q_update, list)
     else:
-        # an aug row without entries adds nothing
-        rows = [x if len(y) < 2 else _join((x, y), h)
-                for x, y in zip(a._r, aug)]
-        if h == 1:
-            entry, pivot, clear = operator.getitem, _own_pivot, _q_update
-            decode = _q_decode
-        else:
-            entry, pivot, clear = _qi_entry, _qi_pivot, _qi_update
-            decode = _qi_decode
+        entry, pivot, clear, stored = _qi_entry, _qi_pivot, _qi_update, list
 
     def sweep(r: int, c: int, others: Iterable[int]) -> None:
         # clear column c of the rows `others` with pivot row r
@@ -457,7 +443,7 @@ def _eliminate(a: Matrix, aug: tuple, reduce: bool,
     if reduce:
         for r, (c, _) in reversed([*enumerate(pivots)]):
             sweep(r, c, range(r))
-    return rows, pivots, decode
+    return rows, pivots, stored
 
 
 def _own_pivot(rr: list, c: int) -> tuple:
@@ -503,9 +489,9 @@ class _Packing:
         return [(lo + hi * k) % p for lo, hi in self._slot.iter_unpack(b)]
 
     def decode(self, xs: list) -> list:
-        """The rows xs as tuples of entries, all unpacked at once."""
+        """The rows xs as stored rows, all unpacked at once."""
         n, values = self.n, self.unpack(xs)
-        return [tuple(values[i * n:i * n + n]) for i in range(len(xs))]
+        return [values[i * n:i * n + n] + [1] for i in range(len(xs))]
 
     def entry(self, x: int, c: int) -> int:
         return (x >> c * self.s & self.mask) % self.p
@@ -536,36 +522,45 @@ def _packing(p: int, n: int, t: int) -> _Packing:
 # The values and the pivot choices must stay those of plain Fraction
 # and GaussianRational arithmetic: transforms are byte-identical
 # whichever way Q and Q(i) are computed.  The helpers below serve
-# both, an integer row of n entries holding h halves of n ints and
-# its denominator, and most take GF(p)'s tuples of residues too.
+# every field, an integer row of n entries holding h halves of n ints
+# and its denominator; those that make new values take GF(p)'s modulus
+# p, None over Q and Q(i), and hand it to _canonical.
 
 
-def _halves(field: FieldSpec) -> int | None:
-    """The halves of an integer row: 1 over Q, 2 over Q(i); None over
-    GF(p), whose rows are tuples of residues."""
-    if field.p is not None:
-        return None
-    return 1 if field.kind is FieldKind.RATIONAL else 2
+def _halves(field: FieldSpec) -> int:
+    """The halves of an integer row: 2 over Q(i), 1 over Q and GF(p)."""
+    return 2 if field.kind is FieldKind.GAUSSIAN_RATIONAL else 1
 
 
 def _codec(field: FieldSpec) -> tuple[Callable, Callable]:
     """(encode, decode): a row of entries to a stored row, and a list
     of stored rows to tuples of entries."""
-    h = _halves(field)
-    if h is None:
-        return tuple, list
-    return (_q_row, _q_decode) if h == 1 else (_qi_row, _qi_decode)
+    if field.p:
+        # a GF(p) entry is an int, its own numerator over 1
+        return _q_row, _gf_decode
+    if _halves(field) == 1:
+        return _q_row, _q_decode
+    return _qi_row, _qi_decode
 
 
-def _content_out(new: list, d: int) -> list:
-    """The integer row new over d > 0, with d appended, both divided by
-    their gcd: the canonical row of those values."""
-    g = gcd(d, *new)
-    if g != 1:
-        new = [x // g for x in new]
-        d //= g
-    new.append(d)
-    return new
+def _gf_decode(rows: list) -> list:
+    return [tuple(row[:-1]) for row in rows]
+
+
+def _canonical(row: list, p: int | None = None) -> list:
+    """The canonical form of an integer row whose last int is its
+    denominator d > 0: the row divided by the gcd of its ints, or over
+    GF(p), with p, the residues of its values over d = 1.  The row
+    itself when it is canonical already."""
+    d = row[-1]
+    if p:
+        f = pow(d, -1, p)
+        return [x * f % p for x in row] if f != 1 else [x % p for x in row]
+    if d != 1:
+        g = gcd(*row)
+        if g != 1:
+            return [x // g for x in row]
+    return row
 
 
 def _join(parts: Sequence[list], h: int) -> list:
@@ -592,11 +587,9 @@ def _columns(field: FieldSpec, rows: Sequence, n: int,
     """Stored rows of n columns cut down to the columns cols, in that
     order, with a zero column for each None."""
     h = _halves(field)
-    if h is None:
-        return tuple(tuple([0 if c is None else row[c] for c in cols])
-                     for row in rows)
-    return tuple(_content_out([0 if c is None else row[k * n + c]
-                               for k in range(h) for c in cols], row[-1])
+    at = [None if c is None else k * n + c for k in range(h) for c in cols]
+    at.append(-1)
+    return tuple(_canonical([0 if i is None else row[i] for i in at])
                  for row in rows)
 
 
@@ -605,36 +598,41 @@ def _transposed(a: Matrix, conj: bool) -> tuple:
     j of each row over the lcm of the row denominators, with the
     content divided out."""
     h, n = _halves(a.field), a.cols
-    if h is None:
-        return tuple(zip(*a._r)) or ((),) * n
     if not a.rows:
         return tuple([1] for _ in range(n))
     d = lcm(*[r[-1] for r in a._r])
-    cols = list(zip(*[r[:-1] if r[-1] == d else
-                      [x * (d // r[-1]) for x in r[:-1]] for r in a._r]))
-    if h == 1:
-        return tuple(_content_out(list(c), d) for c in cols)
-    im = [[-x for x in c] for c in cols[n:]] if conj else cols[n:]
-    return tuple(_content_out([*re, *i], d) for re, i in zip(cols, im))
+    rows = [r if r[-1] == d else [x * (d // r[-1]) for x in r]
+            for r in a._r]
+    # every row over d, then a row of d's: column j is an integer row
+    cols = list(map(list, zip(*rows, [d] * len(rows[0]))))
+    if h == 2:
+        im = cols[n:-1]
+        if conj:
+            im = [[-x for x in c[:-1]] + [d] for c in im]
+        cols = [re[:-1] + i for re, i in zip(cols, im)]
+    # over d = 1 every row is canonical
+    return tuple(cols[:n]) if d == 1 else tuple(map(_canonical, cols[:n]))
 
 
-def _row_sum(x: list, y: list, sign: int) -> list:
+def _row_sum(x: list, y: list, sign: int, p: int | None) -> list:
     """x + sign*y for integer rows of one width."""
     d = lcm(x[-1], y[-1])
     sx, sy = d // x[-1], sign * (d // y[-1])
-    return _content_out([sx * a + sy * b for a, b in zip(x[:-1], y[:-1])],
-                        d)
+    return _canonical([sx * a + sy * b for a, b in zip(x[:-1], y[:-1])]
+                      + [d], p)
 
 
-def _row_times(row: list, a: int, b: int, e: int) -> list:
-    """An integer row times (a + b*i)/e, e > 0; b = 0 over Q."""
+def _row_times(row: list, a: int, b: int, e: int,
+               p: int | None = None) -> list:
+    """An integer row times (a + b*i)/e, e > 0; b = 0 over Q and
+    GF(p)."""
     if not b:
-        return _content_out([a * x for x in row[:-1]], e * row[-1])
+        return _canonical([a * x for x in row[:-1]] + [e * row[-1]], p)
     n = len(row) >> 1
     re, im = row[:n], row[n:-1]
-    return _content_out([a * x - b * y for x, y in zip(re, im)]
-                        + [a * y + b * x for x, y in zip(re, im)],
-                        e * row[-1])
+    return _canonical([a * x - b * y for x, y in zip(re, im)]
+                      + [a * y + b * x for x, y in zip(re, im)]
+                      + [e * row[-1]])
 
 
 def _over_pivot(field: FieldSpec, row, c: int, n: int, free: list):
@@ -643,12 +641,9 @@ def _over_pivot(field: FieldSpec, row, c: int, n: int, free: list):
     negated entries at the free columns, divided by the pivot.  An
     integer row's denominator cancels, so the divisor is the pivot's
     numerator P, and 1/P is conj(P)/N(P), or sign(P)/|P| when P is
-    real.  A GF(p) row comes unpacked into residues."""
+    real; over GF(p), P is a residue and the row's canonical form
+    reads /P as times pow(P, -1, p)."""
     h = _halves(field)
-    if h is None:
-        inv = field.inverse(row[c])
-        return _reduced(field, [x * inv for x in row[n:]]
-                        + [-row[fc] * inv for fc in free])
     nn = (len(row) - 1) // h
     ints = [x for k in range(h) for x in row[k * nn + n:(k + 1) * nn]
             + [-row[k * nn + fc] for fc in free]]
@@ -656,13 +651,16 @@ def _over_pivot(field: FieldSpec, row, c: int, n: int, free: list):
     pr, pi = row[c], row[nn + c] if h == 2 else 0
     if pi:
         return _row_times(ints, pr, -pi, pr * pr + pi * pi)
-    return _row_times(ints, 1 if pr > 0 else -1, 0, abs(pr))
+    return _row_times(ints, 1 if pr > 0 else -1, 0, abs(pr), field.p)
 
 
 def _product(field: FieldSpec, arows: tuple, brows: tuple, bcols: int,
              ) -> tuple:
-    """Stored rows of A*B.  Each row k of B is written once, and only
-    if A uses it, as its nonzero (column, value) pairs over its
+    """Stored rows of A*B.  Over GF(p) each row of B is packed, and row
+    i of A*B is the sum of a_ik times packed row k over the nonzero
+    a_ik, one big-int multiply-add each; the sums are unpacked together
+    at the end.  Over Q and Q(i) each row k of B is written once, and
+    only if A uses it, as its nonzero (column, value) pairs over its
     denominator d_k.  Row i of A is ints over D_i; each nonzero int f
     in it adds the term (f, d_k, pairs), and the row folds the d_k of
     its terms into one denominator L_i, sums f * (L_i / d_k) * v, and
@@ -671,16 +669,14 @@ def _product(field: FieldSpec, arows: tuple, brows: tuple, bcols: int,
     are [re | im]: a real part f at column k adds f times the pairs of
     row k of B, [re | im], and an imaginary part adds f times those of
     [-im | re], which are the same pairs with their halves swapped and
-    one sign flipped, kept next to them in bint[k].  Over GF(p) a row
-    of B is the single pair (0, the row packed), with d_k = D_i = 1, so
-    the loop does one big-int multiply-add per nonzero a_ik, and the
-    sums are unpacked together at the end."""
+    one sign flipped, kept next to them in bint[k]."""
     n, h, swap = len(brows), _halves(field), None
-    if h is None:
+    if field.p:
         g = _packing(field.p, bcols, n)
-        write, width, cut = (lambda row: ([g.pack(row)], 1)), 1, n
-    else:
-        write, width, cut = (lambda row: (row[:-1], row[-1])), h * bcols, h * n
+        packed = [g.pack(row[:-1]) for row in brows]
+        # zip stops at the end of packed, before a row's d = 1
+        return tuple(g.decode([sum([f * b for f, b in zip(arow, packed) if f])
+                               for arow in arows]))
     if h == 2:
         def swap(nz):
             return [(j + bcols, v) if j < bcols else (j - bcols, -v)
@@ -689,25 +685,25 @@ def _product(field: FieldSpec, arows: tuple, brows: tuple, bcols: int,
     out = []
     for arow in arows:
         terms = []
-        for k, f in enumerate(arow[:cut]):
+        for k, f in enumerate(arow[:-1]):
             if f:
                 half, k = divmod(k, n)
                 b = bint[k]
                 if b is None:
-                    ints, d = write(brows[k])
-                    nz = [(j, v) for j, v in enumerate(ints) if v]
-                    b = bint[k] = (d, nz, swap and swap(nz))
+                    row = brows[k]
+                    nz = [(j, v) for j, v in enumerate(row[:-1]) if v]
+                    b = bint[k] = (row[-1], nz, swap and swap(nz))
                 if b[1]:
                     terms.append((f, b[0], b[1 + half]))
         den = lcm(*[e for _, e, _ in terms])
-        acc = [0] * width
+        acc = [0] * (h * bcols) + [den * arow[-1]]
         for f, e, nz in terms:
             if e != den:
                 f *= den // e
             for j, v in nz:
                 acc[j] += f * v
-        out.append(acc[0] if h is None else _content_out(acc, den * arow[-1]))
-    return tuple(out) if h else tuple(g.decode(out))
+        out.append(_canonical(acc))
+    return tuple(out)
 
 
 # -- Q kernels on integer rows ---------------------------------------------------
@@ -759,8 +755,9 @@ def _q_update(rk: list, rr: list, c: int, pv: int) -> list:
     else:
         head = [pv * x for x in rk[:c]]
         dk *= pv
-    return _content_out(
-        head + [pv * x - q * y for x, y in zip(rk[c:-1], rr[c:-1])], dk)
+    new = head + [pv * x - q * y for x, y in zip(rk[c:-1], rr[c:-1])]
+    new.append(dk)
+    return _canonical(new)
 
 
 # -- Q(i) kernels on integer rows ------------------------------------------------
@@ -831,11 +828,12 @@ def _qi_update(rk: list, rr: list, c: int, pv: tuple) -> list:
         head_im = [nm * x for x in rk[n:n + c]]
         dk *= nm
     re_r, im_r = rr[c:n], rr[n + c:-1]
-    return _content_out(
-        head_re + [nm * x - fr * y + fi * z
-                   for x, y, z in zip(rk[c:n], re_r, im_r)]
-        + head_im + [nm * x - fr * z - fi * y
-                     for x, y, z in zip(rk[n + c:-1], re_r, im_r)], dk)
+    new = (head_re + [nm * x - fr * y + fi * z
+                      for x, y, z in zip(rk[c:n], re_r, im_r)]
+           + head_im + [nm * x - fr * z - fi * y
+                        for x, y, z in zip(rk[n + c:-1], re_r, im_r)])
+    new.append(dk)
+    return _canonical(new)
 
 
 # -- the eliminations callers ask for -------------------------------------------
@@ -850,9 +848,8 @@ def _basis_rows(a: Matrix, aug: Matrix) -> tuple[tuple, list, list]:
     aug part is nonzero); a*X = aug has a solution only if none is."""
     field, n, w = a.field, a.cols, aug.cols
     h = _halves(field)
-    rows, pivots, decode = _eliminate(a, aug._r, True)
-    if h is None:
-        rows = decode(rows)
+    rows, pivots, stored = _eliminate(a, aug._r, True)
+    rows = stored(rows)
     pivot_cols = {c for c, _ in pivots}
     free = [c for c in range(n) if c not in pivot_cols]
     unit = Matrix.zero_one(field, len(free), w + len(free),
@@ -865,7 +862,7 @@ def _basis_rows(a: Matrix, aug: Matrix) -> tuple[tuple, list, list]:
         out[c] = _over_pivot(field, row, c, n, free)
     nn = n + w
     return tuple(out), free, [
-        any(any(row[k * nn + n:(k + 1) * nn]) for k in range(h or 1))
+        any(any(row[k * nn + n:(k + 1) * nn]) for k in range(h))
         for row in rows[len(pivots):]]
 
 
@@ -876,11 +873,10 @@ def row_echelon_transform(a: Matrix) -> tuple[list[int], Matrix]:
     elimination.  T = [unit rows at P; L] is nonsingular with
     T*a = [a[P, :]; 0], and a nonsingular a has every row in P."""
     field, m, n = a.field, a.rows, a.cols
-    rows, pivots, decode = _eliminate(a, Matrix.identity(field, m)._r, False)
+    rows, pivots, stored = _eliminate(a, Matrix.identity(field, m)._r, False)
     r = len(pivots)
-    null = rows[r:] if field.p is None else decode(rows[r:])
-    return sorted(s for _, s in pivots), Matrix(
-        field, m - r, m, _columns(field, null, n + m, range(n, n + m)))
+    return sorted(s for _, s in pivots), Matrix(field, m - r, m, _columns(
+        field, stored(rows[r:]), n + m, range(n, n + m)))
 
 
 def rank(a: Matrix) -> int:
@@ -996,14 +992,6 @@ def g_block(field: FieldSpec, n: int) -> Matrix:
         raise ValueError("g_block requires n >= 1")
     return Matrix.zero_one(field, n - 1, n,
                            [(i, i + 1) for i in range(n - 1)])
-
-
-def unit_columns(a: Matrix) -> list[int]:
-    """The column of the first nonzero entry of each row of a; for
-    unit rows, such as a permutation's, the column of each row's 1."""
-    n, h = a.cols, _halves(a.field) or 1
-    return [next(j for j in range(n) if row[j] or row[(h - 1) * n + j])
-            for row in a._r]
 
 
 def permutation_matrix(field: FieldSpec, images: Sequence[int]) -> Matrix:

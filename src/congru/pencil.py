@@ -20,7 +20,6 @@ from .matrix import (
     g_block,
     jordan_block,
     permutation_matrix,
-    unit_columns,
 )
 from .regularize import BlockSum, assemble
 from .scalar import FieldSpec
@@ -107,12 +106,16 @@ class Replacement:
     witness: Matrix
 
 
+def _witness_images(k: int) -> tuple[int, ...]:
+    """The permutation f of block k's witness, whose row f(b) carries
+    its unit in column b; a 1x1 block keeps its place."""
+    return lemma6_permutation(k) if k > 1 else (0,)
+
+
 def replace_block(field: FieldSpec, k: int) -> Replacement:
     if k < 1:
         raise ValueError("block size must be positive")
-    # witness rows are indexed by f: row f(b) carries its unit in
-    # column b; a 1x1 block keeps its place
-    f = lemma6_permutation(k) if k > 1 else (0,)
+    f = _witness_images(k)
     witness = permutation_matrix(field, f).transpose()
     return Replacement("fg" if k % 2 else "ji", (k + 1) // 2,
                        permuted_jordan_target(field, k), witness)
@@ -139,7 +142,9 @@ class PencilDecomposition:
         rows of transform in the order of those permutations."""
         order = list(range(self.regular.rows))
         for kb in self.kronecker_blocks:
-            cols = unit_columns(kb.replacement.witness)
+            # row r of a witness has its unit in column f^-1(r)
+            f = _witness_images(kb.size)
+            cols = sorted(range(kb.size), key=f.__getitem__)
             for _ in range(kb.multiplicity):
                 base = len(order)
                 order.extend(base + c for c in cols)

@@ -6,6 +6,7 @@ runs fast; the acceptance tests cover the larger seeded workloads.
 
 import random
 
+import pytest
 from hypothesis import strategies as st
 
 from congru import FieldKind, FieldSpec, Matrix, direct_sum, jordan_block
@@ -44,6 +45,9 @@ MALFORMED_NUMBERS = [
     ("complex", {"rows": 1, "cols": 1, "entries": ["1_0+2*i"]}),
     *((f, f"1 1\n{tok}\n") for f in ("real", "complex")
       for tok in ("1_0", "\u0661\u0662", "\uff11\uff12")),
+    # a header integer past the interpreter's int() digit limit
+    *(pytest.param(f, "9" * 5000 + " 1\n1\n", id=f"{f}-5000-digit-header")
+      for f in ("rational", "real")),
 ]
 
 _small = st.integers(-4, 4)

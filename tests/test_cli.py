@@ -491,6 +491,15 @@ class TestArgv:
         assert (status, out) == (1, "")
         assert err == f"error: CONGRU_SEED must be an integer, got {env!r}\n"
 
+    def test_env_seed_past_the_int_digit_limit(self, capsys, monkeypatch):
+        # the token matches the integer grammar, but int() refuses it
+        env = "9" * 5000
+        monkeypatch.setenv("CONGRU_SEED", env)
+        status, out, err = run_cli(capsys, ["verify", "--trials", "1"])
+        assert (status, out) == (1, "")
+        assert err == ("error: CONGRU_SEED must be an integer, got "
+                       f"'{env[:39]}…\n")
+
     def test_signed_number_flags(self, capsys, monkeypatch):
         monkeypatch.setenv("CONGRU_SEED", "-5")
         _, out, _ = run_cli(capsys, ["verify", "--trials", "+1"])

@@ -31,8 +31,8 @@ from congru import (
     solve,
 )
 from congru.float_unitary import _read_float
-from congru.matrix import (_SLOTS, _eliminate, _packing, _Packing, _read_json,
-                           _read_text, f_block, g_block,
+from congru.matrix import (_SLOTS, _codec, _eliminate, _packing, _Packing,
+                           _read_json, _read_text, f_block, g_block,
                            row_echelon_transform, unit_completion)
 
 from conftest import (ALL_FIELDS, GAUSSIAN_CONJ, GAUSSIAN_IDENT, GF7,
@@ -804,15 +804,16 @@ def test_slot_bound_eliminations(p, shape, small):
     m, n = shape
     field, ident = a.field, Matrix.identity(a.field, m)
     start = [a.row(i) + ident.row(i) for i in range(m)]
-    rows, pivots, decode = _eliminate(a, ident._r, False)
+    decode = _codec(field)[1]
+    rows, pivots, unpack = _eliminate(a, ident._r, False)
     ref, ref_pivots = _plain_forward(p, start, n)
-    assert (list(map(list, decode(rows))), [c for c, _ in pivots]) == (
-        ref, [c for _, c in ref_pivots])
-    rows, pivots, decode = _eliminate(a, ident._r, True)
+    assert (list(map(list, decode(unpack(rows)))),
+            [c for c, _ in pivots]) == (ref, [c for _, c in ref_pivots])
+    rows, pivots, unpack = _eliminate(a, ident._r, True)
     ref, ref_pivots = _reference_rref(field, start, n)
     # a reduced pivot row is its pivot times its reduced echelon row
     rows = [[x * pow(row[c], -1, p) % p for x in row]
-            for row, (c, _) in zip(decode(rows), pivots)]
+            for row, (c, _) in zip(decode(unpack(rows)), pivots)]
     assert (rows, [c for c, _ in pivots]) == (ref, ref_pivots)
     assert rank(a) == m
     basis = nullspace(a)
@@ -943,17 +944,18 @@ def test_gaussian_products(field):
 @_GAUSSIAN_FIELDS
 @pytest.mark.parametrize("reduce", [False, True])
 def test_gaussian_eliminations(field, reduce):
+    decode = _codec(field)[1]
     for a in _qi_cases(field):
         ident = Matrix.identity(field, a.rows)
-        rows, pivots, decode = _eliminate(a, ident._r, reduce)
+        rows, pivots, unpack = _eliminate(a, ident._r, reduce)
         ref, ref_pivots = _naive_eliminate(
             [a.row(i) + ident.row(i) for i in range(a.rows)], a.cols,
             reduce)
-        assert (list(map(list, decode(rows))), [c for c, _ in pivots]) \
-            == (ref, ref_pivots)
+        assert (list(map(list, decode(unpack(rows)))),
+                [c for c, _ in pivots]) == (ref, ref_pivots)
     lu = _qi_cases(field)[0]
-    rows, pivots, decode = _eliminate(lu, ((),) * 3, False)
-    assert [row[c] for row, (c, _) in zip(decode(rows), pivots)] == [
+    rows, pivots, unpack = _eliminate(lu, ((),) * 3, False)
+    assert [row[c] for row, (c, _) in zip(decode(unpack(rows)), pivots)] == [
         field.parse_scalar(x) for x in ("1+i", "2*i", "3-4*i")]
 
 
@@ -1105,14 +1107,15 @@ def test_rows_are_read_and_written_only_in_matrix():
                     f"{name}:{node.lineno} reads .{node.attr}"
 
 
-# -- stored rows over Q and Q(i) -------------------------------------------------
-# A Q or Q(i) matrix stores canonical integer rows: ints over one
-# denominator d > 0 with gcd(d, all ints) == 1, as a list, [re | im | d]
-# over Q(i).  Every operation must return such rows, so that == stays
-# a row comparison, and they must decode to what plain Fraction and
-# GaussianRational arithmetic gives.  Small denominators make rows
-# share factors with their denominator; 0-row and 0-column shapes are
-# drawn too.
+# -- stored rows -----------------------------------------------------------------
+# A matrix stores canonical integer rows: ints over one denominator
+# d > 0 with gcd(d, all ints) == 1, as a list, [re | im | d] over Q(i),
+# and over GF(p) residues in [0, p) over d = 1.  Every operation must
+# return such rows, so that == stays a row comparison, and they must
+# decode to what plain Fraction, GaussianRational and mod-p arithmetic
+# gives.  Small denominators make rows share factors with their
+# denominator, and GF(7) makes pivots vanish; 0-row and 0-column shapes
+# are drawn too.
 
 _QI_FIELDS = (GAUSSIAN_CONJ, GAUSSIAN_IDENT)
 _frac = st.one_of(_q_entry, st.builds(Fraction, st.integers(-6, 6),
@@ -1120,6 +1123,8 @@ _frac = st.one_of(_q_entry, st.builds(Fraction, st.integers(-6, 6),
 
 
 def _frac_entry(field):
+    if field.p:
+        return st.one_of(st.integers(-8, 8), st.integers())
     if field.kind is FieldKind.RATIONAL:
         return _frac
     return st.builds(GaussianRational, _frac, _frac)
@@ -1145,14 +1150,19 @@ def _plain_product(field, x: list, y: list, inner: int, cols: int) -> list:
 
 
 def _assert_stored(m: Matrix, want: list) -> None:
-    """m's rows are canonical integer rows that decode to want, and m
-    equals the matrix from_rows builds from want."""
-    h = 1 if m.field.kind is FieldKind.RATIONAL else 2
+    """m's rows are canonical integer rows that decode to want, taken
+    mod p over GF(p), and m equals the matrix from_rows builds from
+    want."""
+    h = 2 if m.field.kind is FieldKind.GAUSSIAN_RATIONAL else 1
+    p = m.field.p
+    want = [_stored(m.field, r) for r in want]
     assert type(m._r) is tuple and len(m._r) == m.rows == len(want)
     for row in m._r:
         assert type(row) is list and len(row) == h * m.cols + 1
         assert all(type(x) is int for x in row)
         assert row[-1] > 0 and math.gcd(*row) == 1
+        if p:
+            assert row[-1] == 1 and all(0 <= x < p for x in row)
     assert _plain(m) == want
     assert m == Matrix.from_rows(m.field, want, cols=m.cols)
 
@@ -1172,7 +1182,8 @@ def _plain_basis(field, a: list, n: int, aug: list, w: int) -> tuple:
     return out, free, consistent
 
 
-@pytest.mark.parametrize("field", [RATIONALS, *_QI_FIELDS], ids=str)
+@pytest.mark.parametrize("field", [RATIONALS, *_QI_FIELDS, GF7, GF_BIG],
+                         ids=str)
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_every_op_stores_canonical_rows(field, data):
@@ -1238,8 +1249,9 @@ def test_every_op_stores_canonical_rows(field, data):
     if m == n and not free:
         _assert_stored(inverse(a), basis)
     p, left = row_echelon_transform(a)
-    rows, pivots = _naive_eliminate([r + s for r, s in zip(pa, ident)], n,
-                                    False)
+    start = [r + s for r, s in zip(pa, ident)]
+    rows, pivots = (_plain_forward(field.p, start, n) if field.p
+                    else _naive_eliminate(start, n, False))
     _assert_stored(left, [r[n:] for r in rows[len(pivots):]])
     top = a.take(p)
     v, v_inv = unit_completion(top)
