@@ -9,8 +9,8 @@ bench/workloads.py into a temporary directory, and every run below is
 made once against each tree, each tree in its own child process that
 calls `congru.cli.main`:
 
-- `decompose` and `sparse-form` with `--json --emit-transform` on all
-  150 exact inputs;
+- `decompose`, `sparse-form` and `pencil` with `--json
+  --emit-transform` on all 150 exact inputs;
 - `invariants --json` and `regularize --json` on all 150 exact inputs:
   `invariants` takes its rank, its nullity and the stack [A; A*] that
   `from_blocks` assembles, and `regularize` the stages alone;
@@ -20,7 +20,6 @@ calls `congru.cli.main`:
 - `decompose --json --emit-transform` on every fifth exact-gaussian
   input with `--involution identity` and on every fifth exact-prime
   input with `--prime 3`, cases that no benchmark workload serves;
-- `pencil --json --emit-transform` on every fifth exact input;
 - `decompose`, `sparse-form` and `pencil`, each with
   `--json --emit-transform`, on every fifth exact-rational and
   exact-gaussian input made fractional by the congruence D A D* with
@@ -227,7 +226,7 @@ def build_runs(directory: str) -> list[list[str]]:
                 runs.append(["float-regularize", *flags, "--json", path])
                 runs.append(["float-regularize", *flags, text_path])
                 continue
-            for command in ("decompose", "sparse-form"):
+            for command in TRANSFORM_COMMANDS:
                 runs.append([command, *flags, "--json", "--emit-transform",
                              path])
             for command in SUMMARY_COMMANDS:
@@ -236,8 +235,6 @@ def build_runs(directory: str) -> list[list[str]]:
                 runs.append(["verify", *flags, "--json", "--seed", str(SEED),
                              "--trials", "3", path])
             if k % 5 == 0:
-                runs.append(["pencil", *flags, "--json", "--emit-transform",
-                             path])
                 for command in TEXT_COMMANDS:
                     extra = (["--emit-transform"]
                              if command in TRANSFORM_COMMANDS else [])

@@ -301,9 +301,7 @@ def _cmd_verify(config: CliConfig) -> CliResult:
     if seed is None:
         env = os.environ.get("CONGRU_SEED", "0")
         try:
-            if not _INTEGER_RE.fullmatch(env):
-                raise ValueError(env)
-            seed = int(env)  # ValueError past the int digit limit too
+            seed = _read_integer(env)
         except ValueError:
             raise CliInputError("CONGRU_SEED must be an integer, got "
                                 f"{_quote_token(env)}") from None
@@ -362,17 +360,28 @@ def run(config: CliConfig) -> CliResult:
 # alone also read "_" separators and non-ASCII digits.
 
 
-def _integer(text: str) -> int:
+def _read_integer(text: str) -> int:
+    """ValueError off the integer grammar, and past int()'s digit
+    limit."""
     if not _INTEGER_RE.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+        raise ValueError(text)
     return int(text)
+
+
+def _integer(text: str) -> int:
+    try:
+        return _read_integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid integer {_quote_token(text)}") from None
 
 
 def _real(text: str) -> float:
     try:
         return _real_entry(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"invalid number {_quote_token(text)}") from None
 
 
 def _add_exact_flags(p: argparse.ArgumentParser) -> None:

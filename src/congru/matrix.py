@@ -979,21 +979,6 @@ def jordan_block(field: FieldSpec, n: int) -> Matrix:
     return Matrix.zero_one(field, n, n, [(i, i + 1) for i in range(n - 1)])
 
 
-def f_block(field: FieldSpec, n: int) -> Matrix:
-    """The (n-1) x n block [I 0]."""
-    if n < 1:
-        raise ValueError("f_block requires n >= 1")
-    return Matrix.zero_one(field, n - 1, n, [(i, i) for i in range(n - 1)])
-
-
-def g_block(field: FieldSpec, n: int) -> Matrix:
-    """The (n-1) x n block [0 I]."""
-    if n < 1:
-        raise ValueError("g_block requires n >= 1")
-    return Matrix.zero_one(field, n - 1, n,
-                           [(i, i + 1) for i in range(n - 1)])
-
-
 def permutation_matrix(field: FieldSpec, images: Sequence[int]) -> Matrix:
     """P with P[i, images[i]] = 1, so row i of P*A is row images[i]
     of A."""

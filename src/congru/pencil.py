@@ -5,22 +5,16 @@ decomposition does all the work: the transform X that brings A to
 (regular block) + (nilpotent Jordan sum) simultaneously brings the
 pencil to (B + lam B.star) + sum of J_k + lam J_k^T blocks.  Each
 singular pencil summand J_k + lam J_k^T is then permutation-congruent
-to a classical Kronecker pair, and the permutation witness is cheap to
-write down explicitly.
+to a classical Kronecker pair, so the replaced presentation is the
+Jordan one with its rows and columns read in one order: each J_k's
+indices in the order of its block's witness, after the regular block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrix import (
-    Matrix,
-    direct_sum,
-    f_block,
-    g_block,
-    jordan_block,
-    permutation_matrix,
-)
+from .matrix import Matrix, jordan_block, permutation_matrix
 from .regularize import BlockSum, assemble
 from .scalar import FieldSpec
 from .sparse_form import full_decomposition
@@ -72,33 +66,16 @@ def lemma6_permutation(k: int) -> tuple[int, ...]:
     return tuple(v - 1 for v in f[1:])
 
 
-def permuted_jordan_target(field: FieldSpec, k: int) -> Matrix:
-    """The anti-diagonal matrix the permuted Jordan block equals.
-
-    Odd k = 2l-1: corner blocks are the (l-1) x l unit-shift pair,
-    [[0, G^T], [F, 0]].  Even k = 2l: [[0, I_l], [J_l, 0]].
-    """
-    if k < 1:
-        raise ValueError("block size must be positive")
-    if k % 2:
-        ell = (k + 1) // 2
-        return Matrix.from_blocks(field, [
-            [Matrix.zeros(field, ell, ell), g_block(field, ell).transpose()],
-            [f_block(field, ell), Matrix.zeros(field, ell - 1, ell - 1)],
-        ])
-    ell = k // 2
-    return Matrix.from_blocks(field, [
-        [Matrix.zeros(field, ell, ell), Matrix.identity(field, ell)],
-        [jordan_block(field, ell), Matrix.zeros(field, ell, ell)],
-    ])
-
-
 @dataclass(frozen=True)
 class Replacement:
     """Canonical pencil summand for one Jordan size, with the
     permutation witness: witness * J_k * witness.star equals
     constant_part, and the pencil block is
-    constant_part + lam * constant_part.star."""
+    constant_part + lam * constant_part.star.
+
+    constant_part is anti-diagonal.  Odd k = 2l-1: its corner blocks
+    are the (l-1) x l unit-shift pair, [[0, G^T], [F, 0]] with
+    F = [I 0] and G = [0 I].  Even k = 2l: [[0, I_l], [J_l, 0]]."""
 
     kind: str
     ell: int
@@ -106,19 +83,23 @@ class Replacement:
     witness: Matrix
 
 
-def _witness_images(k: int) -> tuple[int, ...]:
-    """The permutation f of block k's witness, whose row f(b) carries
-    its unit in column b; a 1x1 block keeps its place."""
-    return lemma6_permutation(k) if k > 1 else (0,)
+def _witness_order(k: int) -> tuple[int, ...]:
+    """The indices of J_k in its witness's row order: f^-1 for the
+    Lemma 6 permutation f, so that row r of the witness has its unit
+    in column f^-1(r).  A 1x1 block keeps its place."""
+    if k < 1:
+        raise ValueError("block size must be positive")
+    if k == 1:
+        return (0,)
+    f = lemma6_permutation(k)
+    return tuple(sorted(range(k), key=f.__getitem__))
 
 
 def replace_block(field: FieldSpec, k: int) -> Replacement:
-    if k < 1:
-        raise ValueError("block size must be positive")
-    f = _witness_images(k)
-    witness = permutation_matrix(field, f).transpose()
+    order = _witness_order(k)
     return Replacement("fg" if k % 2 else "ji", (k + 1) // 2,
-                       permuted_jordan_target(field, k), witness)
+                       jordan_block(field, k).take(order, order),
+                       permutation_matrix(field, order))
 
 
 @dataclass(frozen=True)
@@ -135,20 +116,24 @@ class PencilDecomposition:
     regular: Matrix
     kronecker_blocks: tuple[KroneckerBlock, ...]
 
+    def _replaced_order(self) -> list[int]:
+        """The Jordan presentation's indices in the replaced order: the
+        regular block's in place, then each J_k summand's in the order
+        of its witness."""
+        order = list(range(self.regular.rows))
+        for kb in self.kronecker_blocks:
+            block = _witness_order(kb.size)
+            for _ in range(kb.multiplicity):
+                base = len(order)
+                order.extend(base + c for c in block)
+        return order
+
     @property
     def replaced_transform(self) -> Matrix:
         """Transform carrying the pencil straight to the replaced
         form: (I (+) the per-block witnesses) * transform, read as the
-        rows of transform in the order of those permutations."""
-        order = list(range(self.regular.rows))
-        for kb in self.kronecker_blocks:
-            # row r of a witness has its unit in column f^-1(r)
-            f = _witness_images(kb.size)
-            cols = sorted(range(kb.size), key=f.__getitem__)
-            for _ in range(kb.multiplicity):
-                base = len(order)
-                order.extend(base + c for c in cols)
-        return self.transform.take(order)
+        rows of transform in the replaced order."""
+        return self.transform.take(self._replaced_order())
 
     def jordan_parts(self) -> tuple[Matrix, Matrix]:
         """Coefficient pair (C, C.star) of the Jordan-pair presentation:
@@ -160,12 +145,11 @@ class PencilDecomposition:
 
     def replaced_parts(self) -> tuple[Matrix, Matrix]:
         """Coefficient pair of the replaced presentation, each Jordan
-        summand swapped for its Kronecker pair: replaced_transform
-        carries the pencil onto C + lam * C.star."""
-        blocks = [self.regular]
-        for kb in self.kronecker_blocks:
-            blocks.extend([kb.replacement.constant_part] * kb.multiplicity)
-        c = direct_sum(self.pencil.field, blocks)
+        summand swapped for its Kronecker pair: the Jordan parts in the
+        replaced order, which replaced_transform carries the pencil
+        onto as C + lam * C.star."""
+        order = self._replaced_order()
+        c = self.jordan_parts()[0].take(order, order)
         return c, c.star
 
     def jordan_form(self, lam) -> Matrix:

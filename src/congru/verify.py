@@ -23,19 +23,6 @@ _SEED_STRIDE = 1_000_003
 _ENTRY_BOUND = 5
 
 
-@dataclass(frozen=True)
-class RandomSpec:
-    """Seeded recipe for one random matrix draw."""
-
-    seed: int
-    size: int
-    field: FieldSpec
-
-    def __post_init__(self):
-        if self.size < 0:
-            raise ValueError("size must be nonnegative")
-
-
 def _draw_scalar(rng: random.Random, field: FieldSpec, bound: int):
     re = rng.randint(-bound, bound)
     if field.kind is FieldKind.GAUSSIAN_RATIONAL:
@@ -55,24 +42,12 @@ def _draw_matrix(rng: random.Random, field: FieldSpec, rows: int, cols: int,
 
 def _draw_nonsingular(rng: random.Random, field: FieldSpec, n: int,
                       bound: int) -> Matrix:
+    """Rejection-sample _draw_matrix until nonsingular.  The 0 x 0
+    matrix is nonsingular by convention, so n = 0 returns at once."""
     while True:
         a = _draw_matrix(rng, field, n, n, bound)
         if a.is_nonsingular():
             return a
-
-
-def random_matrix(spec: RandomSpec) -> Matrix:
-    """Integer-entry random square matrix, entries in
-    [-_ENTRY_BOUND, _ENTRY_BOUND] (both components, over Q(i))."""
-    rng = random.Random(spec.seed)
-    return _draw_matrix(rng, spec.field, spec.size, spec.size, _ENTRY_BOUND)
-
-
-def random_nonsingular(spec: RandomSpec) -> Matrix:
-    """Rejection-sample random_matrix until nonsingular.  The 0 x 0
-    matrix is nonsingular by convention, so size 0 returns at once."""
-    rng = random.Random(spec.seed)
-    return _draw_nonsingular(rng, spec.field, spec.size, _ENTRY_BOUND)
 
 
 def nilpotent_jordan_oracle(a: Matrix) -> dict[int, int]:
@@ -147,9 +122,8 @@ def invariance_suite(a: Matrix, trials: int, *, seed: int) -> SuiteReport:
     base = (base_inv, base_reg.tau, base_reg.m)
     failures = []
     for i in range(trials):
-        spec = RandomSpec(seed=seed * _SEED_STRIDE + i, size=a.rows,
-                          field=a.field)
-        s = random_nonsingular(spec)
+        s = _draw_nonsingular(random.Random(seed * _SEED_STRIDE + i),
+                              a.field, a.rows, _ENTRY_BOUND)
         b = (s * a) * s.star
         got_reg = regularize(b)
         got = (invariants(b), got_reg.tau, got_reg.m)

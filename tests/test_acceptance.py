@@ -35,7 +35,7 @@ from congru import (
 )
 from congru.cli import main
 from congru.pencil import replace_block
-from congru.verify import RandomSpec, random_matrix
+from congru.verify import _ENTRY_BOUND, _draw_matrix
 
 RATIONALS = FieldSpec.rationals()
 CONJ = FieldSpec.gaussian(conjugation=True)
@@ -139,13 +139,17 @@ def test_criterion_5_block_replacement():
                 assert got[i, j] in zero_one
 
 
+def _random_matrix(seed, field, n):
+    return _draw_matrix(random.Random(seed), field, n, n, _ENTRY_BOUND)
+
+
 def test_criterion_6_pencil_selfadjointness():
     rng = random.Random(60)
     lams = [CONJ.coerce(0), CONJ.coerce(1), CONJ.coerce(-1),
             CONJ.imaginary_unit(), CONJ.coerce(2)]
     for trial in range(50):
         n = rng.randint(0, 6)
-        a = random_matrix(RandomSpec(seed=trial, size=n, field=CONJ))
+        a = _random_matrix(trial, CONJ, n)
         if n > 1 and trial % 2:
             # force singular input half the time
             i, j = rng.sample(range(n), 2)
@@ -214,12 +218,10 @@ def test_criterion_8_congruence_invariance():
         if base % 3 == 0:
             sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 2))]
             blocks = [jordan_block(field, s) for s in sizes]
-            blocks.append(random_matrix(
-                RandomSpec(seed=base, size=rng.randint(0, 2), field=field)))
+            blocks.append(_random_matrix(base, field, rng.randint(0, 2)))
             a = direct_sum(field, blocks)
         else:
-            a = random_matrix(
-                RandomSpec(seed=base, size=rng.randint(1, 6), field=field))
+            a = _random_matrix(base, field, rng.randint(1, 6))
         report = invariance_suite(a, 5, seed=base)
         assert report.ok, report.failures
 
@@ -248,18 +250,15 @@ def test_public_surface():
     for name in PUBLIC_SURFACE:
         assert getattr(congru, name) is not None
     # test helpers stay in their submodules, out of the package namespace
-    for module, name in [("matrix", "f_block"), ("matrix", "g_block"),
-                         ("matrix", "row_echelon_transform"),
+    for module, name in [("matrix", "row_echelon_transform"),
                          ("pencil", "lemma6_permutation"),
-                         ("pencil", "permuted_jordan_target"),
                          ("pencil", "replace_block"),
                          ("regularize", "block_slices"),
                          ("regularize", "run_stages"),
                          ("float_unitary", "block_slices"),
                          ("float_unitary", "required_zero_mask"),
                          ("verify", "nilpotent_jordan_oracle"),
-                         ("verify", "random_matrix"),
-                         ("verify", "random_nonsingular"),
-                         ("verify", "RandomSpec")]:
+                         ("verify", "_draw_matrix"),
+                         ("verify", "_draw_nonsingular")]:
         assert not hasattr(congru, name)
         assert hasattr(importlib.import_module(f"congru.{module}"), name)

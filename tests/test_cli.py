@@ -484,6 +484,26 @@ class TestArgv:
         assert (status, out) == (1, "")
         assert f"error: argument {flag}: invalid " in err
 
+    # a huge bad token is quoted short: int() refuses digits past its
+    # limit, and the message cuts the token
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--seed", "9" * 5000, "--trials", "1"],
+        ["verify", "--seed", "x" * 5000, "--trials", "1"],
+        ["verify", "--trials", "9" * 5000],
+        ["verify", "--trials", "x" * 5000],
+        ["decompose", "--field", "prime-field", "--prime", "7" * 5000],
+        ["decompose", "--field", "prime-field", "--prime", "x" * 5000],
+        ["float-regularize", "--tol", "x" * 5000],
+    ], ids=["seed-digits", "seed-junk", "trials-digits", "trials-junk",
+            "prime-digits", "prime-junk", "tol-junk"])
+    def test_huge_bad_number_flag(self, capsys, tmp_path, argv):
+        p = tmp_path / "a.txt"
+        p.write_text("2 2\n0 1\n0 0\n")
+        status, out, err = run_cli(capsys, [*argv, str(p)])
+        assert (status, out) == (1, "")
+        assert "_integer" not in err
+        assert len(err.encode()) < 1000
+
     @pytest.mark.parametrize("env", ["1_0", "١٢", " 12", "1.0"])
     def test_bad_env_seed_token(self, capsys, monkeypatch, env):
         monkeypatch.setenv("CONGRU_SEED", env)

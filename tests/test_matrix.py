@@ -32,8 +32,8 @@ from congru import (
 )
 from congru.float_unitary import _read_float
 from congru.matrix import (_SLOTS, _codec, _eliminate, _packing, _Packing,
-                           _read_json, _read_text, f_block, g_block,
-                           row_echelon_transform, unit_completion)
+                           _read_json, _read_text, row_echelon_transform,
+                           unit_completion)
 
 from conftest import (ALL_FIELDS, GAUSSIAN_CONJ, GAUSSIAN_IDENT, GF7,
                       MALFORMED_NUMBERS, RATIONALS, fielded_square,
@@ -439,12 +439,7 @@ class TestBuilders:
         j = jordan_block(RATIONALS, 3)
         assert j.to_text() == "3 3\n0 1 0\n0 0 1\n0 0 0\n"
 
-    def test_f_and_g_blocks(self):
-        assert f_block(RATIONALS, 3).to_text() == "2 3\n1 0 0\n0 1 0\n"
-        assert g_block(RATIONALS, 3).to_text() == "2 3\n0 1 0\n0 0 1\n"
-        assert f_block(RATIONALS, 1).shape == (0, 1)
-
-    @pytest.mark.parametrize("builder", [jordan_block, f_block, g_block])
+    @pytest.mark.parametrize("builder", [jordan_block])
     def test_block_builders_need_a_positive_size(self, builder):
         with pytest.raises(ValueError, match="requires n >= 1"):
             builder(RATIONALS, 0)
@@ -1071,13 +1066,18 @@ class TestNoEmptyElimination:
 GRID_CODEC = {"_read_json", "_read_text", "_write_json", "_write_text"}
 
 
-def _other_modules():
-    """(file name, AST) of every congru module but matrix.py."""
+def _modules():
+    """(file name, AST) of every congru module."""
     package = os.path.dirname(congru.__file__)
     for name in sorted(os.listdir(package)):
-        if name.endswith(".py") and name != "matrix.py":
+        if name.endswith(".py"):
             with open(os.path.join(package, name), encoding="utf-8") as fh:
                 yield name, ast.parse(fh.read())
+
+
+def _other_modules():
+    """(file name, AST) of every congru module but matrix.py."""
+    return ((name, tree) for name, tree in _modules() if name != "matrix.py")
 
 
 def test_elimination_privates_stay_in_matrix():
@@ -1105,6 +1105,14 @@ def test_rows_are_read_and_written_only_in_matrix():
             if isinstance(node, ast.Attribute):
                 assert node.attr not in ("row", "_r"), \
                     f"{name}:{node.lineno} reads .{node.attr}"
+
+
+def test_no_assert_statements():
+    # invariants are checked by code that survives python -O
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            assert not isinstance(node, ast.Assert), \
+                f"{name}:{node.lineno} has an assert statement"
 
 
 # -- stored rows -----------------------------------------------------------------

@@ -9,12 +9,13 @@ from congru import (
     FieldSpec,
     Matrix,
     SelfadjointPencil,
+    direct_sum,
     jordan_block,
     pencil_regularize,
 )
-from congru.pencil import lemma6_permutation, permuted_jordan_target, replace_block
+from congru.pencil import lemma6_permutation, replace_block
 
-from conftest import GAUSSIAN_CONJ, RATIONALS, scrambled_sum
+from conftest import GAUSSIAN_CONJ, GF7, RATIONALS, scrambled_sum
 
 CONJ = GAUSSIAN_CONJ
 
@@ -40,27 +41,42 @@ class TestPermutation:
         assert sorted(images) == list(range(k))
 
 
+def _target(k):
+    return replace_block(CONJ, k).constant_part
+
+
 class TestTarget:
-    @pytest.mark.parametrize("build", [permuted_jordan_target,
-                                       replace_block])
+    @pytest.mark.parametrize("build", [replace_block])
     def test_size_zero_rejected(self, build):
         with pytest.raises(ValueError, match="block size must be positive"):
             build(RATIONALS, 0)
 
     def test_size_one(self):
-        t = permuted_jordan_target(CONJ, 1)
-        assert t.to_text() == "1 1\n0\n"
+        assert _target(1).to_text() == "1 1\n0\n"
 
     def test_size_two(self):
-        assert permuted_jordan_target(CONJ, 2).to_text() == "2 2\n0 1\n0 0\n"
+        assert _target(2).to_text() == "2 2\n0 1\n0 0\n"
 
     def test_size_three(self):
         want = "3 3\n0 0 0\n0 0 1\n1 0 0\n"
-        assert permuted_jordan_target(CONJ, 3).to_text() == want
+        assert _target(3).to_text() == want
 
     def test_size_four(self):
         want = "4 4\n0 0 1 0\n0 0 0 1\n0 1 0 0\n0 0 0 0\n"
-        assert permuted_jordan_target(CONJ, 4).to_text() == want
+        assert _target(4).to_text() == want
+
+    @pytest.mark.parametrize("k", range(1, 14))
+    def test_lemma6_layout(self, k):
+        # odd k = 2l-1: [[0, G^T], [F, 0]] with the (l-1) x l blocks
+        # F = [I 0] and G = [0 I]; even k = 2l: [[0, I_l], [J_l, 0]]
+        ell = (k + 1) // 2
+        if k % 2:
+            ones = [(i + 1, ell + i) for i in range(ell - 1)]
+            ones += [(ell + i, i) for i in range(ell - 1)]
+        else:
+            ones = [(i, ell + i) for i in range(ell)]
+            ones += [(ell + i, i + 1) for i in range(ell - 1)]
+        assert _target(k) == Matrix.zero_one(CONJ, k, k, ones)
 
 
 class TestReplacement:
@@ -153,3 +169,22 @@ class TestPencilRegularize:
         assert got == sorted(sizes)
         assert pd.regular.shape == (b_size, b_size)
         _check_roundtrips(pd, a)
+
+    @pytest.mark.parametrize("field", [CONJ, RATIONALS, GF7], ids=str)
+    def test_replaced_parts_are_the_replacement_sum(self, field):
+        # the replaced presentation, assembled summand by summand from
+        # the regular part and each size's Replacement.constant_part
+        sizes = [1, 2, 2, 3, 5, 5, 6]
+        a, _ = scrambled_sum(random.Random(31), field, 2, sizes)
+        pd = pencil_regularize(SelfadjointPencil(a))
+        assert {kb.size: kb.multiplicity for kb in pd.kronecker_blocks} \
+            == {1: 1, 2: 2, 3: 1, 5: 2, 6: 1}
+        blocks = [pd.regular]
+        for kb in pd.kronecker_blocks:
+            blocks.extend([kb.replacement.constant_part] * kb.multiplicity)
+        want = direct_sum(field, blocks)
+        c, c_star = pd.replaced_parts()
+        assert c == want
+        assert c_star == want.star
+        y = pd.replaced_transform
+        assert (y * a) * y.star == want

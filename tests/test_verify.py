@@ -1,6 +1,7 @@
 """Randomized witnesses, transform checking, verification suites."""
 
 import dataclasses
+import random
 import re
 
 import pytest
@@ -18,8 +19,8 @@ from congru import (
 )
 from congru.cli import main
 from congru.regularize import BlockSum
-from congru.verify import (RandomSpec, nilpotent_jordan_oracle, random_matrix,
-                           random_nonsingular)
+from congru.verify import (_ENTRY_BOUND, _draw_matrix, _draw_nonsingular,
+                           nilpotent_jordan_oracle)
 
 from conftest import GAUSSIAN_CONJ, GF7, RATIONALS
 
@@ -48,25 +49,26 @@ class TestOracle:
 
 class TestRandomMatrices:
     def test_deterministic(self):
-        spec = RandomSpec(seed=5, size=4, field=GAUSSIAN_CONJ)
-        assert random_matrix(spec) == random_matrix(spec)
-        assert random_nonsingular(spec) == random_nonsingular(spec)
+        def draws(seed):
+            rng = random.Random(seed)
+            return (_draw_matrix(rng, GAUSSIAN_CONJ, 4, 4, _ENTRY_BOUND),
+                    _draw_nonsingular(rng, GAUSSIAN_CONJ, 4, _ENTRY_BOUND))
+
+        assert draws(5) == draws(5)
 
     def test_seed_changes_draw(self):
-        a = random_matrix(RandomSpec(seed=1, size=4, field=RATIONALS))
-        b = random_matrix(RandomSpec(seed=2, size=4, field=RATIONALS))
+        a = _draw_matrix(random.Random(1), RATIONALS, 4, 4, _ENTRY_BOUND)
+        b = _draw_matrix(random.Random(2), RATIONALS, 4, 4, _ENTRY_BOUND)
         assert a != b
 
     def test_nonsingular_is_nonsingular(self):
         for seed in range(6):
-            spec = RandomSpec(seed=seed, size=5, field=GF7)
-            assert rank(random_nonsingular(spec)) == 5
+            s = _draw_nonsingular(random.Random(seed), GF7, 5, _ENTRY_BOUND)
+            assert rank(s) == 5
 
     def test_empty_size(self):
-        spec = RandomSpec(seed=0, size=0, field=RATIONALS)
-        assert random_nonsingular(spec).shape == (0, 0)
-        with pytest.raises(ValueError, match="size must be nonnegative"):
-            RandomSpec(seed=0, size=-1, field=RATIONALS)
+        s = _draw_nonsingular(random.Random(0), RATIONALS, 0, _ENTRY_BOUND)
+        assert s.shape == (0, 0)
 
 
 class TestCheckTransform:
