@@ -55,7 +55,9 @@ kept; float-regularize runs are never masked), then how many of the
 change tree's `decompose --json --emit-transform` transforms X pass
 `check_transform(A, X, assemble(answer))` against that run's own answer,
 and last the line count of each tree's `congru/*.py`, all lines and code
-lines (not blank, not a comment, not a docstring).  It exits 1 on any
+lines (not blank, not a comment, not a docstring), with the number of
+names in that tree's `congru.__all__`, read from the syntax tree of
+`congru/__init__.py` without importing the package.  It exits 1 on any
 byte difference and on any failed check.
 """
 
@@ -393,7 +395,7 @@ def main(argv: list[str]) -> int:
     for src in argv:
         lines, code = _line_counts(src)
         print(f"{lines:,} lines, {code:,} of them code, in "
-              f"{src}/congru/*.py")
+              f"{src}/congru/*.py; {_export_count(src)} names in __all__")
     return 1 if differ or failed_checks else 0
 
 
@@ -420,6 +422,19 @@ def _line_counts(src: str) -> tuple[int, int]:
             code += bool(stripped and not stripped.startswith("#")
                          and k not in docstrings)
     return lines, code
+
+
+def _export_count(src: str) -> int:
+    """len(congru.__all__), read off the assignment in __init__.py."""
+    with open(os.path.join(src, "congru", "__init__.py"),
+              encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return len(node.value.elts)
+    raise ValueError(f"no __all__ in {src}/congru/__init__.py")
 
 
 if __name__ == "__main__":

@@ -35,7 +35,6 @@ from .matrix import (
 from .pencil import (
     KroneckerBlock,
     PencilDecomposition,
-    Replacement,
     SelfadjointPencil,
     pencil_regularize,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "PencilDecomposition",
     "ReducedForm",
     "RegularizationResult",
-    "Replacement",
     "SelfadjointPencil",
     "SparseForm",
     "StageRecord",

@@ -247,7 +247,7 @@ def _cmd_pencil(config: CliConfig) -> CliResult:
             "regular": pd.regular.to_json_dict(),
             "blocks": [
                 {"size": kb.size, "multiplicity": kb.multiplicity,
-                 "kind": kb.replacement.kind, "ell": kb.replacement.ell}
+                 "kind": kb.kind, "ell": kb.ell}
                 for kb in pd.kronecker_blocks],
             "jordan": {"constant": jc.to_json_dict(),
                        "lambda": jl.to_json_dict()},

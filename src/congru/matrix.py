@@ -148,9 +148,6 @@ class Matrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def is_zero(self) -> bool:
-        return not any(any(row[:-1]) for row in self._r)
-
     def __getitem__(self, key) -> Scalar:
         i, j = key
         # indexed as a tuple of entries would be: IndexError out of

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrix import Matrix, jordan_block, permutation_matrix
-from .regularize import BlockSum, assemble
+from .matrix import Matrix
+from .regularize import assemble
 from .scalar import FieldSpec
 from .sparse_form import full_decomposition
 
@@ -66,81 +66,64 @@ def lemma6_permutation(k: int) -> tuple[int, ...]:
     return tuple(v - 1 for v in f[1:])
 
 
-@dataclass(frozen=True)
-class Replacement:
-    """Canonical pencil summand for one Jordan size, with the
-    permutation witness: witness * J_k * witness.star equals
-    constant_part, and the pencil block is
-    constant_part + lam * constant_part.star.
-
-    constant_part is anti-diagonal.  Odd k = 2l-1: its corner blocks
-    are the (l-1) x l unit-shift pair, [[0, G^T], [F, 0]] with
-    F = [I 0] and G = [0 I].  Even k = 2l: [[0, I_l], [J_l, 0]]."""
-
-    kind: str
-    ell: int
-    constant_part: Matrix
-    witness: Matrix
-
-
 def _witness_order(k: int) -> tuple[int, ...]:
     """The indices of J_k in its witness's row order: f^-1 for the
     Lemma 6 permutation f, so that row r of the witness has its unit
     in column f^-1(r).  A 1x1 block keeps its place."""
-    if k < 1:
-        raise ValueError("block size must be positive")
     if k == 1:
         return (0,)
     f = lemma6_permutation(k)
     return tuple(sorted(range(k), key=f.__getitem__))
 
 
-def replace_block(field: FieldSpec, k: int) -> Replacement:
-    order = _witness_order(k)
-    return Replacement("fg" if k % 2 else "ji", (k + 1) // 2,
-                       jordan_block(field, k).take(order, order),
-                       permutation_matrix(field, order))
-
-
 @dataclass(frozen=True)
 class KroneckerBlock:
+    """multiplicity copies of J_k, k = size, each presented in the
+    replaced form as an anti-diagonal Kronecker pair C + lam * C.star.
+
+    Odd k = 2l-1 (kind "fg"): C's corner blocks are the (l-1) x l
+    unit-shift pair, [[0, G^T], [F, 0]] with F = [I 0] and G = [0 I].
+    Even k = 2l (kind "ji"): C = [[0, I_l], [J_l, 0]].  In both,
+    ell = l.  C is J_k read in _witness_order(k): W * J_k * W.star
+    for the witness W = permutation_matrix(field, _witness_order(k))."""
+
     size: int
     multiplicity: int
-    replacement: Replacement
+
+    @property
+    def kind(self) -> str:
+        return "fg" if self.size % 2 else "ji"
+
+    @property
+    def ell(self) -> int:
+        return (self.size + 1) // 2
 
 
 @dataclass(frozen=True)
 class PencilDecomposition:
+    """jordan_constant is C = regular (+) the J_k summands ascending;
+    replaced_order lists C's indices in the replaced presentation's
+    order: the regular block's in place, then each J_k summand's in
+    the order of its witness."""
+
     pencil: SelfadjointPencil
     transform: Matrix
     regular: Matrix
     kronecker_blocks: tuple[KroneckerBlock, ...]
-
-    def _replaced_order(self) -> list[int]:
-        """The Jordan presentation's indices in the replaced order: the
-        regular block's in place, then each J_k summand's in the order
-        of its witness."""
-        order = list(range(self.regular.rows))
-        for kb in self.kronecker_blocks:
-            block = _witness_order(kb.size)
-            for _ in range(kb.multiplicity):
-                base = len(order)
-                order.extend(base + c for c in block)
-        return order
+    jordan_constant: Matrix
+    replaced_order: tuple[int, ...]
 
     @property
     def replaced_transform(self) -> Matrix:
         """Transform carrying the pencil straight to the replaced
         form: (I (+) the per-block witnesses) * transform, read as the
         rows of transform in the replaced order."""
-        return self.transform.take(self._replaced_order())
+        return self.transform.take(self.replaced_order)
 
     def jordan_parts(self) -> tuple[Matrix, Matrix]:
         """Coefficient pair (C, C.star) of the Jordan-pair presentation:
-        transform * pencil(lam) * transform.star == C + lam * C.star,
-        with C the regular part followed by J_k summands ascending."""
-        c = assemble(BlockSum(self.regular, {
-            kb.size: kb.multiplicity for kb in self.kronecker_blocks}))
+        transform * pencil(lam) * transform.star == C + lam * C.star."""
+        c = self.jordan_constant
         return c, c.star
 
     def replaced_parts(self) -> tuple[Matrix, Matrix]:
@@ -148,14 +131,14 @@ class PencilDecomposition:
         summand swapped for its Kronecker pair: the Jordan parts in the
         replaced order, which replaced_transform carries the pencil
         onto as C + lam * C.star."""
-        order = self._replaced_order()
-        c = self.jordan_parts()[0].take(order, order)
+        order = self.replaced_order
+        c = self.jordan_constant.take(order, order)
         return c, c.star
 
     def jordan_form(self, lam) -> Matrix:
         """transform * pencil(lam) * transform.star at a concrete
         parameter value."""
-        return SelfadjointPencil(self.jordan_parts()[0]).evaluate(lam)
+        return SelfadjointPencil(self.jordan_constant).evaluate(lam)
 
     def replaced_form(self, lam) -> Matrix:
         """Same value under replaced_transform."""
@@ -167,11 +150,15 @@ def pencil_regularize(p: SelfadjointPencil) -> PencilDecomposition:
     returned transform X satisfies, for every parameter value lam,
     X * p.evaluate(lam) * X.star == jordan_form(lam)."""
     bs, x = full_decomposition(p.a)
-    field = p.field
-    blocks = tuple(
-        KroneckerBlock(size=k, multiplicity=bs.jordan_multiplicities[k],
-                       replacement=replace_block(field, k))
-        for k in sorted(bs.jordan_multiplicities))
+    blocks = tuple(KroneckerBlock(k, bs.jordan_multiplicities[k])
+                   for k in sorted(bs.jordan_multiplicities))
+    order = list(range(bs.regular_part.rows))
+    for kb in blocks:
+        block = _witness_order(kb.size)
+        for _ in range(kb.multiplicity):
+            base = len(order)
+            order.extend(base + c for c in block)
     return PencilDecomposition(
         pencil=p, transform=x, regular=bs.regular_part,
-        kronecker_blocks=blocks)
+        kronecker_blocks=blocks, jordan_constant=assemble(bs),
+        replaced_order=tuple(order))

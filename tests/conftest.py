@@ -118,3 +118,18 @@ def scrambled_sum(rng: random.Random, field: FieldSpec, b_size: int,
     canonical = direct_sum(field, blocks)
     s = _draw_nonsingular(rng, field, canonical.rows, bound)
     return (s.star * canonical) * s, canonical
+
+
+def lemma6_layout(field: FieldSpec, k: int) -> Matrix:
+    """The anti-diagonal Kronecker layout of J_k, written out entry by
+    entry from Lemma 6: odd k = 2l-1 is [[0, G^T], [F, 0]] with the
+    (l-1) x l blocks F = [I 0] and G = [0 I]; even k = 2l is
+    [[0, I_l], [J_l, 0]]."""
+    ell = (k + 1) // 2
+    if k % 2:
+        ones = [(i + 1, ell + i) for i in range(ell - 1)]
+        ones += [(ell + i, i) for i in range(ell - 1)]
+    else:
+        ones = [(i, ell + i) for i in range(ell)]
+        ones += [(ell + i, i + 1) for i in range(ell - 1)]
+    return Matrix.zero_one(field, k, k, ones)

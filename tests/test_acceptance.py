@@ -27,6 +27,7 @@ from congru import (
     jordan_permutation,
     pattern_residual,
     pencil_regularize,
+    permutation_matrix,
     rank,
     regularize,
     roundtrip_suite,
@@ -34,8 +35,10 @@ from congru import (
     unitarity_residual,
 )
 from congru.cli import main
-from congru.pencil import replace_block
+from congru.pencil import KroneckerBlock, _witness_order
 from congru.verify import _ENTRY_BOUND, _draw_matrix
+
+from conftest import lemma6_layout
 
 RATIONALS = FieldSpec.rationals()
 CONJ = FieldSpec.gaussian(conjugation=True)
@@ -112,7 +115,7 @@ def test_criterion_3_rank_power_formula():
         for k in range(1, len(m) + 1):
             power = power * n
             assert rank(power) == sum(m[k:]), (m, k)
-        assert power.is_zero()
+        assert power == Matrix.zeros(RATIONALS, n.rows, n.rows)
 
 
 def test_criterion_4_jordan_permutation():
@@ -130,10 +133,10 @@ def test_criterion_4_jordan_permutation():
 def test_criterion_5_block_replacement():
     zero_one = {CONJ.coerce(0), CONJ.coerce(1)}
     for k in range(2, 10):
-        rep = replace_block(CONJ, k)
-        got = (rep.witness * jordan_block(CONJ, k)) * rep.witness.star
-        assert got == rep.constant_part
-        assert rep.kind == ("fg" if k % 2 else "ji")
+        witness = permutation_matrix(CONJ, _witness_order(k))
+        got = (witness * jordan_block(CONJ, k)) * witness.star
+        assert got == lemma6_layout(CONJ, k)
+        assert KroneckerBlock(k, 1).kind == ("fg" if k % 2 else "ji")
         for i in range(k):
             for j in range(k):
                 assert got[i, j] in zero_one
@@ -231,7 +234,7 @@ PUBLIC_SURFACE = [
     "FloatStageRecord", "GaussianRational", "Invariants", "Involution",
     "KroneckerBlock", "Matrix", "MatrixParseError", "ModInt",
     "PencilDecomposition", "ReducedForm", "RegularizationResult",
-    "Replacement", "SelfadjointPencil", "SparseForm", "StageRecord",
+    "SelfadjointPencil", "SparseForm", "StageRecord",
     "SuiteReport", "__version__", "assemble", "canonical_sparse_form",
     "check_transform", "direct_sum", "float_regularize", "float_stage",
     "full_decomposition", "invariance_suite", "invariants", "inverse",
@@ -252,7 +255,7 @@ def test_public_surface():
     # test helpers stay in their submodules, out of the package namespace
     for module, name in [("matrix", "row_echelon_transform"),
                          ("pencil", "lemma6_permutation"),
-                         ("pencil", "replace_block"),
+                         ("pencil", "_witness_order"),
                          ("regularize", "block_slices"),
                          ("regularize", "run_stages"),
                          ("float_unitary", "block_slices"),

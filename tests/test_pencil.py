@@ -1,6 +1,8 @@
 """Selfadjoint pencil regularization and Jordan-block replacement."""
 
+import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,10 +14,13 @@ from congru import (
     direct_sum,
     jordan_block,
     pencil_regularize,
+    permutation_matrix,
 )
-from congru.pencil import lemma6_permutation, replace_block
+from congru.cli import CliConfig, run
+from congru.pencil import KroneckerBlock, _witness_order, lemma6_permutation
 
-from conftest import GAUSSIAN_CONJ, GF7, RATIONALS, scrambled_sum
+from conftest import (GAUSSIAN_CONJ, GF7, RATIONALS, lemma6_layout,
+                      scrambled_sum)
 
 CONJ = GAUSSIAN_CONJ
 
@@ -42,15 +47,12 @@ class TestPermutation:
 
 
 def _target(k):
-    return replace_block(CONJ, k).constant_part
+    # the replaced constant part of the pencil of J_k
+    pd = pencil_regularize(SelfadjointPencil(_jordan(CONJ, k)))
+    return pd.replaced_parts()[0]
 
 
 class TestTarget:
-    @pytest.mark.parametrize("build", [replace_block])
-    def test_size_zero_rejected(self, build):
-        with pytest.raises(ValueError, match="block size must be positive"):
-            build(RATIONALS, 0)
-
     def test_size_one(self):
         assert _target(1).to_text() == "1 1\n0\n"
 
@@ -67,39 +69,29 @@ class TestTarget:
 
     @pytest.mark.parametrize("k", range(1, 14))
     def test_lemma6_layout(self, k):
-        # odd k = 2l-1: [[0, G^T], [F, 0]] with the (l-1) x l blocks
-        # F = [I 0] and G = [0 I]; even k = 2l: [[0, I_l], [J_l, 0]]
-        ell = (k + 1) // 2
-        if k % 2:
-            ones = [(i + 1, ell + i) for i in range(ell - 1)]
-            ones += [(ell + i, i) for i in range(ell - 1)]
-        else:
-            ones = [(i, ell + i) for i in range(ell)]
-            ones += [(ell + i, i + 1) for i in range(ell - 1)]
-        assert _target(k) == Matrix.zero_one(CONJ, k, k, ones)
+        assert _target(k) == lemma6_layout(CONJ, k)
 
 
 class TestReplacement:
     @pytest.mark.parametrize("k", range(1, 10))
     def test_witness_routes_jordan_block(self, k):
-        rep = replace_block(CONJ, k)
-        s = rep.witness
+        s = permutation_matrix(CONJ, _witness_order(k))
         got = (s * _jordan(CONJ, k)) * s.star
-        assert got == rep.constant_part
+        assert got == lemma6_layout(CONJ, k)
 
     @pytest.mark.parametrize("k", range(1, 10))
     def test_lambda_part_is_transpose(self, k):
         # the pencil of J_k presents the Kronecker pair C + lam * C^T
         pd = pencil_regularize(SelfadjointPencil(_jordan(CONJ, k)))
         c, ell = pd.replaced_parts()
-        assert c == replace_block(CONJ, k).constant_part
+        assert c == lemma6_layout(CONJ, k)
         assert ell == c.transpose()
 
     def test_kind_by_parity(self):
-        assert replace_block(CONJ, 3).kind == "fg"
-        assert replace_block(CONJ, 4).kind == "ji"
-        assert replace_block(CONJ, 3).ell == 2
-        assert replace_block(CONJ, 4).ell == 2
+        assert KroneckerBlock(3, 1).kind == "fg"
+        assert KroneckerBlock(4, 1).kind == "ji"
+        assert KroneckerBlock(3, 1).ell == 2
+        assert KroneckerBlock(4, 1).ell == 2
 
 
 class TestPencil:
@@ -173,7 +165,7 @@ class TestPencilRegularize:
     @pytest.mark.parametrize("field", [CONJ, RATIONALS, GF7], ids=str)
     def test_replaced_parts_are_the_replacement_sum(self, field):
         # the replaced presentation, assembled summand by summand from
-        # the regular part and each size's Replacement.constant_part
+        # the regular part and each size's explicit Lemma 6 layout
         sizes = [1, 2, 2, 3, 5, 5, 6]
         a, _ = scrambled_sum(random.Random(31), field, 2, sizes)
         pd = pencil_regularize(SelfadjointPencil(a))
@@ -181,10 +173,51 @@ class TestPencilRegularize:
             == {1: 1, 2: 2, 3: 1, 5: 2, 6: 1}
         blocks = [pd.regular]
         for kb in pd.kronecker_blocks:
-            blocks.extend([kb.replacement.constant_part] * kb.multiplicity)
+            blocks.extend([lemma6_layout(field, kb.size)] * kb.multiplicity)
         want = direct_sum(field, blocks)
         c, c_star = pd.replaced_parts()
         assert c == want
         assert c_star == want.star
         y = pd.replaced_transform
         assert (y * a) * y.star == want
+
+
+def _count_calls(monkeypatch, names):
+    """Count the calls of each (module, name) pair, through every
+    congru module that binds that function."""
+    counts = {}
+    for module, name in names:
+        real = getattr(module, name)
+        counts[name] = 0
+
+        def counted(*args, _name=name, _real=real):
+            counts[_name] += 1
+            return _real(*args)
+
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("congru")
+                    and getattr(mod, name, None) is real):
+                monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("json_io", [False, True], ids=["text", "json"])
+def test_cli_pencil_builds_each_part_once(json_io, tmp_path, monkeypatch):
+    # J1 (+) 2 J2 (+) J3 after a 1x1 regular block: the Jordan sum is
+    # assembled once, the replaced order read once per distinct size,
+    # and no witness matrix is built
+    blocks = [Matrix.from_rows(RATIONALS, [[2]]), _jordan(RATIONALS, 1),
+              _jordan(RATIONALS, 2), _jordan(RATIONALS, 2),
+              _jordan(RATIONALS, 3)]
+    a = direct_sum(RATIONALS, blocks)
+    path = tmp_path / "a.txt"
+    path.write_text(json.dumps(a.to_json_dict()) if json_io else a.to_text())
+    counts = _count_calls(monkeypatch, [
+        (sys.modules["congru.regularize"], "assemble"),
+        (sys.modules["congru.matrix"], "permutation_matrix"),
+        (sys.modules["congru.pencil"], "_witness_order")])
+    res = run(CliConfig("pencil", str(path), json_io=json_io,
+                        emit_transform=True))
+    assert res.status == 0, res.err
+    assert counts == {"assemble": 1, "permutation_matrix": 0,
+                      "_witness_order": 3}
