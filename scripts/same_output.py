@@ -57,7 +57,14 @@ change tree's `decompose --json --emit-transform` transforms X pass
 and last the line count of each tree's `congru/*.py`, all lines and code
 lines (not blank, not a comment, not a docstring), with the number of
 names in that tree's `congru.__all__`, read from the syntax tree of
-`congru/__init__.py` without importing the package.  It exits 1 on any
+`congru/__init__.py` without importing the package.  Last, for each
+tree, it lists as module.qualname every function and method of
+`congru/*.py` that none of the runs above enters.  The child records
+the calls with a call-only `sys.settrace` hook that returns None, so no
+line is traced; the hook about doubles the script's time.  The list
+means "not reached by these runs", not "dead": error paths such as
+`scalar._quote_token` appear because the runs feed no malformed input,
+and the `check_transform` calls are not traced.  It exits 1 on any
 byte difference and on any failed check.
 """
 
@@ -100,10 +107,22 @@ DIRECT_SUM = {
     "exact-prime": [["--prime", str(PRIME)], ["--prime", "2"]],
 }
 
-# runs each argv through congru.cli.main and writes
-# [[status, stdout, stderr], ...] as JSON
+# runs each argv through congru.cli.main and writes {"results":
+# [[status, stdout, stderr], ...], "reached": [...]} as JSON, reached
+# naming every function of congru/*.py that a call entered, as
+# module.qualname; the hook sees calls only (it returns None, so no
+# line is traced) and is set before congru is imported
 CHILD = r"""
-import contextlib, io, json, sys, traceback
+import contextlib, io, json, os, sys, traceback
+
+entered = set()
+
+
+def _called(frame, event, arg):
+    entered.add(frame.f_code)
+
+
+sys.settrace(_called)
 from congru.cli import main
 
 results = []
@@ -116,7 +135,12 @@ for argv in json.load(sys.stdin):
             traceback.print_exc()
             status = "raised"
     results.append([status, out.getvalue(), err.getvalue()])
-json.dump(results, sys.stdout)
+sys.settrace(None)
+reached = sorted({
+    f"{os.path.basename(c.co_filename)[:-3]}.{c.co_qualname}"
+    for c in entered
+    if os.path.basename(os.path.dirname(c.co_filename)) == "congru"})
+json.dump({"results": results, "reached": reached}, sys.stdout)
 """
 
 # reads [[argv, stdout], ...] of decompose --json --emit-transform runs
@@ -349,13 +373,15 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as directory:
         runs = build_runs(directory)
         procs = [run_tree(src, runs) for src in argv]
-        results = []
+        results, reached = [], []
         for src, proc in zip(argv, procs):
             out = proc.stdout.read()
             if proc.wait() != 0:
                 print(f"child process for {src} failed", file=sys.stderr)
                 return 1
-            results.append(json.loads(out))
+            obj = json.loads(out)
+            results.append(obj["results"])
+            reached.append(set(obj["reached"]))
         checked = [[run, res[1]] for run, res in zip(runs, results[1])
                    if _is_checked(run, res)]
         proc = run_tree(argv[1], checked, CHECK_CHILD)
@@ -396,6 +422,12 @@ def main(argv: list[str]) -> int:
         lines, code = _line_counts(src)
         print(f"{lines:,} lines, {code:,} of them code, in "
               f"{src}/congru/*.py; {_export_count(src)} names in __all__")
+    for src, entered in zip(argv, reached):
+        missed = sorted(_functions(src) - entered)
+        print(f"{len(missed)} functions in {src}/congru/*.py that no run "
+              "enters:")
+        for name in missed:
+            print(f"  {name}")
     return 1 if differ or failed_checks else 0
 
 
@@ -422,6 +454,30 @@ def _line_counts(src: str) -> tuple[int, int]:
             code += bool(stripped and not stripped.startswith("#")
                          and k not in docstrings)
     return lines, code
+
+
+def _functions(src: str) -> set[str]:
+    """Every function and method defined in congru/*.py, named as the
+    child names the functions it entered: module.qualname."""
+    names = set()
+    for path in glob.glob(os.path.join(src, "congru", "*.py")):
+        module = os.path.basename(path)[:-len(".py")]
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+
+        def visit(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef,
+                                      ast.AsyncFunctionDef)):
+                    names.add(f"{module}.{prefix}{child.name}")
+                    visit(child, f"{prefix}{child.name}.<locals>.")
+                elif isinstance(child, ast.ClassDef):
+                    visit(child, f"{prefix}{child.name}.")
+                else:
+                    visit(child, prefix)
+
+        visit(tree, "")
+    return names
 
 
 def _export_count(src: str) -> int:

@@ -28,7 +28,6 @@ from .matrix import (
     jordan_block,
     nullity,
     nullspace,
-    permutation_matrix,
     rank,
     solve,
 )
@@ -52,7 +51,6 @@ from .sparse_form import (
     SparseForm,
     canonical_sparse_form,
     full_decomposition,
-    jordan_permutation,
     reduce_cde,
     sparse_nilpotent,
 )
@@ -96,14 +94,12 @@ __all__ = [
     "invariants",
     "inverse",
     "jordan_block",
-    "jordan_permutation",
     "multiplicities",
     "nullity",
     "nullspace",
     "parse_float_matrix",
     "pattern_residual",
     "pencil_regularize",
-    "permutation_matrix",
     "rank",
     "reduce_cde",
     "regularize",

@@ -63,8 +63,9 @@ class FloatMode:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.tol is not None and not (math.isfinite(self.tol)
-                                         and self.tol > 0):
+        # a bool is not a tolerance
+        if self.tol is not None and (isinstance(self.tol, bool) or not (
+                math.isfinite(self.tol) and self.tol > 0)):
             raise ValueError("fixed tolerance must be finite and positive")
 
     @classmethod

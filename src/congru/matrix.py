@@ -971,15 +971,6 @@ def direct_sum(field: FieldSpec, blocks: Sequence[Matrix]) -> Matrix:
 def jordan_block(field: FieldSpec, n: int) -> Matrix:
     """The n x n singular Jordan block: ones on the first
     superdiagonal, zeros elsewhere."""
-    if n < 1:
+    if isinstance(n, bool) or n < 1:  # a bool is not a size
         raise ValueError("jordan_block requires n >= 1")
     return Matrix.zero_one(field, n, n, [(i, i + 1) for i in range(n - 1)])
-
-
-def permutation_matrix(field: FieldSpec, images: Sequence[int]) -> Matrix:
-    """P with P[i, images[i]] = 1, so row i of P*A is row images[i]
-    of A."""
-    n = len(images)
-    if sorted(images) != list(range(n)):
-        raise ValueError("not a permutation")
-    return Matrix.zero_one(field, n, n, enumerate(images))

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from .matrix import Matrix
 from .regularize import assemble
-from .scalar import FieldSpec
 from .sparse_form import full_decomposition
 
 
@@ -28,52 +27,21 @@ class SelfadjointPencil:
         if not self.a.is_square():
             raise ValueError("pencil matrix must be square")
 
-    @property
-    def field(self) -> FieldSpec:
-        return self.a.field
-
     def evaluate(self, lam) -> Matrix:
         """The pencil at a concrete parameter value: a + lam * a.star."""
         c = self.a.field.coerce(lam)
         return self.a + self.a.star.scale(c)
 
 
-def lemma6_permutation(k: int) -> tuple[int, ...]:
-    """Index images (0-based) of the permutation that carries a Jordan
-    block J_k, by congruence with its permutation matrix, onto the
-    anti-diagonal Kronecker layout.
-
-    With f the 1-based map below, the unit J_k entries at (i, i+1)
-    land at (f(i), f(i+1)); interleaving odd and even positions puts
-    every unit into one of the two off-diagonal corner blocks.
-    """
-    if k < 2:
-        raise ValueError(
-            "permutation is defined for blocks of size 2 and up; "
-            "a 1x1 block has no unit entries to route")
-    f = [0] * (k + 1)
-    if k % 2:
-        ell = (k + 1) // 2
-        f[1] = ell
-        for j in range(1, ell):
-            f[2 * j] = 2 * ell - j
-            f[2 * j + 1] = ell - j
-    else:
-        ell = k // 2
-        for j in range(1, ell + 1):
-            f[2 * j - 1] = j
-            f[2 * j] = ell + j
-    return tuple(v - 1 for v in f[1:])
-
-
 def _witness_order(k: int) -> tuple[int, ...]:
-    """The indices of J_k in its witness's row order: f^-1 for the
-    Lemma 6 permutation f, so that row r of the witness has its unit
-    in column f^-1(r).  A 1x1 block keeps its place."""
-    if k == 1:
-        return (0,)
-    f = lemma6_permutation(k)
-    return tuple(sorted(range(k), key=f.__getitem__))
+    """The indices of J_k in its witness's row order, the inverse of
+    the Lemma 6 permutation: for even k the even indices, then the odd
+    ones; for odd k the even indices descending, then the odd ones
+    descending.  Either way every unit of J_k at (i, i+1) lands in one
+    of the two off-diagonal corner blocks."""
+    if k % 2:
+        return (*range(k - 1, -1, -2), *range(k - 2, 0, -2))
+    return (*range(0, k, 2), *range(1, k, 2))
 
 
 @dataclass(frozen=True)
@@ -84,8 +52,7 @@ class KroneckerBlock:
     Odd k = 2l-1 (kind "fg"): C's corner blocks are the (l-1) x l
     unit-shift pair, [[0, G^T], [F, 0]] with F = [I 0] and G = [0 I].
     Even k = 2l (kind "ji"): C = [[0, I_l], [J_l, 0]].  In both,
-    ell = l.  C is J_k read in _witness_order(k): W * J_k * W.star
-    for the witness W = permutation_matrix(field, _witness_order(k))."""
+    ell = l.  C = J_k.take(order, order) for order = _witness_order(k)."""
 
     size: int
     multiplicity: int

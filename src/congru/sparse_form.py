@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrix import (Matrix, direct_sum, permutation_matrix, solve,
-                     unit_completion)
+from .matrix import Matrix, direct_sum, solve, unit_completion
 from .regularize import (BlockSum, StageRecord, block_slices,
                          multiplicities, regularize)
 # bench/test_bench.py checks that this module still binds `stage`
@@ -35,7 +34,7 @@ def _validate_m(m) -> tuple[int, ...]:
     m = tuple(m)
     if len(m) % 2 != 0:
         raise ValueError("invalid m-sequence: length must be even")
-    if any(not isinstance(v, int) or v < 0 for v in m):
+    if any(type(v) is not int or v < 0 for v in m):  # a bool is not a size
         raise ValueError("invalid m-sequence: entries must be >= 0")
     if any(m[i] < m[i + 1] for i in range(len(m) - 1)):
         raise ValueError("invalid m-sequence: must be non-increasing")
@@ -173,7 +172,9 @@ def canonical_sparse_form(a: Matrix) -> SparseForm:
 
 
 def _jordan_images(m) -> list[int]:
-    """The image list of jordan_permutation(field, m).
+    """The row order that carries N = sparse_nilpotent(field, m) to
+    the Jordan direct sum for the same parameter sequence, blocks in
+    increasing size order: N.take(order, order) is that sum.
 
     N decomposes into disjoint chains, one per Jordan block: a chain
     of length k enters at block row k with a column index t that no
@@ -191,17 +192,12 @@ def _jordan_images(m) -> list[int]:
     return images
 
 
-def jordan_permutation(field, m) -> Matrix:
-    """P with P * N * P.transpose() == the Jordan direct sum for the
-    same parameter sequence (blocks in increasing size order)."""
-    return permutation_matrix(field, _jordan_images(m))
-
-
 def full_decomposition(a: Matrix) -> tuple[BlockSum, Matrix]:
     """The complete answer: a BlockSum naming the regular part and
     the Jordan multiset, plus X with X * A * X.star equal to
     regular (+) J-blocks in increasing size order: the rows of
-    global_transform in the order of I (+) jordan_permutation."""
+    global_transform with the regular rows in place and the rest in
+    the order of _jordan_images."""
     sf = canonical_sparse_form(a)
     rho = sf.regular_part.rows
     order = [*range(rho), *(rho + i for i in _jordan_images(sf.m))]

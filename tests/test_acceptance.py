@@ -24,10 +24,8 @@ from congru import (
     invariance_suite,
     invariants,
     jordan_block,
-    jordan_permutation,
     pattern_residual,
     pencil_regularize,
-    permutation_matrix,
     rank,
     regularize,
     roundtrip_suite,
@@ -36,6 +34,7 @@ from congru import (
 )
 from congru.cli import main
 from congru.pencil import KroneckerBlock, _witness_order
+from congru.sparse_form import _jordan_images
 from congru.verify import _ENTRY_BOUND, _draw_matrix
 
 from conftest import lemma6_layout
@@ -120,21 +119,20 @@ def test_criterion_3_rank_power_formula():
 
 def test_criterion_4_jordan_permutation():
     for m in _m_sequences():
-        n = sparse_nilpotent(RATIONALS, m)
-        p = jordan_permutation(RATIONALS, m)
+        order = _jordan_images(m)
         parts = []
         for k in range(1, len(m) + 1):
             nxt = m[k] if k < len(m) else 0
             parts.extend([jordan_block(RATIONALS, k)] * (m[k - 1] - nxt))
         want = direct_sum(RATIONALS, parts)
-        assert (p * n) * p.transpose() == want, m
+        assert sparse_nilpotent(RATIONALS, m).take(order, order) == want, m
 
 
 def test_criterion_5_block_replacement():
     zero_one = {CONJ.coerce(0), CONJ.coerce(1)}
     for k in range(2, 10):
-        witness = permutation_matrix(CONJ, _witness_order(k))
-        got = (witness * jordan_block(CONJ, k)) * witness.star
+        order = _witness_order(k)
+        got = jordan_block(CONJ, k).take(order, order)
         assert got == lemma6_layout(CONJ, k)
         assert KroneckerBlock(k, 1).kind == ("fg" if k % 2 else "ji")
         for i in range(k):
@@ -238,9 +236,9 @@ PUBLIC_SURFACE = [
     "SuiteReport", "__version__", "assemble", "canonical_sparse_form",
     "check_transform", "direct_sum", "float_regularize", "float_stage",
     "full_decomposition", "invariance_suite", "invariants", "inverse",
-    "jordan_block", "jordan_permutation", "multiplicities", "nullity",
-    "nullspace", "parse_float_matrix", "pattern_residual",
-    "pencil_regularize", "permutation_matrix", "rank", "reduce_cde",
+    "jordan_block", "multiplicities", "nullity", "nullspace",
+    "parse_float_matrix", "pattern_residual", "pencil_regularize",
+    "rank", "reduce_cde",
     "regularize", "render_float_matrix", "roundtrip_suite", "solve",
     "sparse_nilpotent", "stage", "unitarity_residual",
 ]
@@ -254,8 +252,8 @@ def test_public_surface():
         assert getattr(congru, name) is not None
     # test helpers stay in their submodules, out of the package namespace
     for module, name in [("matrix", "row_echelon_transform"),
-                         ("pencil", "lemma6_permutation"),
                          ("pencil", "_witness_order"),
+                         ("sparse_form", "_jordan_images"),
                          ("regularize", "block_slices"),
                          ("regularize", "run_stages"),
                          ("float_unitary", "block_slices"),

@@ -39,6 +39,11 @@ class TestFloatMode:
             with pytest.raises(ValueError, match="positive"):
                 FloatMode.real_identity(tol=tol)
 
+    def test_tol_bool_rejected(self):
+        # True == 1, but a bool is not a tolerance
+        with pytest.raises(ValueError, match="positive"):
+            FloatMode("real-identity", True)
+
     def test_adjoint_per_mode(self):
         a = np.array([[1j]])
         assert FloatMode.complex_conjugation().adjoint(a)[0, 0] == -1j

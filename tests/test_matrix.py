@@ -26,7 +26,6 @@ from congru import (
     jordan_block,
     nullity,
     nullspace,
-    permutation_matrix,
     rank,
     solve,
 )
@@ -445,15 +444,10 @@ class TestBuilders:
         with pytest.raises(ValueError, match="requires n >= 1"):
             builder(RATIONALS, 0)
 
-    def test_permutation_matrix_moves_rows(self):
-        p = permutation_matrix(RATIONALS, [1, 2, 0])
-        a = _mat(RATIONALS, [[1, 0, 0], [2, 0, 0], [3, 0, 0]])
-        pa = p * a
-        assert [pa[i, 0] for i in range(3)] == [2, 3, 1]
-
-    def test_permutation_validated(self):
-        with pytest.raises(ValueError, match="not a permutation"):
-            permutation_matrix(RATIONALS, [0, 0])
+    def test_jordan_block_rejects_a_bool(self):
+        # True == 1, but a bool is not a size
+        with pytest.raises(ValueError, match="requires n >= 1"):
+            jordan_block(RATIONALS, True)
 
     @pytest.mark.parametrize("field", ALL_FIELDS, ids=str)
     def test_zero_one(self, field):

@@ -14,10 +14,9 @@ from congru import (
     direct_sum,
     jordan_block,
     pencil_regularize,
-    permutation_matrix,
 )
 from congru.cli import CliConfig, run
-from congru.pencil import KroneckerBlock, _witness_order, lemma6_permutation
+from congru.pencil import KroneckerBlock, _witness_order
 
 from conftest import (GAUSSIAN_CONJ, GF7, RATIONALS, lemma6_layout,
                       scrambled_sum)
@@ -30,20 +29,19 @@ def _jordan(field, k):
 
 
 class TestPermutation:
-    def test_size_one_rejected(self):
-        with pytest.raises(ValueError, match="size 2 and up"):
-            lemma6_permutation(1)
+    """The witness order of J_k: the inverse of the Lemma 6
+    permutation, as a row order."""
 
     def test_frozen_images(self):
-        assert lemma6_permutation(2) == (0, 1)
-        assert lemma6_permutation(3) == (1, 2, 0)
-        assert lemma6_permutation(4) == (0, 2, 1, 3)
-        assert lemma6_permutation(5) == (2, 4, 1, 3, 0)
+        assert _witness_order(1) == (0,)
+        assert _witness_order(2) == (0, 1)
+        assert _witness_order(3) == (2, 0, 1)
+        assert _witness_order(4) == (0, 2, 1, 3)
+        assert _witness_order(5) == (4, 2, 0, 3, 1)
 
-    @pytest.mark.parametrize("k", range(2, 10))
+    @pytest.mark.parametrize("k", range(1, 41))
     def test_is_permutation(self, k):
-        images = lemma6_permutation(k)
-        assert sorted(images) == list(range(k))
+        assert sorted(_witness_order(k)) == list(range(k))
 
 
 def _target(k):
@@ -73,11 +71,10 @@ class TestTarget:
 
 
 class TestReplacement:
-    @pytest.mark.parametrize("k", range(1, 10))
+    @pytest.mark.parametrize("k", range(1, 41))
     def test_witness_routes_jordan_block(self, k):
-        s = permutation_matrix(CONJ, _witness_order(k))
-        got = (s * _jordan(CONJ, k)) * s.star
-        assert got == lemma6_layout(CONJ, k)
+        order = _witness_order(k)
+        assert _jordan(CONJ, k).take(order, order) == lemma6_layout(CONJ, k)
 
     @pytest.mark.parametrize("k", range(1, 10))
     def test_lambda_part_is_transpose(self, k):
@@ -204,8 +201,7 @@ def _count_calls(monkeypatch, names):
 @pytest.mark.parametrize("json_io", [False, True], ids=["text", "json"])
 def test_cli_pencil_builds_each_part_once(json_io, tmp_path, monkeypatch):
     # J1 (+) 2 J2 (+) J3 after a 1x1 regular block: the Jordan sum is
-    # assembled once, the replaced order read once per distinct size,
-    # and no witness matrix is built
+    # assembled once and the replaced order read once per distinct size
     blocks = [Matrix.from_rows(RATIONALS, [[2]]), _jordan(RATIONALS, 1),
               _jordan(RATIONALS, 2), _jordan(RATIONALS, 2),
               _jordan(RATIONALS, 3)]
@@ -214,10 +210,8 @@ def test_cli_pencil_builds_each_part_once(json_io, tmp_path, monkeypatch):
     path.write_text(json.dumps(a.to_json_dict()) if json_io else a.to_text())
     counts = _count_calls(monkeypatch, [
         (sys.modules["congru.regularize"], "assemble"),
-        (sys.modules["congru.matrix"], "permutation_matrix"),
         (sys.modules["congru.pencil"], "_witness_order")])
     res = run(CliConfig("pencil", str(path), json_io=json_io,
                         emit_transform=True))
     assert res.status == 0, res.err
-    assert counts == {"assemble": 1, "permutation_matrix": 0,
-                      "_witness_order": 3}
+    assert counts == {"assemble": 1, "_witness_order": 3}

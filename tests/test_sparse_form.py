@@ -20,13 +20,13 @@ from congru import (
     direct_sum,
     full_decomposition,
     jordan_block,
-    jordan_permutation,
     rank,
     reduce_cde,
     regularize,
     sparse_nilpotent,
     stage,
 )
+from congru.sparse_form import _jordan_images
 from congru.verify import nilpotent_jordan_oracle
 
 import congru.sparse_form as sparse_form_module
@@ -57,6 +57,11 @@ class TestSparseNilpotent:
         with pytest.raises(ValueError, match="invalid m-sequence"):
             sparse_nilpotent(RATIONALS, bad)
 
+    def test_bool_m_rejected(self):
+        # (True, True) == (1, 1), but a bool is not a size
+        with pytest.raises(ValueError, match="invalid m-sequence"):
+            sparse_nilpotent(RATIONALS, (True, True))
+
     def test_empty_m(self):
         assert sparse_nilpotent(RATIONALS, ()).shape == (0, 0)
 
@@ -76,9 +81,8 @@ def test_rank_power_formula(m):
 @given(m=m_sequence())
 @settings(max_examples=60, deadline=None)
 def test_jordan_permutation_sorts_chains(m):
-    n = sparse_nilpotent(RATIONALS, m)
-    p = jordan_permutation(RATIONALS, m)
-    got = (p * n) * p.transpose()
+    order = _jordan_images(m)
+    got = sparse_nilpotent(RATIONALS, m).take(order, order)
     blocks = []
     for k in range(1, len(m) + 1):
         nxt = m[k] if k < len(m) else 0
@@ -89,14 +93,14 @@ def test_jordan_permutation_sorts_chains(m):
 
 def test_jordan_permutation_frozen_images():
     # m = (2, 1): chains of length 2 and 1; nodes reorder as 2,0,1
-    p = jordan_permutation(RATIONALS, (2, 1))
+    order = _jordan_images((2, 1))
+    assert order == [2, 0, 1]
     n = sparse_nilpotent(RATIONALS, (2, 1))
     want = direct_sum(RATIONALS, [jordan_block(RATIONALS, 1),
                                   jordan_block(RATIONALS, 2)])
-    assert (p * n) * p.transpose() == want
+    assert n.take(order, order) == want
     # identity when the sparse layout is already one chain
-    p3 = jordan_permutation(RATIONALS, (1, 1, 1, 0))
-    assert p3 == Matrix.identity(RATIONALS, 3)
+    assert _jordan_images((1, 1, 1, 0)) == [0, 1, 2]
 
 
 def _mat(rows) -> Matrix:
@@ -202,11 +206,13 @@ def test_full_decomposition_properties(data):
 @given(data=st.data())
 @settings(max_examples=30, deadline=None)
 def test_jordan_permutation_applied_as_a_row_order(data):
-    # X is (I (+) P) * global_transform without the product
+    # X is (I (+) P) * global_transform without the product, for P
+    # the permutation matrix with P[i, order[i]] = 1
     a = data.draw(fielded_square(max_n=5))
     sf = canonical_sparse_form(a)
     field = a.field
-    p = jordan_permutation(field, sf.m)
+    order = _jordan_images(sf.m)
+    p = Matrix.zero_one(field, len(order), len(order), enumerate(order))
     ident = Matrix.identity(field, sf.regular_part.rows)
     assert full_decomposition(a)[1] \
         == direct_sum(field, [ident, p]) * sf.global_transform
