@@ -26,8 +26,7 @@ calls `congru.cli.main`:
   D = diag(1 / (1 + i % 7)): no benchmark workload has Q or Q(i)
   inputs with denominators, and these start every stored integer row
   with a denominator other than 1, so that products, eliminations,
-  scales, sums, negations and block assemblies meet rows whose
-  denominators differ;
+  negations and block assemblies meet rows whose denominators differ;
 - `decompose --json --emit-transform` with `--prime 2147483647` and
   with `--prime 2` on the direct sums A_0 (+) A_1, A_2 (+) A_3, ... of
   the exact-prime inputs, n up to 64 where the benchmark stops at 36:
@@ -64,8 +63,11 @@ the calls with a call-only `sys.settrace` hook that returns None, so no
 line is traced; the hook about doubles the script's time.  The list
 means "not reached by these runs", not "dead": error paths such as
 `scalar._quote_token` appear because the runs feed no malformed input,
-and the `check_transform` calls are not traced.  It exits 1 on any
-byte difference and on any failed check.
+and the `check_transform` calls are not traced.  After the two lists
+it prints their difference: the names that only the parent tree's
+list holds, which the change deleted or now reaches, and the names
+that only the change tree's list holds.  It exits 1 on any byte
+difference and on any failed check.
 """
 
 from __future__ import annotations
@@ -422,11 +424,17 @@ def main(argv: list[str]) -> int:
         lines, code = _line_counts(src)
         print(f"{lines:,} lines, {code:,} of them code, in "
               f"{src}/congru/*.py; {_export_count(src)} names in __all__")
-    for src, entered in zip(argv, reached):
-        missed = sorted(_functions(src) - entered)
-        print(f"{len(missed)} functions in {src}/congru/*.py that no run "
+    missed = [_functions(src) - entered
+              for src, entered in zip(argv, reached)]
+    for src, names in zip(argv, missed):
+        print(f"{len(names)} functions in {src}/congru/*.py that no run "
               "enters:")
-        for name in missed:
+        for name in sorted(names):
+            print(f"  {name}")
+    for label, names in (("only the parent's", missed[0] - missed[1]),
+                         ("only the change's", missed[1] - missed[0])):
+        print(f"{len(names)} of these functions are on {label} list:")
+        for name in sorted(names):
             print(f"  {name}")
     return 1 if differ or failed_checks else 0
 

@@ -34,7 +34,6 @@ from .matrix import (
 from .pencil import (
     KroneckerBlock,
     PencilDecomposition,
-    SelfadjointPencil,
     pencil_regularize,
 )
 from .regularize import (
@@ -79,7 +78,6 @@ __all__ = [
     "PencilDecomposition",
     "ReducedForm",
     "RegularizationResult",
-    "SelfadjointPencil",
     "SparseForm",
     "StageRecord",
     "SuiteReport",

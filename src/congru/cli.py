@@ -26,7 +26,7 @@ from .float_unitary import (FloatMode, _read_float, _real_entry,
                             unitarity_residual)
 from .matrix import (Matrix, MatrixParseError, _read_json, _read_text,
                      _write_json, invariants)
-from .pencil import SelfadjointPencil, pencil_regularize
+from .pencil import pencil_regularize
 from .regularize import regularize
 from .scalar import (_INTEGER_RE, FieldKind, FieldSpec, Involution,
                      _quote_token)
@@ -236,7 +236,7 @@ def _cmd_decompose(config: CliConfig) -> CliResult:
 
 def _cmd_pencil(config: CliConfig) -> CliResult:
     a = _load_exact(config, _resolve_field(config))
-    pd = pencil_regularize(SelfadjointPencil(a))
+    pd = pencil_regularize(a)
     mults = {kb.size: kb.multiplicity for kb in pd.kronecker_blocks}
     line = _summary(pd.regular.rows, mults)
     jc, jl = pd.jordan_parts()

@@ -96,6 +96,8 @@ class Matrix:
             cols = width
         elif cols is None:
             raise ValueError("cols is required for a matrix with no rows")
+        elif type(cols) is not int or cols < 0:  # a bool is not a size
+            raise ValueError("cols must be an int >= 0")
         return cls(field, len(data), cols,
                    tuple(map(_codec(field)[0], data)))
 
@@ -108,9 +110,13 @@ class Matrix:
                  ones: Iterable[tuple[int, int]]) -> "Matrix":
         """The rows x cols matrix with a 1 at each (i, j) of ones and
         zeros elsewhere: every identity, shift and permutation."""
+        if not (type(rows) is type(cols) is int and rows >= 0 and cols >= 0):
+            raise ValueError("matrix sizes must be ints >= 0")
         # the zero rows share one list: no stored row is ever mutated
         out = [[0] * (_halves(field) * cols) + [1]] * rows
         for i, j in ones:
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ValueError(f"zero_one coordinate {(i, j)} out of range")
             out[i] = out[i].copy()
             out[i][j] = 1
         return cls(field, rows, cols, tuple(out))
@@ -176,29 +182,12 @@ class Matrix:
         if self.field != other.field:
             raise ValueError("mixed fields")
 
-    def _entrywise(self, other: "Matrix", sign: int, what: str) -> "Matrix":
-        self._check_same_field(other)
-        if self.shape != other.shape:
-            raise ValueError(f"dimension mismatch in {what}")
-        p = self.field.p
-        rows = [_row_sum(x, y, sign, p) for x, y in zip(self._r, other._r)]
-        return Matrix(self.field, self.rows, self.cols, tuple(rows))
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        return self._entrywise(other, 1, "addition")
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._entrywise(other, -1, "subtraction")
-
     def __neg__(self) -> "Matrix":
-        return self.scale(-1)
-
-    def scale(self, c) -> "Matrix":
-        c, p = self.field.coerce(c), self.field.p
-        # a GF(p) scalar is a plain int, numerator c over denominator 1
-        abe = ((c.numerator, 0, c.denominator) if _halves(self.field) == 1
-               else (c._a, c._b, c._d))
-        rows = [_row_times(row, *abe, p) for row in self._r]
+        # negating the ints keeps a row's gcd, so it stays canonical;
+        # over GF(p) the negated residues are reduced mod p again
+        p = self.field.p
+        rows = [[-x % p if p else -x for x in row[:-1]] + row[-1:]
+                for row in self._r]
         return Matrix(self.field, self.rows, self.cols, tuple(rows))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
@@ -611,14 +600,6 @@ def _transposed(a: Matrix, conj: bool) -> tuple:
     return tuple(cols[:n]) if d == 1 else tuple(map(_canonical, cols[:n]))
 
 
-def _row_sum(x: list, y: list, sign: int, p: int | None) -> list:
-    """x + sign*y for integer rows of one width."""
-    d = lcm(x[-1], y[-1])
-    sx, sy = d // x[-1], sign * (d // y[-1])
-    return _canonical([sx * a + sy * b for a, b in zip(x[:-1], y[:-1])]
-                      + [d], p)
-
-
 def _row_times(row: list, a: int, b: int, e: int,
                p: int | None = None) -> list:
     """An integer row times (a + b*i)/e, e > 0; b = 0 over Q and
@@ -971,6 +952,6 @@ def direct_sum(field: FieldSpec, blocks: Sequence[Matrix]) -> Matrix:
 def jordan_block(field: FieldSpec, n: int) -> Matrix:
     """The n x n singular Jordan block: ones on the first
     superdiagonal, zeros elsewhere."""
-    if isinstance(n, bool) or n < 1:  # a bool is not a size
+    if type(n) is not int or n < 1:  # a bool is not a size
         raise ValueError("jordan_block requires n >= 1")
     return Matrix.zero_one(field, n, n, [(i, i + 1) for i in range(n - 1)])

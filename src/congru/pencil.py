@@ -1,13 +1,16 @@
 """Selfadjoint pencil regularization.
 
 A pencil A + lam * A.star is determined by A alone, so the matrix
-decomposition does all the work: the transform X that brings A to
-(regular block) + (nilpotent Jordan sum) simultaneously brings the
-pencil to (B + lam B.star) + sum of J_k + lam J_k^T blocks.  Each
-singular pencil summand J_k + lam J_k^T is then permutation-congruent
-to a classical Kronecker pair, so the replaced presentation is the
-Jordan one with its rows and columns read in one order: each J_k's
-indices in the order of its block's witness, after the regular block.
+decomposition does all the work, on the pencil's two coefficients
+rather than at any value of lam.  Let C be (regular block) + (nilpotent
+Jordan sum) and X the transform with X * A * X.star == C.  Then
+X * A.star * X.star == C.star, so X * (A + lam A.star) * X.star is
+C + lam C.star for every lam: (B + lam B.star) + sum of J_k + lam J_k^T
+blocks.  Each singular pencil summand J_k + lam J_k^T is then
+permutation-congruent to a classical Kronecker pair, so the replaced
+presentation is the Jordan one with its rows and columns read in one
+order: each J_k's indices in the order of its block's witness, after
+the regular block.
 """
 
 from __future__ import annotations
@@ -17,20 +20,6 @@ from dataclasses import dataclass
 from .matrix import Matrix
 from .regularize import assemble
 from .sparse_form import full_decomposition
-
-
-@dataclass(frozen=True)
-class SelfadjointPencil:
-    a: Matrix
-
-    def __post_init__(self):
-        if not self.a.is_square():
-            raise ValueError("pencil matrix must be square")
-
-    def evaluate(self, lam) -> Matrix:
-        """The pencil at a concrete parameter value: a + lam * a.star."""
-        c = self.a.field.coerce(lam)
-        return self.a + self.a.star.scale(c)
 
 
 def _witness_order(k: int) -> tuple[int, ...]:
@@ -73,7 +62,6 @@ class PencilDecomposition:
     order: the regular block's in place, then each J_k summand's in
     the order of its witness."""
 
-    pencil: SelfadjointPencil
     transform: Matrix
     regular: Matrix
     kronecker_blocks: tuple[KroneckerBlock, ...]
@@ -89,7 +77,9 @@ class PencilDecomposition:
 
     def jordan_parts(self) -> tuple[Matrix, Matrix]:
         """Coefficient pair (C, C.star) of the Jordan-pair presentation:
-        transform * pencil(lam) * transform.star == C + lam * C.star."""
+        transform * a * transform.star == C for the decomposed a, so
+        transform carries the pencil a + lam * a.star onto
+        C + lam * C.star."""
         c = self.jordan_constant
         return c, c.star
 
@@ -102,21 +92,14 @@ class PencilDecomposition:
         c = self.jordan_constant.take(order, order)
         return c, c.star
 
-    def jordan_form(self, lam) -> Matrix:
-        """transform * pencil(lam) * transform.star at a concrete
-        parameter value."""
-        return SelfadjointPencil(self.jordan_constant).evaluate(lam)
 
-    def replaced_form(self, lam) -> Matrix:
-        """Same value under replaced_transform."""
-        return SelfadjointPencil(self.replaced_parts()[0]).evaluate(lam)
-
-
-def pencil_regularize(p: SelfadjointPencil) -> PencilDecomposition:
-    """Decompose the pencil through the underlying matrix: the
-    returned transform X satisfies, for every parameter value lam,
-    X * p.evaluate(lam) * X.star == jordan_form(lam)."""
-    bs, x = full_decomposition(p.a)
+def pencil_regularize(a: Matrix) -> PencilDecomposition:
+    """Decompose the pencil a + lam * a.star through a itself: the
+    returned transform X satisfies X * a * X.star == C for the Jordan
+    constant C, and so X * (a + lam * a.star) * X.star ==
+    C + lam * C.star for every lam.  A non-square a raises ValueError,
+    from full_decomposition."""
+    bs, x = full_decomposition(a)
     blocks = tuple(KroneckerBlock(k, bs.jordan_multiplicities[k])
                    for k in sorted(bs.jordan_multiplicities))
     order = list(range(bs.regular_part.rows))
@@ -126,6 +109,6 @@ def pencil_regularize(p: SelfadjointPencil) -> PencilDecomposition:
             base = len(order)
             order.extend(base + c for c in block)
     return PencilDecomposition(
-        pencil=p, transform=x, regular=bs.regular_part,
+        transform=x, regular=bs.regular_part,
         kronecker_blocks=blocks, jordan_constant=assemble(bs),
         replaced_order=tuple(order))

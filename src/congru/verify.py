@@ -1,10 +1,9 @@
 """Independent cross-checks for the decomposition machinery.
 
 Everything here validates results by a route other than the one that
-produced them: Jordan structure from rank sequences of matrix powers,
-transforms by direct congruence evaluation, invariants by sampling
-random congruences.  The random generators are fully seeded so every
-reported failure is replayable.
+produced them: transforms by direct congruence evaluation, invariants
+by sampling random congruences.  The random generators are fully
+seeded so every reported failure is replayable.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .matrix import Matrix, invariants, rank
+from .matrix import Matrix, invariants
 from .regularize import BlockSum, assemble, regularize
 from .scalar import FieldKind, FieldSpec
 from .sparse_form import full_decomposition
@@ -48,32 +47,6 @@ def _draw_nonsingular(rng: random.Random, field: FieldSpec, n: int,
         a = _draw_matrix(rng, field, n, n, bound)
         if a.is_nonsingular():
             return a
-
-
-def nilpotent_jordan_oracle(a: Matrix) -> dict[int, int]:
-    """Jordan block sizes of a nilpotent matrix from ranks of its
-    powers alone: with r_k = rank(a^k), the number of blocks of size k
-    is r_{k-1} - 2 r_k + r_{k+1}.  Raises if some power never hits
-    zero."""
-    if not a.is_square():
-        raise ValueError("oracle requires a square matrix")
-    n = a.rows
-    ranks = [n]
-    power = a
-    while ranks[-1]:
-        ranks.append(rank(power))
-        if len(ranks) > n + 1:
-            raise ValueError("not nilpotent")
-        power = power * a
-    ranks.append(0)
-    out = {}
-    for k in range(1, len(ranks) - 1):
-        mult = ranks[k - 1] - 2 * ranks[k] + ranks[k + 1]
-        if mult < 0:
-            raise ValueError("not nilpotent")
-        if mult:
-            out[k] = mult
-    return out
 
 
 @dataclass(frozen=True)

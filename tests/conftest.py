@@ -1,4 +1,4 @@
-"""Shared strategies for the property tests.
+"""Shared strategies and reference helpers for the tests.
 
 Matrices stay small (side <= 5) so exact elimination keeps hypothesis
 runs fast; the acceptance tests cover the larger seeded workloads.
@@ -9,7 +9,8 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from congru import FieldKind, FieldSpec, Matrix, direct_sum, jordan_block
+from congru import (FieldKind, FieldSpec, Matrix, direct_sum, jordan_block,
+                    rank)
 
 RATIONALS = FieldSpec.rationals()
 GAUSSIAN_CONJ = FieldSpec.gaussian()
@@ -133,3 +134,29 @@ def lemma6_layout(field: FieldSpec, k: int) -> Matrix:
         ones = [(i, ell + i) for i in range(ell)]
         ones += [(ell + i, i + 1) for i in range(ell - 1)]
     return Matrix.zero_one(field, k, k, ones)
+
+
+def nilpotent_jordan_oracle(a: Matrix) -> dict[int, int]:
+    """Jordan block sizes of a nilpotent matrix from ranks of its
+    powers alone: with r_k = rank(a^k), the number of blocks of size k
+    is r_{k-1} - 2 r_k + r_{k+1}.  Raises if some power never hits
+    zero."""
+    if not a.is_square():
+        raise ValueError("oracle requires a square matrix")
+    n = a.rows
+    ranks = [n]
+    power = a
+    while ranks[-1]:
+        ranks.append(rank(power))
+        if len(ranks) > n + 1:
+            raise ValueError("not nilpotent")
+        power = power * a
+    ranks.append(0)
+    out = {}
+    for k in range(1, len(ranks) - 1):
+        mult = ranks[k - 1] - 2 * ranks[k] + ranks[k + 1]
+        if mult < 0:
+            raise ValueError("not nilpotent")
+        if mult:
+            out[k] = mult
+    return out

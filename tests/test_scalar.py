@@ -221,7 +221,8 @@ class TestCopyAndPickle:
         c = field.inverse(field.from_int(2))
         if field.kind is FieldKind.GAUSSIAN_RATIONAL:
             c = c * (field.one() + field.imaginary_unit())
-        a = Matrix.from_rows(field, [[1, 0, -1], [3, 2, 0]]).scale(c)
+        a = Matrix.from_rows(field, [[c * x for x in row]
+                                     for row in [[1, 0, -1], [3, 2, 0]]])
         b = _COPIES[how](a)
         assert b == a
         assert b.to_text() == a.to_text()

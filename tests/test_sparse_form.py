@@ -27,11 +27,11 @@ from congru import (
     stage,
 )
 from congru.sparse_form import _jordan_images
-from congru.verify import nilpotent_jordan_oracle
 
 import congru.sparse_form as sparse_form_module
 from conftest import (ALL_FIELDS, GAUSSIAN_CONJ, GAUSSIAN_IDENT, RATIONALS,
-                      fielded_square, m_sequence, scrambled_sum)
+                      fielded_square, m_sequence, nilpotent_jordan_oracle,
+                      scrambled_sum)
 
 WORKED = "2 2\n1 -i\ni 1\n"
 

@@ -19,10 +19,9 @@ from congru import (
 )
 from congru.cli import main
 from congru.regularize import BlockSum
-from congru.verify import (_ENTRY_BOUND, _draw_matrix, _draw_nonsingular,
-                           nilpotent_jordan_oracle)
+from congru.verify import _ENTRY_BOUND, _draw_matrix, _draw_nonsingular
 
-from conftest import GAUSSIAN_CONJ, GF7, RATIONALS
+from conftest import GAUSSIAN_CONJ, GF7, RATIONALS, nilpotent_jordan_oracle
 
 
 class TestOracle:
@@ -142,7 +141,9 @@ def _larger_regular(bs, x):
 
 
 def _doubled_transform(bs, x):
-    return bs, x.scale(2)
+    return bs, Matrix.from_rows(x.field, [[2 * v for v in x.row(i)]
+                                          for i in range(x.rows)],
+                                cols=x.cols)
 
 
 @pytest.mark.parametrize("fault, reason", [
