@@ -27,6 +27,13 @@ calls `congru.cli.main`:
   inputs with denominators, and these start every stored integer row
   with a denominator other than 1, so that products, eliminations,
   negations and block assemblies meet rows whose denominators differ;
+- `decompose --emit-transform`, in JSON and in text, on every fifth
+  exact input with each entry spelled another way that the grammar
+  reads as the same value: `+x`, `2x/2` (over GF(p), whose grammar
+  has no `/`, a leading zero), padded with spaces and tabs, and every
+  zero as `0/7` (over GF(p) as `-0`), so that the readers meet signs,
+  common factors, leading zeros and padding that the benchmark
+  inputs never carry;
 - `decompose --json --emit-transform` with `--prime 2147483647` and
   with `--prime 2` on the direct sums A_0 (+) A_1, A_2 (+) A_3, ... of
   the exact-prime inputs, n up to 64 where the benchmark stops at 36:
@@ -218,6 +225,39 @@ def _write_fractional_copy(json_path: str) -> str:
     return path
 
 
+def _respelled(entry: str, k: int, prime: bool) -> str:
+    """entry, as bench/workloads.py writes it, spelled the way k picks
+    out of the module docstring's list."""
+    m = _ENTRY.fullmatch(entry)
+    re_part, im_part = int(m.group(1)), m.group(2)
+    if not re_part and im_part is None:
+        return "-0" if prime else "0/7"
+    if k % 3 == 0:
+        return entry if entry.startswith("-") else "+" + entry
+    if k % 3 == 2:
+        return f" {entry}\t "
+    if prime:
+        return "0" + entry
+    doubled = f"{2 * re_part}/2"
+    if im_part is None:
+        return doubled
+    im = int(im_part)
+    return f"{doubled}{'+' if im > 0 else '-'}{2 * abs(im)}/2*i"
+
+
+def _write_respelled_copies(json_path: str, prime: bool) -> tuple[str, str]:
+    """The matrix with _respelled entries, as JSON and as text, next to
+    the JSON."""
+    with open(json_path, encoding="utf-8") as fh:
+        obj = json.load(fh)
+    obj["entries"] = [_respelled(e, k, prime)
+                      for k, e in enumerate(obj["entries"])]
+    path = json_path[:-len(".json")] + "-respelled.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+    return path, _write_text_copy(path)
+
+
 def _write_direct_sum(first: str, second: str) -> str:
     """first (+) second, block diagonal, next to first."""
     with open(first, encoding="utf-8") as fh:
@@ -270,6 +310,12 @@ def build_runs(directory: str) -> list[list[str]]:
                 if name in OTHER_FIELD:
                     runs.append(["decompose", *OTHER_FIELD[name], "--json",
                                  "--emit-transform", path])
+                json_copy, text_copy = _write_respelled_copies(
+                    path, workload.field == "prime-field")
+                runs.append(["decompose", *flags, "--json",
+                             "--emit-transform", json_copy])
+                runs.append(["decompose", *flags, "--emit-transform",
+                             text_copy])
                 if workload.field in ("rational", "gaussian-rational"):
                     fractional = _write_fractional_copy(path)
                     for command in TRANSFORM_COMMANDS:

@@ -15,13 +15,14 @@ n entries and then their imaginary parts,
 residues in [0, p) and d is 1.  The structural operations, blocks,
 columns, transposes and block assembly, are the same for every field;
 _canonical, which divides a row's content out, also reduces it mod p.
-Entries, as Fraction, GaussianRational or int, are built only at the
-boundary: from_rows, from_text and from_json_dict encode them on the
-way in, and m[i, j], row(i), to_text and to_json_dict decode rows on
-the way out.  Everything else works on the stored ints; where rows
-with different denominators meet it takes their lcm, and where a
-result may share a factor with its denominator it divides the row's
-content out.
+Entries, as Fraction, GaussianRational or int, are built only when
+m[i, j] or row(i) asks for one: from_text and from_json_dict build
+rows from the ints that scalar._reader reads off each token, from_rows
+from the ints of each entry, and to_text and to_json_dict write each
+entry from its row's ints.  Everything else works on the stored ints;
+where rows with different denominators meet it takes their lcm, and
+where a result may share a factor with its denominator it divides the
+row's content out.
 
 Every rank, null space, solve, inverse and echelon transform is one
 Gauss-Jordan elimination, _eliminate, over [A | the rows the caller
@@ -31,8 +32,10 @@ only the pivots, and an echelon transform and _basis_rows cut the
 columns they read out of the rows, still as integer rows.  No
 elimination scales a row: a reduced pivot row is its pivot times its
 reduced echelon row, and _basis_rows divides the ints it reads by
-that pivot.  Over Q and Q(i) an elimination clears a column
-fraction-free and divides the row's content out: by
+that pivot.  Over Q the forward clears are Bareiss's fraction-free
+updates, which take no gcd (_bareiss): a row keeps a content until a
+caller that stores it divides it out.  The upward clears over Q and
+every clear over Q(i) divide the row's content out at once: by
 pv*row_k - q*row_r over Q, and over Q(i), with P and Q the Gaussian
 integers at the pivot and at the entry cleared, by
 N(P)*row_k - (conj(P)*Q)*row_r.  The values and pivot choices are
@@ -55,7 +58,8 @@ from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 from .scalar import (_INTEGER_RE, FieldKind, FieldSpec, GaussianRational,
-                     Involution, Scalar)
+                     Involution, Scalar, _gaussian_str, _rational_str,
+                     _reader)
 from .scalar import _reduced as _gaussian
 
 
@@ -86,7 +90,8 @@ class Matrix:
     @classmethod
     def from_rows(cls, field: FieldSpec, rows: Iterable[Iterable],
                   cols: int | None = None) -> "Matrix":
-        data = [[field.coerce(x) for x in row] for row in rows]
+        read = _reader(field)
+        data = [[read(x) for x in row] for row in rows]
         if data:
             width = len(data[0])
             if any(len(r) != width for r in data):
@@ -242,9 +247,9 @@ class Matrix:
     # -- text and JSON formats ---------------------------------------------------
 
     def to_text(self) -> str:
+        # each row is rendered to strings at once; str passes them on
         return _write_text(self.rows, self.cols,
-                           _codec(self.field)[1](self._r),
-                           self.field.render_scalar)
+                           map(_codec(self.field)[2], self._r), str)
 
     @classmethod
     def from_text(cls, field: FieldSpec, text: str, *,
@@ -252,12 +257,11 @@ class Matrix:
         """Read a "rows cols" header and one line per row; square=True
         rejects a non-square header before any row is read."""
         return cls._from_grid(
-            field, *_read_text(text, field.parse_scalar, square))
+            field, *_read_text(text, _reader(field), square))
 
     def to_json_dict(self) -> dict:
         return _write_json(self.rows, self.cols,
-                           _codec(self.field)[1](self._r),
-                           self.field.render_scalar)
+                           map(_codec(self.field)[2], self._r), str)
 
     @classmethod
     def from_json_dict(cls, field: FieldSpec, obj: dict, *,
@@ -265,14 +269,14 @@ class Matrix:
         """Read {"rows", "cols", "entries"} with the entries row-major;
         square as in from_text."""
         return cls._from_grid(
-            field, *_read_json(obj, field.coerce, square))
+            field, *_read_json(obj, _reader(field), square))
 
     @classmethod
     def _from_grid(cls, field: FieldSpec, rows: int, cols: int,
                    entries: list) -> "Matrix":
-        encode = _codec(field)[0]
+        build = _codec(field)[0]
         return cls(field, rows, cols, tuple(
-            encode(entries[i * cols:(i + 1) * cols]) for i in range(rows)))
+            build(entries[i * cols:(i + 1) * cols]) for i in range(rows)))
 
 
 # -- the grid format -------------------------------------------------------------
@@ -376,9 +380,10 @@ def _write_json(rows: int, cols: int, grid: Iterable, render: Callable,
 # nothing for rank and nullspace.  Only the work row's format depends
 # on the field: over Q and Q(i) the stored integer row, over GF(p) one
 # packed int (see _Packing).  `pivot` gives a pivot row and the factor
-# its clears share: the pivot entry's numerator, a pair of ints over
-# Q(i), or -1/pivot mod p over GF(p).  A clear reads the entry it
-# clears and returns a row whose entry is 0 unchanged.
+# its clears share: over Q the pivot entry's numerator with Bareiss's
+# divisor on the way down (_bareiss) and alone on the way up, a pair of
+# ints over Q(i), or -1/pivot mod p over GF(p).  A clear reads the
+# entry it clears.
 
 
 def _eliminate(a: Matrix, aug: tuple, reduce: bool,
@@ -391,7 +396,7 @@ def _eliminate(a: Matrix, aug: tuple, reduce: bool,
     eliminated rows, in the field's work format, one (column, source)
     pair per pivot row, pivot row i being row i and source the row of
     a it was swapped in from, and the function that turns a list of
-    work rows into stored rows."""
+    work rows into integer rows, not necessarily in lowest terms."""
     field, m, h = a.field, a.rows, _halves(a.field)
     # an aug row without entries adds nothing
     rows = [x if len(y) < 2 else _join((x, y), h)
@@ -400,11 +405,13 @@ def _eliminate(a: Matrix, aug: tuple, reduce: bool,
         g = _packing(field.p, len(rows[0]) - 1 if rows else 0, 2 * m + 1)
         rows = [g.pack(row[:-1]) for row in rows]
         entry, pivot, clear, stored = g.entry, g.pivot, g.clear, g.decode
+        up = pivot, clear
     elif h == 1:
-        entry, pivot, clear, stored = (operator.getitem, _own_pivot,
-                                       _q_update, list)
+        entry, stored, up = operator.getitem, list, (_own_pivot, _q_update)
+        pivot, clear = _bareiss()
     else:
         entry, pivot, clear, stored = _qi_entry, _qi_pivot, _qi_update, list
+        up = pivot, clear
 
     def sweep(r: int, c: int, others: Iterable[int]) -> None:
         # clear column c of the rows `others` with pivot row r
@@ -427,6 +434,8 @@ def _eliminate(a: Matrix, aug: tuple, reduce: bool,
         sweep(r, c, range(r + 1, m))
         pivots.append((c, source[r]))
     if reduce:
+        # over Q the upward sweep divides each row's content out
+        pivot, clear = up
         for r, (c, _) in reversed([*enumerate(pivots)]):
             sweep(r, c, range(r))
     return rows, pivots, stored
@@ -434,6 +443,42 @@ def _eliminate(a: Matrix, aug: tuple, reduce: bool,
 
 def _own_pivot(rr: list, c: int) -> tuple:
     return rr, rr[c]
+
+
+def _bareiss() -> tuple[Callable, Callable]:
+    """Q's forward pivot and clear, fraction-free (Bareiss, Math. Comp.
+    22, 1968).  With P the pivot's int, q the int cleared and L the
+    magnitude of the last pivot's (1 before the first), row k becomes
+    (P*row_k - q*row_r) / (sign(P)*L), an exact division, over d_k*|P|
+    where it was over d_k*L; a row with q = 0 is rescaled alike.  So
+    every row below the pivots holds its Schur-complement values, which
+    plain arithmetic gives, times d_k*|P| over that, and no gcd is
+    taken.  A column with no pivot leaves L as it is, which keeps the
+    divisions exact on singular input (Jeffrey, ACM Commun. Comput.
+    Algebra 44, 2010)."""
+    last = 1
+
+    def pivot(rr: list, c: int) -> tuple:
+        nonlocal last
+        p = rr[c]
+        t = last if p > 0 else -last
+        last = abs(p)
+        return rr, (p, t)
+
+    def clear(rk: list, rr: list, c: int, f: tuple) -> list:
+        p, t = f
+        q = rk[c]
+        if q:
+            new = rk[:c] + [(p * x - q * y) // t
+                            for x, y in zip(rk[c:-1], rr[c:-1])]
+        elif p == t:
+            return rk
+        else:
+            new = rk[:c] + [p * x // t for x in rk[c:-1]]
+        new.append(rk[-1] // abs(t) * abs(p))
+        return new
+
+    return pivot, clear
 
 
 # -- GF(p) kernels on packed rows ------------------------------------------------
@@ -518,15 +563,20 @@ def _halves(field: FieldSpec) -> int:
     return 2 if field.kind is FieldKind.GAUSSIAN_RATIONAL else 1
 
 
-def _codec(field: FieldSpec) -> tuple[Callable, Callable]:
-    """(encode, decode): a row of entries to a stored row, and a list
-    of stored rows to tuples of entries."""
+def _codec(field: FieldSpec) -> tuple[Callable, Callable, Callable]:
+    """(build, decode, render): a row of the ints that scalar._reader
+    gives to a stored row, a list of stored rows to tuples of entries,
+    which only m[i, j] and row(i) ask for, and a stored row to str of
+    each of its entries."""
     if field.p:
-        # a GF(p) entry is an int, its own numerator over 1
-        return _q_row, _gf_decode
+        return _gf_build, _gf_decode, _q_render
     if _halves(field) == 1:
-        return _q_row, _q_decode
-    return _qi_row, _qi_decode
+        return _q_build, _q_decode, _q_render
+    return _qi_build, _qi_decode, _qi_render
+
+
+def _gf_build(residues: list) -> list:
+    return [*residues, 1]
 
 
 def _gf_decode(rows: list) -> list:
@@ -557,7 +607,17 @@ def _join(parts: Sequence[list], h: int) -> list:
     divide."""
     if len(parts) == 1:
         return parts[0]
-    d = lcm(*[p[-1] for p in parts])
+    ds = [p[-1] for p in parts]
+    d = ds[0]
+    if ds.count(d) != len(ds):
+        d = lcm(*ds)
+    elif h == 1:
+        # one denominator: the ints side by side
+        out = []
+        for p in parts:
+            out += p[:-1]
+        out.append(d)
+        return out
     out: list = []
     for k in range(h):
         for p in parts:
@@ -695,16 +755,22 @@ def _q_fraction(x: int, d: int) -> Fraction:
     return Fraction(x) if d == 1 else Fraction(x, d)
 
 
-def _q_row(row) -> list:
-    """A row of Fractions as its canonical integer row: numerators
-    over the lcm of their denominators, which is appended."""
-    d = lcm(*[x.denominator for x in row])
-    if d == 1:
-        ints = [x.numerator for x in row]
-    else:
-        ints = [x.numerator * (d // x.denominator) for x in row]
+def _q_build(pairs: list) -> list:
+    """Entries (n, d) as a canonical integer row over the lcm of their
+    denominators, with the content divided out."""
+    d = lcm(*[e for _, e in pairs])
+    ints = ([n for n, _ in pairs] if d == 1
+            else [n * (d // e) for n, e in pairs])
     ints.append(d)
-    return ints
+    return _canonical(ints)
+
+
+def _q_render(row: list) -> list:
+    """str of each entry of a Q or GF(p) stored row, one gcd each."""
+    d = row[-1]
+    if d == 1:
+        return [str(x) for x in row[:-1]]
+    return [_rational_str(x, d) for x in row[:-1]]
 
 
 def _q_decode(rows: list) -> list:
@@ -745,18 +811,24 @@ def _q_update(rk: list, rr: list, c: int, pv: int) -> list:
 _QI_ZERO = GaussianRational()
 
 
-def _qi_row(row) -> list:
-    """A row of GaussianRationals as its canonical [re | im | d], d the
-    lcm of their denominators."""
-    d = lcm(*[x._d for x in row])
+def _qi_build(triples: list) -> list:
+    """Entries (a, b, d) as a canonical [re | im | d] over the lcm of
+    their denominators, with the content divided out."""
+    d = lcm(*[t[2] for t in triples])
     if d == 1:
-        ints = [x._a for x in row] + [x._b for x in row]
+        ints = [t[0] for t in triples] + [t[1] for t in triples]
     else:
-        scale = [d // x._d for x in row]
-        ints = ([x._a * s for x, s in zip(row, scale)]
-                + [x._b * s for x, s in zip(row, scale)])
+        scale = [d // t[2] for t in triples]
+        ints = ([t[0] * s for t, s in zip(triples, scale)]
+                + [t[1] * s for t, s in zip(triples, scale)])
     ints.append(d)
-    return ints
+    return _canonical(ints)
+
+
+def _qi_render(row: list) -> list:
+    """str of each entry of a stored [re | im | d]."""
+    n, d = len(row) >> 1, row[-1]
+    return [_gaussian_str(x, y, d) for x, y in zip(row[:n], row[n:-1])]
 
 
 def _qi_decode(rows: list) -> list:

@@ -22,8 +22,9 @@ import enum
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
-from typing import Union
+from typing import Callable, Union
 
 Scalar = Union[Fraction, "GaussianRational", int]
 
@@ -157,15 +158,7 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        # the input grammar: 3, i, -2*i, 1/2-3/4*i
-        a, b, d = self._a, self._b, self._d
-        if b == 0:
-            return _rational_str(a, d)
-        sign = "+" if b > 0 else "-"
-        coeff = "" if abs(b) == d else f"{_rational_str(abs(b), d)}*"
-        if a == 0:
-            return f"{'-' if b < 0 else ''}{coeff}i"
-        return f"{_rational_str(a, d)}{sign}{coeff}i"
+        return _gaussian_str(self._a, self._b, self._d)
 
 
 _set_a = GaussianRational._a.__set__
@@ -198,6 +191,19 @@ def _rational_str(n: int, d: int) -> str:
     g = gcd(n, d)
     n, d = n // g, d // g
     return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _gaussian_str(a: int, b: int, d: int) -> str:
+    """(a + b*i)/d, d > 0 and not necessarily in lowest terms, in the
+    input grammar: 3, i, -2*i, 1/2-3/4*i.  The imaginary coefficient is
+    +-1 exactly when |b| == d, so each part is reduced on its own."""
+    if b == 0:
+        return _rational_str(a, d)
+    sign = "+" if b > 0 else "-"
+    coeff = "" if abs(b) == d else f"{_rational_str(abs(b), d)}*"
+    if a == 0:
+        return f"{'-' if b < 0 else ''}{coeff}i"
+    return f"{_rational_str(a, d)}{sign}{coeff}i"
 
 
 def _as_gaussian(x) -> "GaussianRational":
@@ -374,23 +380,12 @@ class FieldSpec:
     # i, -i, b*i, bi); prime field: a decimal residue.
 
     def parse_scalar(self, text: str) -> Scalar:
-        # ASCII whitespace only: str.strip() would also take the
-        # Unicode spaces a JSON string can carry, such as U+2003
-        s = text.strip(" \t\n\r\f\v")
-        if not s:
-            raise ValueError("empty scalar")
-        try:
-            if self.kind is FieldKind.RATIONAL:
-                if not _RATIONAL_RE.fullmatch(s):
-                    raise ValueError(s)
-                return Fraction(*_ratio(s))
-            if self.kind is FieldKind.PRIME_FIELD:
-                if not _INTEGER_RE.fullmatch(s):
-                    raise ValueError(s)
-                return int(s) % self.p
-            return _parse_gaussian(s)
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"invalid scalar {_quote_token(text)}") from None
+        x = _reader(self)(text)
+        if self.kind is FieldKind.RATIONAL:
+            return Fraction(*x)
+        if self.kind is FieldKind.GAUSSIAN_RATIONAL:
+            return _reduced(*x)
+        return x
 
     def render_scalar(self, a: Scalar) -> str:
         return str(a)
@@ -402,6 +397,54 @@ class FieldSpec:
         if self.involution is Involution.CONJUGATION:
             return name + " with conjugation"
         return name
+
+
+@lru_cache(maxsize=256)
+def _reader(field: FieldSpec) -> Callable:
+    """The reader of one entry over field, as the ints the matrix rows
+    are built from: (n, d) over Q and (a, b, d) over Q(i), d > 0 and
+    not necessarily in lowest terms, and a residue in [0, p) over
+    GF(p).  A string is read by the text grammar, anything else goes
+    through coerce, and either raises the ValueError that parse_scalar
+    or coerce raises.  One reader is built per field."""
+    if field.kind is FieldKind.RATIONAL:
+        grammar, ints = _rational_ints, _numerator_denominator
+    elif field.kind is FieldKind.GAUSSIAN_RATIONAL:
+        grammar, ints = _gaussian_ints, _gaussian_triple
+    else:
+        p = field.p
+
+        def grammar(s: str) -> int:
+            if not _INTEGER_RE.fullmatch(s):
+                raise ValueError(s)
+            return int(s) % p
+
+        def ints(x: int) -> int:
+            return x % p
+
+    def read(x):
+        if not isinstance(x, str):
+            return ints(x if type(x) is int else field.coerce(x))
+        # ASCII whitespace only: str.strip() would also take the
+        # Unicode spaces a JSON string can carry, such as U+2003
+        s = x.strip(" \t\n\r\f\v")
+        try:
+            return grammar(s)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"invalid scalar {_quote_token(x)}" if s
+                             else "empty scalar") from None
+
+    return read
+
+
+def _numerator_denominator(x) -> tuple[int, int]:
+    return x.numerator, x.denominator
+
+
+def _gaussian_triple(x) -> tuple[int, int, int]:
+    if type(x) is int:
+        return x, 0, 1
+    return x._a, x._b, x._d
 
 
 def _quote_token(token) -> str:
@@ -440,13 +483,21 @@ def _ratio(s: str) -> tuple[int, int]:
     return int(num), d
 
 
-def _parse_gaussian(s: str) -> GaussianRational:
+def _rational_ints(s: str) -> tuple[int, int]:
+    if not _RATIONAL_RE.fullmatch(s):
+        raise ValueError(s)
+    return _ratio(s)
+
+
+def _gaussian_ints(s: str) -> tuple[int, int, int]:
+    """(a, b, d) with d > 0 for a Q(i) token, (a + b*i)/d not
+    necessarily in lowest terms; ValueError off the grammar."""
     m = _GAUSSIAN_RE.match(s)
     if m is None:
         raise ValueError(s)
     if m["real"] is not None:
         a, d = _ratio(m["real"])
-        return _reduced(a, 0, d)
+        return a, 0, d
     if m["real1"] is not None:
         a, d = _ratio(m["real1"])
         sign, coef = m["s1"], m["c1"]
@@ -457,4 +508,4 @@ def _parse_gaussian(s: str) -> GaussianRational:
     if sign == "-":
         b = -b
     # (a/d) + (b/e)*i = (a*e + b*d*i) / (d*e)
-    return _reduced(a * e, b * d, d * e)
+    return a * e, b * d, d * e

@@ -19,6 +19,13 @@ GF7 = FieldSpec.prime_field(7)
 
 ALL_FIELDS = (RATIONALS, GAUSSIAN_CONJ, GAUSSIAN_IDENT, GF7)
 
+# tokens near the grammars of every field, valid and not
+NEAR_GRAMMAR_TOKENS = [
+    "0", "1", "-2", "+3", "7/2", "-1/3", "1/0", "i", "-i", "2i", "1+2*i",
+    "1/2-3/4*i", "0.5", "-1.5e3", "1e5000", "1e999999999", "nan", "inf",
+    "1+2j", "x", "/", "*i", "1_0", "٣", "\x00",
+]
+
 # Numbers outside the input grammars: digits are ASCII 0-9 with no "_",
 # headers and JSON rows/cols are integers, true/false is no number, and
 # only ASCII whitespace may pad a JSON string entry.  Each is (--field

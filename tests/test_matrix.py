@@ -1323,3 +1323,88 @@ def test_decomposition_does_no_entry_arithmetic(field, monkeypatch):
     text = x.to_text()
     monkeypatch.undo()
     assert Matrix.from_text(field, text) == x
+
+
+# -- row_echelon_transform and rank against a reference --------------------------
+# L*a = 0 with T nonsingular holds for every left null basis, and a
+# different one changes X.  So P and the exact entries of L are pinned
+# to a forward elimination of [a | I] in the field's scalar arithmetic:
+# the first nonzero entry of each column is the pivot, rows are swapped
+# and never scaled, and a clear is row_k - (q/p)*row_r.  The draws carry
+# denominators, zero columns, repeated and negated rows and, over Q and
+# Q(i), negative pivots, the last one included.
+
+_FIELDS_WITH_BIG_PRIME = (*ALL_FIELDS, GF_BIG)
+
+
+def _reference_forward(field, rows: list, ncols: int) -> tuple[list, list]:
+    """(rows, sources of the pivot rows in pivot order)."""
+    rows = [list(r) for r in rows]
+    source = list(range(len(rows)))
+    pivots: list = []
+    for c in range(ncols):
+        r = len(pivots)
+        k = next((k for k in range(r, len(rows)) if rows[k][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        source[r], source[k] = source[k], source[r]
+        inv = field.inverse(rows[r][c])
+        for k in range(r + 1, len(rows)):
+            f = _stored(field, [rows[k][c] * inv])[0]
+            rows[k] = _stored(field,
+                              [x - f * y for x, y in zip(rows[k], rows[r])])
+        pivots.append(source[r])
+    return rows, pivots
+
+
+@st.composite
+def _structured(draw, field):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(0, 6))
+    entry = _frac_entry(field)
+    entries = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    for j in draw(st.sets(st.integers(0, cols - 1), max_size=2)
+                  if cols else st.just(())):
+        for row in entries:
+            row[j] = field.zero()
+    for i, j, sign in draw(st.lists(st.tuples(
+            st.integers(0, rows - 1), st.integers(0, rows - 1),
+            st.sampled_from([1, -1])), max_size=2)):
+        entries[i] = _stored(field, [sign * x for x in entries[j]])
+    return Matrix.from_rows(field, entries, cols=cols)
+
+
+def _check_against_reference(a: Matrix) -> list:
+    """Asserts P, L and rank(a); returns the reference pivot values."""
+    field, m, n = a.field, a.rows, a.cols
+    ident = Matrix.identity(field, m)
+    ref, sources = _reference_forward(
+        field, [list(a.row(i)) + list(ident.row(i)) for i in range(m)], n)
+    p, left = row_echelon_transform(a)
+    r = len(sources)
+    assert p == sorted(sources)
+    assert left.shape == (m - r, m)
+    assert [list(left.row(i)) for i in range(m - r)] == [
+        row[n:] for row in ref[r:]]
+    assert rank(a) == r
+    return [next(x for x in row[:n] if x) for row in ref[:r]]
+
+
+@pytest.mark.parametrize("field", _FIELDS_WITH_BIG_PRIME, ids=str)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_row_echelon_transform_matches_reference(field, data):
+    _check_against_reference(data.draw(_structured(field)))
+
+
+@pytest.mark.parametrize("field", [RATIONALS, GAUSSIAN_CONJ], ids=str)
+def test_negative_last_pivot(field):
+    # rank 2, with pivots 1 and -3: the second row cleared by the first
+    # is [0, -3, -9], and the third row is the sum of the first two
+    h = Fraction(1, 2)
+    a = _mat(field, [[1, 2, 3, h], [2, 1, -3, 1], [3, 3, 0, 1 + h]])
+    assert _check_against_reference(a) == [1, -3]
+    # a zero column, denominators, and the third row cleared to the
+    # second: pivots 1/2 and -3/2
+    b = _mat(field, [[0, h, 1, 2], [0, 1, h, -1], [0, 3 * h, 3 * h, 1]])
+    assert _check_against_reference(b) == [h, Fraction(-3, 2)]
