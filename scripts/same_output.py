@@ -48,7 +48,15 @@ calls `congru.cli.main`:
 - `verify --json --seed 1`: the round-trip suite with 20 trials, and
   the invariance suite with 3 trials on the first input of each exact
   workload;
-- `float-regularize` in text and JSON on the 25 float-complex inputs.
+- `float-regularize` in text and JSON on the 25 float-complex inputs,
+  and on copies of every fifth one: one with each entry spelled another
+  way that reads as the same value (`a+bi`, `a+b*j`, `(a+bj)`,
+  seventeen-digit exponents, padded with spaces and a tab), and two
+  with one entry in the middle row replaced by an odd token (`bi`, a
+  JSON int or float, `nan`, `inf`, a JSON `true`, an empty string,
+  `_`, a non-ASCII digit or `a+b*i*i`), so that the rows a float
+  reader parses whole and the ones it reads token by token, with their
+  errors, are compared too.
 
 A run's stdout, stderr and exit code must match byte for byte.  For each
 `float-regularize` run that differs and exits 0 in both trees, the
@@ -258,6 +266,40 @@ def _write_respelled_copies(json_path: str, prime: bool) -> tuple[str, str]:
     return path, _write_text_copy(path)
 
 
+def _float_respelled(entry: str, k: int) -> str:
+    """entry, a+b*i as bench/workloads.py writes it, spelled the way k
+    picks out of the module docstring's list, with the same value."""
+    z = complex(entry.replace("*i", "j"))
+    a, b = z.real, z.imag
+    return (entry, f"{a!r}{b:+}i", f"{a!r}{b:+}*j", f"({a!r}{b:+}j)",
+            f"{a:.17e}{b:+.17e}*i", f" \t{entry} ")[k % 6]
+
+
+# the odd tokens of the float copies, two for each copied input
+FLOAT_ODD = ("2.5i", 7, 0.5, "nan", "inf", True, "", "1_0+2*i",
+             "\u0661+2*i", "1+2*i*i")
+
+
+def _write_float_copies(json_path: str, j: int) -> list[str]:
+    """The respelled copy and the two odd copies of a float input, as
+    JSON and as text, next to the JSON; j counts the copied inputs."""
+    with open(json_path, encoding="utf-8") as fh:
+        obj = json.load(fh)
+    entries, rows, cols = obj["entries"], obj["rows"], obj["cols"]
+    copies = {"respelled": [_float_respelled(e, k)
+                            for k, e in enumerate(entries)]}
+    for t, odd in enumerate(FLOAT_ODD[2 * j:2 * j + 2]):
+        copies[f"odd{t}"] = entries[:]
+        copies[f"odd{t}"][rows // 2 * cols + cols // 2] = odd
+    paths = []
+    for label, copy in copies.items():
+        path = json_path[:-len(".json")] + f"-{label}.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({**obj, "entries": copy}, fh)
+        paths += [path, _write_text_copy(path)]
+    return paths
+
+
 def _write_direct_sum(first: str, second: str) -> str:
     """first (+) second, block diagonal, next to first."""
     with open(first, encoding="utf-8") as fh:
@@ -293,6 +335,11 @@ def build_runs(directory: str) -> list[list[str]]:
             if workload.command == "float-regularize":
                 runs.append(["float-regularize", *flags, "--json", path])
                 runs.append(["float-regularize", *flags, text_path])
+                if k % 5 == 0:
+                    for copy in _write_float_copies(path, k // 5):
+                        json_flag = ["--json"] * copy.endswith(".json")
+                        runs.append(["float-regularize", *flags,
+                                     *json_flag, copy])
                 continue
             for command in TRANSFORM_COMMANDS:
                 runs.append([command, *flags, "--json", "--emit-transform",

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .matrix import MatrixParseError, _read_text, _write_text
 from .regularize import block_slices, run_stages
@@ -256,6 +257,12 @@ def unitarity_residual(t: np.ndarray) -> float:
 # complex entries use the a+b*i grammar.  A literal is ASCII without
 # `_`: float() and complex() would also read digit separators,
 # non-ASCII digits and Unicode whitespace, which the exact fields reject.
+# Rows are parsed whole (_row_parser): one ASCII and `_` check and one
+# pass of the replacements for the row, then float() or complex() on
+# each token.  A row it does not take, one with a JSON number, a bad
+# token or a token that splits wrongly, is read one token at a time by
+# _real_entry or _complex_entry, which read JSON numbers and report
+# every error.
 
 
 def _real_entry(tok) -> float:
@@ -280,18 +287,45 @@ def _complex_entry(tok) -> complex | float:
         raise ValueError(f"invalid complex entry {_quote_token(tok)}") from None
 
 
+def _row_parser(complex_entries: bool) -> Callable:
+    """The parse_row of matrix.py's readers: a row's cols tokens as one
+    array, or None where _real_entry or _complex_entry must read them.
+    The checks and replacements match theirs token for token, since no
+    separator is ASCII-failing, `_` or part of a replaced pattern."""
+    convert, dtype = ((complex, np.complex128) if complex_entries
+                      else (float, np.float64))
+
+    def parse_row(text: str, sep: str | None, cols: int):
+        if "_" in text or not text.isascii():
+            return None
+        if complex_entries:
+            # _complex_entry's chain less its "*j" step: a token where
+            # that step would act keeps a "*", which complex() rejects
+            text = text.replace("*i", "j").replace("i", "j")
+        tokens = text.split(sep)
+        if len(tokens) != cols:
+            return None
+        try:
+            return np.fromiter(map(convert, tokens), dtype, cols)
+        except ValueError:
+            return None
+
+    return parse_row
+
+
 def _read_float(read, doc, complex_entries: bool,
                 square: bool = False) -> np.ndarray:
     """A float array from a grid document; read is _read_text or
-    _read_json.  Every entry is parsed before the array is allocated,
-    since the header is untrusted."""
-    rows, cols, values = read(
-        doc, _complex_entry if complex_entries else _real_entry, square)
+    _read_json.  The array is built from the parsed rows, each of which
+    holds as many values as its document does, and not from the
+    header, which is untrusted."""
+    parse = _complex_entry if complex_entries else _real_entry
+    rows, cols, grid = read(doc, parse, square, _row_parser(complex_entries))
     dtype = np.complex128 if complex_entries else np.float64
-    flat = np.array(values, dtype=dtype)
+    a = np.array(grid, dtype=dtype)
     try:
-        return flat.reshape(rows, cols)
-    except ValueError:  # the entry count matches: the header is too large
+        return a.reshape(rows, cols)
+    except ValueError:  # no rows: the header's width is too large
         raise MatrixParseError("dimensions too large", 1, 1) from None
 
 

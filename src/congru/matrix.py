@@ -273,10 +273,8 @@ class Matrix:
 
     @classmethod
     def _from_grid(cls, field: FieldSpec, rows: int, cols: int,
-                   entries: list) -> "Matrix":
-        build = _codec(field)[0]
-        return cls(field, rows, cols, tuple(
-            build(entries[i * cols:(i + 1) * cols]) for i in range(rows)))
+                   grid: list) -> "Matrix":
+        return cls(field, rows, cols, tuple(map(_codec(field)[0], grid)))
 
 
 # -- the grid format -------------------------------------------------------------
@@ -285,9 +283,16 @@ class Matrix:
 # entries per row.  JSON: an object with rows, cols and the row-major
 # list of entries.  The readers take the per-entry parser, which raises
 # ValueError (or OverflowError) on a bad token, and return (rows, cols,
-# entries) with the entries parsed.  square=True rejects a non-square
-# header before any entry is read.  A header with rows but no columns
-# is rejected: it declares a matrix that no entry bounds.
+# grid), grid the list of parsed rows.  square=True rejects a
+# non-square header before any entry is read.  A header with rows but
+# no columns is rejected: it declares a matrix that no entry bounds.
+# A caller may also pass parse_row(text, sep, cols), which reads a
+# whole row at once: text is the row's tokens as one string, split by
+# text.split(sep) (a text line with sep None, a JSON row's string
+# entries joined by ","), and it returns the parsed row, or None for a
+# row it does not take.  Such a row goes through the per-entry parser,
+# which alone reads JSON numbers and reports errors, so parse_row must
+# accept only rows that the per-entry parser reads to the same values.
 
 
 def _check_dims(rows: int, cols: int, square: bool) -> None:
@@ -301,7 +306,8 @@ def _check_dims(rows: int, cols: int, square: bool) -> None:
             "a matrix with 0 columns must have 0 rows", 1, 1)
 
 
-def _read_text(text: str, parse: Callable, square: bool = False) -> tuple:
+def _read_text(text: str, parse: Callable, square: bool = False,
+               parse_row: Callable | None = None) -> tuple:
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise MatrixParseError("missing header line", 1, 1)
@@ -317,8 +323,13 @@ def _read_text(text: str, parse: Callable, square: bool = False) -> tuple:
     body = lines[1:rows + 1]
     if len(body) < rows:
         body.append("")  # the first missing row reports itself below
-    entries = []
+    grid = []
     for lineno, raw in enumerate(body, start=2):
+        if parse_row is not None:
+            row = parse_row(raw, None, cols)
+            if row is not None:
+                grid.append(row)
+                continue
         tokens = list(re.finditer(r"\S+", raw))
         if len(tokens) != cols:
             if len(tokens) > cols:
@@ -327,19 +338,22 @@ def _read_text(text: str, parse: Callable, square: bool = False) -> tuple:
                 col = (tokens[-1].end() + 1) if tokens else 1
             raise MatrixParseError(
                 f"expected {cols} entries, found {len(tokens)}", lineno, col)
+        row = []
         for t in tokens:
             try:
-                entries.append(parse(t.group()))
+                row.append(parse(t.group()))
             except (ValueError, OverflowError) as exc:
                 raise MatrixParseError(
                     str(exc), lineno, t.start() + 1) from None
+        grid.append(row)
     for k, extra in enumerate(lines[rows + 1:], start=rows + 2):
         if extra.strip():
             raise MatrixParseError("trailing content after matrix", k, 1)
-    return rows, cols, entries
+    return rows, cols, grid
 
 
-def _read_json(obj, parse: Callable, square: bool = False) -> tuple:
+def _read_json(obj, parse: Callable, square: bool = False,
+               parse_row: Callable | None = None) -> tuple:
     if not isinstance(obj, dict):
         raise MatrixParseError("expected a JSON object", 1, 1)
     rows, cols = obj.get("rows"), obj.get("cols")
@@ -351,13 +365,32 @@ def _read_json(obj, parse: Callable, square: bool = False) -> tuple:
     _check_dims(rows, cols, square)
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise MatrixParseError("entries must hold rows*cols values", 1, 1)
+    if parse_row is None:
+        parsed = _parse_entries(entries, parse, 0)
+        return rows, cols, [parsed[i * cols:(i + 1) * cols]
+                            for i in range(rows)]
+    grid = []
+    for i in range(rows):
+        chunk = entries[i * cols:(i + 1) * cols]
+        try:
+            row = parse_row(",".join(chunk), ",", cols)
+        except TypeError:  # a JSON number, bool or null in the row
+            row = None
+        grid.append(_parse_entries(chunk, parse, i * cols)
+                    if row is None else row)
+    return rows, cols, grid
+
+
+def _parse_entries(entries: list, parse: Callable, start: int) -> list:
+    """The JSON entries parsed one by one; start is the index of the
+    first in the document, for the error message."""
     parsed = []
-    for k, e in enumerate(entries):
+    for k, e in enumerate(entries, start):
         try:
             parsed.append(parse(e))
         except (ValueError, OverflowError) as exc:
             raise MatrixParseError(f"entry {k}: {exc}", 1, k + 1) from None
-    return rows, cols, parsed
+    return parsed
 
 
 def _write_text(rows: int, cols: int, grid: Iterable, render: Callable,

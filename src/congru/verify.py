@@ -22,21 +22,23 @@ _SEED_STRIDE = 1_000_003
 _ENTRY_BOUND = 5
 
 
-def _draw_scalar(rng: random.Random, field: FieldSpec, bound: int):
-    re = rng.randint(-bound, bound)
-    if field.kind is FieldKind.GAUSSIAN_RATIONAL:
-        im = rng.randint(-bound, bound)
-        return field.coerce(re) + field.imaginary_unit() * field.coerce(im)
-    return field.from_int(re)
-
-
 def _draw_matrix(rng: random.Random, field: FieldSpec, rows: int, cols: int,
                  bound: int) -> Matrix:
-    return Matrix.from_rows(
-        field,
-        [[_draw_scalar(rng, field, bound) for _ in range(cols)]
-         for _ in range(rows)],
-        cols=cols)
+    """Integer entries in [-bound, bound], drawn entry by entry, over
+    Q(i) the real part and then the imaginary part.  Each entry goes to
+    the matrix as the ints that scalar._reader gives for it, so that no
+    scalar is built."""
+    if field.kind is FieldKind.GAUSSIAN_RATIONAL:
+        def draw():
+            return rng.randint(-bound, bound), rng.randint(-bound, bound), 1
+    elif field.p:
+        def draw():
+            return rng.randint(-bound, bound) % field.p
+    else:
+        def draw():
+            return rng.randint(-bound, bound), 1
+    return Matrix._from_grid(
+        field, rows, cols, [[draw() for _ in range(cols)] for _ in range(rows)])
 
 
 def _draw_nonsingular(rng: random.Random, field: FieldSpec, n: int,

@@ -1,5 +1,6 @@
 """Floating-point unitary/orthogonal path."""
 
+import math
 import random
 
 import numpy as np
@@ -20,9 +21,10 @@ from congru import (
     unitarity_residual,
 )
 import congru.float_unitary
-from congru.float_unitary import _read_float, block_slices, required_zero_mask
+from congru.float_unitary import (_complex_entry, _read_float, _real_entry,
+                                  block_slices, required_zero_mask)
 from congru.regularize import run_stages
-from congru.matrix import _read_json
+from congru.matrix import _read_json, _read_text
 
 from conftest import GAUSSIAN_CONJ, GAUSSIAN_IDENT, RATIONALS
 
@@ -344,3 +346,110 @@ def test_float_render_parse_roundtrip(values):
     text = render_float_matrix(a)
     b = parse_float_matrix(text, complex_entries=False)
     assert (a == b).all()
+
+
+# -- rows parsed whole against the per-token readers ---------------------------
+
+_FLOAT = st.floats(width=64) | st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e300])
+
+
+@st.composite
+def _float_token(draw):
+    """A JSON entry in one of the spellings _real_entry and
+    _complex_entry read or reject."""
+    a, b = draw(_FLOAT), draw(_FLOAT)
+    exp = draw(st.booleans())
+    x, y = ((f"{a:.17e}", f"{b:+.17e}") if exp else (repr(a), f"{b:+}"))
+    token = draw(st.sampled_from([
+        f"{x}{y}*i", f"{x}{y}i", f"{x}{y}*j", f"{y}i", f"({x}{y}j)", x,
+        "inf", "-infinity", "nan", "1e999", f"{x}{y}*I", "**i", "*i", "i",
+        "j", "", " ", "1 2", "1,2", f"{x}_0", "\u0661", "\uff11",
+        f"{x}\u00a0", "1+2*i*i", "(1+2j", "1+2*ij", "0x10"]))
+    if draw(st.booleans()):
+        token = draw(st.sampled_from([" ", "\t", "  \t"])) + token
+    if draw(st.booleans()):
+        token += draw(st.sampled_from([" ", "\t", "\t "]))
+    if draw(st.integers(0, 7)) == 0:  # a JSON number or bool
+        return draw(st.sampled_from([a, int(b) if math.isfinite(b) else 7,
+                                     True, False, 0, -3]))
+    return token
+
+
+@st.composite
+def _float_grid(draw):
+    """(rows, cols, entries): mostly rows of valid entries, so that the
+    row path takes some rows and the per-token path others."""
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(1, 4))
+    valid = st.builds(lambda a, b, f: f.format(a, b),
+                      st.floats(allow_nan=False, allow_infinity=False),
+                      st.floats(allow_nan=False, allow_infinity=False),
+                      st.sampled_from(["{!r}{:+}*i", "{!r}", "{!r}{:+}j",
+                                       "{:.17e}{:+.17e}*i", "{1!r}i"]))
+    token = st.one_of(valid, valid, valid, _float_token())
+    return rows, cols, draw(st.lists(token, min_size=rows * cols,
+                                     max_size=rows * cols))
+
+
+def _token_by_token(read, doc, complex_entries):
+    """_read_float's result with no row parser: every entry goes
+    through _real_entry or _complex_entry."""
+    parse = _complex_entry if complex_entries else _real_entry
+    dtype = np.complex128 if complex_entries else np.float64
+    rows, cols, grid = read(doc, parse)
+    return np.array(grid, dtype=dtype).reshape(rows, cols)
+
+
+def _outcome(fn, *args):
+    try:
+        a = fn(*args)
+    except MatrixParseError as exc:
+        return str(exc), exc.line, exc.column
+    # the bits, so that a NaN or a -0.0 compares too
+    return a.dtype, a.shape, a.view(np.float64).tobytes()
+
+
+@given(grid=_float_grid(), complex_entries=st.booleans(),
+       sep=st.sampled_from([" ", "\t", "  ", " \t "]))
+@settings(max_examples=300, deadline=None)
+def test_rows_parse_as_tokens_do(grid, complex_entries, sep):
+    rows, cols, entries = grid
+    doc = {"rows": rows, "cols": cols, "entries": entries}
+    want = _outcome(_token_by_token, _read_json, doc, complex_entries)
+    assert _outcome(_read_float, _read_json, doc, complex_entries) == want
+    text = "\n".join([f"{rows} {cols}"] + [
+        sep + sep.join(map(str, entries[i * cols:(i + 1) * cols]))
+        for i in range(rows)]) + "\n"
+    want = _outcome(_token_by_token, _read_text, text, complex_entries)
+    assert _outcome(_read_float, _read_text, text, complex_entries) == want
+
+
+@pytest.mark.parametrize("row", [["1 2", " ", "3"], ["1 2", "", "3"],
+                                 ["1", "2,3", ""], ["1\t2", "\t", "3"]])
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_a_token_that_splits_is_still_an_error(row, complex_entries):
+    # split at whitespace, each row would hold three tokens
+    doc = {"rows": 1, "cols": 3, "entries": row}
+    with pytest.raises(MatrixParseError, match="entry [01]: invalid") as ei:
+        _read_float(_read_json, doc, complex_entries)
+    assert ei.value.line == 1
+
+
+def test_rows_of_strings_skip_the_per_token_reader(monkeypatch):
+    calls = []
+
+    def counted(tok):
+        calls.append(tok)
+        return _complex_entry(tok)
+
+    monkeypatch.setattr(congru.float_unitary, "_complex_entry", counted)
+    doc = {"rows": 3, "cols": 2,
+           "entries": ["1+2*i", " -0.5e1i ", 3, "4*i", "(1-1j)", "nan"]}
+    a = _read_float(_read_json, doc, True)
+    # only the row with a JSON number is read token by token
+    assert calls == [3, "4*i"]
+    assert a[:, 0].tolist() == [1 + 2j, 3, 1 - 1j]
+    assert a[:2, 1].tolist() == [-5j, 4j] and np.isnan(a[2, 1])
+    calls.clear()
+    text = "3 2\n1+2*i -0.5e1i\n3 4*i\n(1-1j)\tnan\n"
+    b = _read_float(_read_text, text, True)
+    assert calls == [] and a.tobytes() == b.tobytes()

@@ -8,6 +8,7 @@ import pytest
 
 import congru.verify as verify_module
 from congru import (
+    FieldKind,
     FieldSpec,
     Matrix,
     check_transform,
@@ -21,7 +22,8 @@ from congru.cli import main
 from congru.regularize import BlockSum
 from congru.verify import _ENTRY_BOUND, _draw_matrix, _draw_nonsingular
 
-from conftest import GAUSSIAN_CONJ, GF7, RATIONALS, nilpotent_jordan_oracle
+from conftest import (ALL_FIELDS, GAUSSIAN_CONJ, GF7, RATIONALS,
+                      nilpotent_jordan_oracle)
 
 
 class TestOracle:
@@ -68,6 +70,26 @@ class TestRandomMatrices:
     def test_empty_size(self):
         s = _draw_nonsingular(random.Random(0), RATIONALS, 0, _ENTRY_BOUND)
         assert s.shape == (0, 0)
+
+    @pytest.mark.parametrize("field", [*ALL_FIELDS, FieldSpec.prime_field(2)],
+                             ids=str)
+    def test_rows_are_the_drawn_entries(self, field):
+        # entry by entry, the real part and then, over Q(i), the
+        # imaginary part; the stored rows equal from_rows' rows
+        for rows, cols in ((0, 3), (3, 0), (3, 4)):
+            rng, ref = random.Random(7), random.Random(7)
+            a = _draw_matrix(rng, field, rows, cols, _ENTRY_BOUND)
+            entries = []
+            for _ in range(rows * cols):
+                x = field.coerce(ref.randint(-_ENTRY_BOUND, _ENTRY_BOUND))
+                if field.kind is FieldKind.GAUSSIAN_RATIONAL:
+                    x = x + field.imaginary_unit() * field.coerce(
+                        ref.randint(-_ENTRY_BOUND, _ENTRY_BOUND))
+                entries.append(x)
+            b = Matrix.from_rows(field, [entries[i * cols:(i + 1) * cols]
+                                         for i in range(rows)], cols=cols)
+            assert a.shape == b.shape and a._r == b._r
+            assert rng.random() == ref.random()
 
 
 class TestCheckTransform:
